@@ -19,7 +19,7 @@ from .enumeration import (
     delta_min_degree,
 )
 from .errors import CorruptInputError, DomainError, TandemCodeError
-from .fse import FseCodec
+from .fse import FseCodec, _block_value, _value_block
 from .oracle import (
     OracleBudget,
     all_roots_bfs,
@@ -124,21 +124,6 @@ def _join_chunks(values: list[int], chunk: int) -> bytes:
         raise CorruptInputError(f"invalid payload bit length {bit_len}")
     payload = (acc >> (nbits - 64 - bit_len)) & ((1 << bit_len) - 1)
     return payload.to_bytes(bit_len // 8, "big")
-
-
-def _block_word(value: int, ell: int, q: int) -> Word:
-    digits = []
-    for _ in range(ell):
-        value, r = divmod(value, q)
-        digits.append(r)
-    return Word(tuple(reversed(digits)), q)
-
-
-def _block_value(block: Word) -> int:
-    value = 0
-    for s in block:
-        value = value * block.q + s
-    return value
 
 
 def _merged(header: dict, key: str, flag, default=None):
@@ -255,7 +240,7 @@ def _cmd_encode(args) -> int:
         if data:
             value, nbits = _frame_bits(data)
             blocks = [
-                _block_word(v, params.ell, sys_.q)
+                _value_block(v, params)
                 for v in _split_chunks(value, nbits, chunk)
             ]
         else:
@@ -302,9 +287,10 @@ def _cmd_decode(args) -> int:
         if n is None:
             raise DomainError("code mode needs -n or a stream header")
         spec = CodeSpec(sys_, int(n))
-        chunk = int(_merged(
-            header, "chunk", None, code_size(int(n), sys_).bit_length() - 1
-        ))
+        if "chunk" in header:
+            chunk = int(header["chunk"])
+        else:
+            chunk = code_size(int(n), sys_).bit_length() - 1
         if not strands:
             _write_bytes(args.output, b"")
             return 0
@@ -319,9 +305,10 @@ def _cmd_decode(args) -> int:
         _write_bytes(args.output, _join_chunks(values, chunk))
         return 0
     params = _resolve_fse_params(args, sys_, header)
-    chunk = int(_merged(
-        header, "chunk", None, (sys_.q**params.ell).bit_length() - 1
-    ))
+    if "chunk" in header:
+        chunk = int(header["chunk"])
+    else:
+        chunk = (sys_.q**params.ell).bit_length() - 1
     codec = FseCodec(params)
     if not strands:
         if digits:
@@ -338,7 +325,7 @@ def _cmd_decode(args) -> int:
         return 0
     values = []
     for block in blocks:
-        v = _block_value(block)
+        v = _block_value(block, params)
         if v >= 1 << chunk:
             raise CorruptInputError(
                 f"decoded block value {v} does not fit in a {chunk} bit chunk"

@@ -271,28 +271,6 @@ def count_irr_prefix(p: Word, n: int, sys: DupSystem) -> int:
     return count_extensions(p, n - len(p), sys)
 
 
-class PrefixCountTable:
-    """Counts of irreducible length-n words extending one fixed prefix."""
-
-    def __init__(self, prefix: Word, sys: DupSystem):
-        if prefix.q != sys.q:
-            raise DomainError("prefix alphabet does not match the system")
-        if len(prefix) < 1:
-            raise DomainError("prefix must be nonempty")
-        self.prefix = prefix
-        self.sys = sys
-        self._irreducible = is_irreducible(prefix, sys.k)
-
-    def count(self, n: int) -> int:
-        if n < len(self.prefix):
-            raise DomainError(
-                f"target length {n} shorter than the prefix ({len(self.prefix)})"
-            )
-        if not self._irreducible:
-            return 0
-        return count_extensions(self.prefix, n - len(self.prefix), self.sys)
-
-
 # ------------------------------------------------------- minimum out-degree
 
 

@@ -11,122 +11,139 @@ shorter irreducible word:
 * k = 3: phi1 appends one symbol, phi2 appends two, phi3 appends three;
   their avoid sets depend on whether the input's last three symbols are
   all distinct, and their images partition the irreducible words by a
-  suffix test (see _classify3).
+  suffix test (see _classify).
 
-Within a group the preimage is ordered recursively and the avoid-set
+Branch b of a suffix map always appends b symbols: a free symbol sigma
+chosen from outside an avoid set, then symbols copied from the input.
+Within a branch the preimage is ordered recursively and the avoid-set
 index varies fastest, so ranks are computed by divmod against block
-sizes taken from the count tables.  Everything is exact integer
-arithmetic: unranking and ranking cost O(n) big-integer operations on
-top of the cached count table.
+sizes taken from a count function.  Words with a fixed prefix p use the
+same order restricted to p's class, with a lexicographic base up to
+length max(|p| + k - 1, 2k - 1); the plain order is the empty prefix.
+Everything is exact integer arithmetic: unranking and ranking cost O(n)
+big-integer operations on top of the cached counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .enumeration import count_extensions, count_table, extension_index, kth_extension
 from .errors import DomainError
 from .words import DupSystem, Word, is_irreducible
 
+# --------------------------------------------------------- the suffix maps
 
-# ----------------------------------------------------------- avoid sets
+
+def _suffix_map(
+    s: Sequence[int], e: int, branch: int, k: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Avoid set and copied symbols of suffix map `branch` applied to s[:e].
+
+    The image is s[:e] + (sigma,) + copied with sigma outside the avoid
+    set.  Only the preimage's last <= 4 symbols are read.
+    """
+    a, b = s[e - 2], s[e - 1]
+    if k == 2:
+        return (a, b), ((b,) if branch == 2 else ())
+    c = s[e - 3]
+    if branch == 2:
+        d = s[e - 4]
+        return ((c, a, b) if c != b and d in (a, b) else (d, a, b)), (a,)
+    if c != b:
+        return (c, b), ((c, b) if branch == 3 else ())
+    return (a, b), ((a, b) if branch == 3 else ())
 
 
-def _pick_symbol(avoid: set[int], i: int, q: int) -> int:
+def _pick_symbol(avoid: tuple[int, ...], i: int, q: int) -> int:
     """The i-th smallest symbol (1-indexed) of {0..q-1} minus avoid."""
     width = q - len(avoid)
     if not 1 <= i <= width:
         raise DomainError(f"avoid-set index {i} outside [1, {width}]")
     for c in range(q):
-        if c in avoid:
-            continue
-        i -= 1
-        if i == 0:
-            return c
+        if c not in avoid:
+            i -= 1
+            if i == 0:
+                return c
     raise AssertionError("unreachable")
 
 
-def _symbol_index(avoid: set[int], c: int, q: int) -> int:
-    """Position of c (1-indexed) within {0..q-1} minus avoid."""
-    if c in avoid:
+def _classify(s: Sequence[int], n: int, k: int, q: int) -> tuple[int, int]:
+    """(branch, i): the suffix map that produced the irreducible word s[:n]
+    and the avoid-set index of its free symbol."""
+    if k == 2:
+        branch = 1 if s[n - 1] != s[n - 3] else 2
+    elif s[n - 1] != s[n - 4]:
+        branch = 1
+    else:
+        s6, s4 = s[n - 6], s[n - 4]
+        if (s6 == s4 and s[n - 2] == s[n - 5]) or (s6 != s4 and s[n - 2] == s6):
+            branch = 3
+        else:
+            branch = 2
+    avoid, _ = _suffix_map(s, n - branch, branch, k)
+    sigma = s[n - branch]
+    if sigma in avoid:
         raise DomainError("word is not in the expected image class")
-    return 1 + sum(1 for s in range(c) if s not in avoid)
+    return branch, 1 + sigma - sum(1 for a in avoid if a < sigma)
 
 
-# ------------------------------------------------------ k = 2 suffix maps
+def _widths(q: int, k: int) -> tuple[int, ...]:
+    # avoid-set complement size of each branch, in branch order
+    return (q - 2, q - 2) if k == 2 else (q - 2, q - 3, q - 2)
 
 
-def _phi(syms: tuple[int, ...], i: int, q: int) -> tuple[int, ...]:
-    sigma = _pick_symbol({syms[-2], syms[-1]}, i, q)
-    return syms + (sigma,)
+def _apply(x: Word, i: int, branch: int, sys: DupSystem, k: int, min_len: int) -> Word:
+    _require_system(x, sys, k)
+    if len(x) < min_len:
+        raise DomainError(f"map input needs length >= {min_len}, got {len(x)}")
+    width = _widths(sys.q, k)[branch - 1]
+    if not 1 <= i <= width:
+        raise DomainError(f"avoid-set index {i} outside [1, {width}]")
+    if not is_irreducible(x, k):
+        raise DomainError("map input must be irreducible")
+    s = x.symbols
+    avoid, copied = _suffix_map(s, len(s), branch, sys.k)
+    return Word(s + (_pick_symbol(avoid, i, sys.q),) + copied, sys.q)
 
 
-def _psi(syms: tuple[int, ...], i: int, q: int) -> tuple[int, ...]:
-    sigma = _pick_symbol({syms[-2], syms[-1]}, i, q)
-    return syms + (sigma, syms[-1])
+def _invert(y: Word, sys: DupSystem, k: int, min_len: int) -> tuple[Word, int, int]:
+    _require_system(y, sys, k)
+    if len(y) < min_len:
+        raise DomainError(f"map image needs length >= {min_len}, got {len(y)}")
+    if not is_irreducible(y, k):
+        raise DomainError("map image must be irreducible")
+    s = y.symbols
+    branch, i = _classify(s, len(s), k, sys.q)
+    return Word(s[:len(s) - branch], sys.q), i, branch
 
 
 def apply_phi(x: Word, i: int, sys: DupSystem) -> Word:
     """Append one symbol differing from the last two; the image ends in
     three distinct symbols."""
-    _require_map_input(x, i, sys, k=2, min_len=3, width=sys.q - 2)
-    return Word(_phi(x.symbols, i, sys.q), sys.q)
+    return _apply(x, i, 1, sys, 2, min_len=3)
 
 
 def invert_phi(y: Word, sys: DupSystem) -> tuple[Word, int]:
     """Inverse of apply_phi; requires the last three symbols distinct."""
-    _require_image(y, sys, k=2, min_len=4)
-    s = y.symbols
-    if s[-1] == s[-3]:
+    x, i, branch = _invert(y, sys, 2, min_len=4)
+    if branch != 1:
         raise DomainError("word does not end in three distinct symbols")
-    return Word(s[:-1], sys.q), _symbol_index({s[-3], s[-2]}, s[-1], sys.q)
+    return x, i
 
 
 def apply_psi(x: Word, i: int, sys: DupSystem) -> Word:
     """Append a symbol differing from the last two, then repeat the last
     symbol of x; the image's last symbol equals the one two back."""
-    _require_map_input(x, i, sys, k=2, min_len=2, width=sys.q - 2)
-    return Word(_psi(x.symbols, i, sys.q), sys.q)
+    return _apply(x, i, 2, sys, 2, min_len=2)
 
 
 def invert_psi(y: Word, sys: DupSystem) -> tuple[Word, int]:
     """Inverse of apply_psi; requires y[-1] == y[-3]."""
-    _require_image(y, sys, k=2, min_len=4)
-    s = y.symbols
-    if s[-1] != s[-3]:
+    x, i, branch = _invert(y, sys, 2, min_len=4)
+    if branch != 2:
         raise DomainError("last symbol does not repeat the one two back")
-    return Word(s[:-2], sys.q), _symbol_index({s[-4], s[-3]}, s[-2], sys.q)
-
-
-# ------------------------------------------------------ k = 3 suffix maps
-
-
-def _phi1(syms: tuple[int, ...], i: int, q: int) -> tuple[int, ...]:
-    if syms[-3] != syms[-1]:
-        avoid = {syms[-3], syms[-1]}
-    else:
-        avoid = {syms[-2], syms[-1]}
-    return syms + (_pick_symbol(avoid, i, q),)
-
-
-def _phi2(syms: tuple[int, ...], i: int, q: int) -> tuple[int, ...]:
-    if syms[-3] != syms[-1] and syms[-4] in (syms[-1], syms[-2]):
-        avoid = {syms[-3], syms[-2], syms[-1]}
-    else:
-        avoid = {syms[-4], syms[-2], syms[-1]}
-    return syms + (_pick_symbol(avoid, i, q), syms[-2])
-
-
-def _phi3(syms: tuple[int, ...], i: int, q: int) -> tuple[int, ...]:
-    if syms[-3] != syms[-1]:
-        sigma = _pick_symbol({syms[-3], syms[-1]}, i, q)
-        return syms + (sigma, syms[-3], syms[-1])
-    sigma = _pick_symbol({syms[-2], syms[-1]}, i, q)
-    return syms + (sigma, syms[-2], syms[-1])
-
-
-_MIN_LEN3 = {1: 3, 2: 4, 3: 3}
-_APPENDED3 = {1: 1, 2: 2, 3: 3}
+    return x, i
 
 
 def apply_phi123(x: Word, i: int, branch: int, sys: DupSystem) -> Word:
@@ -137,237 +154,25 @@ def apply_phi123(x: Word, i: int, branch: int, sys: DupSystem) -> Word:
     """
     if branch not in (1, 2, 3):
         raise DomainError(f"branch must be 1, 2, or 3, got {branch}")
-    width = sys.q - 3 if branch == 2 else sys.q - 2
     if branch == 2 and sys.q == 3:
         raise DomainError("branch 2 is empty at q = 3")
-    _require_map_input(x, i, sys, k=3, min_len=_MIN_LEN3[branch], width=width)
-    fn = (_phi1, _phi2, _phi3)[branch - 1]
-    return Word(fn(x.symbols, i, sys.q), sys.q)
-
-
-def _classify3(s: tuple[int, ...]) -> int:
-    # which k=3 map produced an irreducible word with this suffix
-    if s[-1] != s[-4]:
-        return 1
-    if (s[-6] == s[-4] and s[-2] == s[-5]) or (s[-6] != s[-4] and s[-2] == s[-6]):
-        return 3
-    return 2
+    return _apply(x, i, branch, sys, 3, min_len=4 if branch == 2 else 3)
 
 
 def invert_phi123(y: Word, sys: DupSystem) -> tuple[Word, int, int]:
     """Classify y's suffix, strip the appended symbols, and recover the
     avoid-set index.  Returns (preimage, i, branch)."""
-    _require_image(y, sys, k=3, min_len=6)
-    s = y.symbols
-    q = sys.q
-    branch = _classify3(s)
-    if branch == 1:
-        avoid = {s[-4], s[-2]} if s[-2] != s[-4] else {s[-3], s[-2]}
-        return Word(s[:-1], q), _symbol_index(avoid, s[-1], q), 1
-    if branch == 3:
-        avoid = {s[-6], s[-4]} if s[-6] != s[-4] else {s[-5], s[-4]}
-        return Word(s[:-3], q), _symbol_index(avoid, s[-3], q), 3
-    if s[-6] not in (s[-4], s[-3]) or s[-5] == s[-3]:
-        avoid = {s[-6], s[-4], s[-3]}
-    else:
-        avoid = {s[-5], s[-4], s[-3]}
-    return Word(s[:-2], q), _symbol_index(avoid, s[-2], q), 2
+    return _invert(y, sys, 3, min_len=6)
 
 
 # ------------------------------------------------------------ validation
 
 
-def _require_map_input(x: Word, i: int, sys: DupSystem, k: int, min_len: int, width: int) -> None:
+def _require_system(x: Word, sys: DupSystem, k: int) -> None:
     if sys.k != k:
         raise DomainError(f"this map belongs to k = {k}, system has k = {sys.k}")
     if x.q != sys.q:
         raise DomainError(f"word alphabet q={x.q} does not match system q={sys.q}")
-    if len(x) < min_len:
-        raise DomainError(f"map input needs length >= {min_len}, got {len(x)}")
-    if not 1 <= i <= width:
-        raise DomainError(f"avoid-set index {i} outside [1, {width}]")
-    if not is_irreducible(x, sys.k):
-        raise DomainError("map input must be irreducible")
-
-
-def _require_image(y: Word, sys: DupSystem, k: int, min_len: int) -> None:
-    if sys.k != k:
-        raise DomainError(f"this map belongs to k = {k}, system has k = {sys.k}")
-    if y.q != sys.q:
-        raise DomainError(f"word alphabet q={y.q} does not match system q={sys.q}")
-    if len(y) < min_len:
-        raise DomainError(f"map image needs length >= {min_len}, got {len(y)}")
-    if not is_irreducible(y, sys.k):
-        raise DomainError("map image must be irreducible")
-
-
-# ------------------------------------------------------------- the order
-
-
-@dataclass(frozen=True)
-class IrrOrder:
-    """The total order on irreducible length-n words used by rank/unrank."""
-
-    sys: DupSystem
-    n: int
-
-    @property
-    def base_length(self) -> int:
-        return 3 if self.sys.k == 2 else 5
-
-    def is_base(self) -> bool:
-        return self.n <= self.base_length
-
-    def size(self) -> int:
-        return count_table(self.sys).count(self.n)
-
-
-def _empty(q: int) -> Word:
-    return Word((), q)
-
-
-def unrank_irr(n: int, j: int, sys: DupSystem) -> Word:
-    """The j-th irreducible word of length n (1-indexed) in the recursive
-    order."""
-    word, _ = unrank_irr_with_cost(n, j, sys)
-    return word
-
-
-def unrank_irr_with_cost(n: int, j: int, sys: DupSystem) -> tuple[Word, int]:
-    """unrank_irr plus the number of big-integer operations it performed."""
-    if n < 0:
-        raise DomainError(f"word length must be >= 0, got {n}")
-    ct = count_table(sys)
-    total = ct.count(n)
-    if not 1 <= j <= total:
-        raise DomainError(f"rank {j} outside [1, {total}] for length {n}")
-    q, k = sys.q, sys.k
-    base = 3 if k == 2 else 5
-    ops = 0
-    steps: list[tuple[int, int]] = []
-    while n > base:
-        b1 = (q - 2) * ct.count(n - 1)
-        ops += 2
-        if j <= b1:
-            j, r = divmod(j - 1, q - 2)
-            steps.append((1, r + 1))
-            j += 1
-            n -= 1
-            ops += 1
-            continue
-        j -= b1
-        if k == 2:
-            j, r = divmod(j - 1, q - 2)
-            steps.append((2, r + 1))
-            j += 1
-            n -= 2
-            ops += 2
-            continue
-        b2 = (q - 3) * ct.count(n - 2)
-        ops += 2
-        if j <= b2:
-            j, r = divmod(j - 1, q - 3)
-            steps.append((2, r + 1))
-            j += 1
-            n -= 2
-            ops += 1
-        else:
-            j -= b2
-            j, r = divmod(j - 1, q - 2)
-            steps.append((3, r + 1))
-            j += 1
-            n -= 3
-            ops += 2
-    syms = kth_extension(_empty(q), n, j, sys).symbols
-    ops += n
-    for branch, i in reversed(steps):
-        if k == 2:
-            syms = _phi(syms, i, q) if branch == 1 else _psi(syms, i, q)
-        else:
-            syms = (_phi1, _phi2, _phi3)[branch - 1](syms, i, q)
-        ops += 1
-    return Word(syms, q), ops
-
-
-def rank_irr(x: Word, sys: DupSystem) -> int:
-    """Rank (1-indexed) of an irreducible word in the recursive order."""
-    r, _ = rank_irr_with_cost(x, sys)
-    return r
-
-
-def rank_irr_with_cost(x: Word, sys: DupSystem) -> tuple[int, int]:
-    """rank_irr plus the number of big-integer operations it performed."""
-    if x.q != sys.q:
-        raise DomainError(f"word alphabet q={x.q} does not match system q={sys.q}")
-    if not is_irreducible(x, sys.k):
-        raise DomainError(f"{x} is not irreducible for k = {sys.k}")
-    ct = count_table(sys)
-    q, k = sys.q, sys.k
-    base = 3 if k == 2 else 5
-    syms = x.symbols
-    n = len(syms)
-    ops = 0
-    levels: list[tuple[int, int, int]] = []  # (branch, i, image length)
-    while n > base:
-        if k == 2:
-            if syms[-1] != syms[-3]:
-                i = _symbol_index({syms[-3], syms[-2]}, syms[-1], q)
-                levels.append((1, i, n))
-                syms = syms[:-1]
-                n -= 1
-            else:
-                i = _symbol_index({syms[-4], syms[-3]}, syms[-2], q)
-                levels.append((2, i, n))
-                syms = syms[:-2]
-                n -= 2
-        else:
-            branch = _classify3(syms)
-            if branch == 1:
-                avoid = {syms[-4], syms[-2]} if syms[-2] != syms[-4] else {syms[-3], syms[-2]}
-                i = _symbol_index(avoid, syms[-1], q)
-                levels.append((1, i, n))
-                syms = syms[:-1]
-                n -= 1
-            elif branch == 3:
-                avoid = {syms[-6], syms[-4]} if syms[-6] != syms[-4] else {syms[-5], syms[-4]}
-                i = _symbol_index(avoid, syms[-3], q)
-                levels.append((3, i, n))
-                syms = syms[:-3]
-                n -= 3
-            else:
-                if syms[-6] not in (syms[-4], syms[-3]) or syms[-5] == syms[-3]:
-                    avoid = {syms[-6], syms[-4], syms[-3]}
-                else:
-                    avoid = {syms[-5], syms[-4], syms[-3]}
-                i = _symbol_index(avoid, syms[-2], q)
-                levels.append((2, i, n))
-                syms = syms[:-2]
-                n -= 2
-        ops += 1
-    r = extension_index(_empty(q), Word(syms, q), sys)
-    ops += n
-    for branch, i, nn in reversed(levels):
-        if k == 2:
-            width = q - 2
-            offset = 0 if branch == 1 else (q - 2) * ct.count(nn - 1)
-        elif branch == 1:
-            width, offset = q - 2, 0
-        elif branch == 2:
-            width, offset = q - 3, (q - 2) * ct.count(nn - 1)
-        else:
-            width = q - 2
-            offset = (q - 2) * ct.count(nn - 1) + (q - 3) * ct.count(nn - 2)
-        r = (r - 1) * width + i + offset
-        ops += 3
-    return r, ops
-
-
-# ------------------------------------------------- prefix-constrained order
-
-
-def _prefix_base_length(p: Word, sys: DupSystem) -> int:
-    # below this the suffix-map recursion cannot respect the prefix
-    return max(len(p) + sys.k - 1, 2 * sys.k - 1)
 
 
 def _require_prefix(p: Word, sys: DupSystem) -> None:
@@ -379,56 +184,104 @@ def _require_prefix(p: Word, sys: DupSystem) -> None:
         raise DomainError(f"prefix {p} is not irreducible for k = {sys.k}")
 
 
+def _prefix_counter(p: Word, sys: DupSystem) -> Callable[[int], int]:
+    # irreducible length-n words that start with p
+    return lambda n: count_extensions(p, n - len(p), sys)
+
+
+# ------------------------------------------------------------- the engine
+
+
+def _unrank(p: tuple[int, ...], n: int, j: int, count: Callable[[int], int],
+            sys: DupSystem) -> tuple[Word, int]:
+    """The j-th length-n word of p's class, and the number of big-integer
+    operations spent.  count(m) is the class size at length m."""
+    q, k = sys.q, sys.k
+    branches = tuple(enumerate(_widths(q, k), start=1))
+    base = max(len(p) + k - 1, 2 * k - 1)
+    ops = 0
+    steps: list[tuple[int, int]] = []
+    while n > base:
+        for branch, width in branches:
+            block = width * count(n - branch)
+            ops += 3
+            if j <= block:
+                j, r = divmod(j - 1, width)
+                steps.append((branch, r + 1))
+                j += 1
+                n -= branch
+                break
+            j -= block
+    s = list(p)
+    s += kth_extension(Word(p, q), n - len(p), j, sys).symbols
+    ops += n
+    for branch, i in reversed(steps):
+        avoid, copied = _suffix_map(s, len(s), branch, k)
+        s.append(_pick_symbol(avoid, i, q))
+        s += copied
+        ops += 1
+    return Word(tuple(s), q), ops
+
+
+def _rank(p: tuple[int, ...], x: Word, count: Callable[[int], int],
+          sys: DupSystem) -> tuple[int, int]:
+    """Rank of x within p's class, and the number of big-integer operations
+    spent.  x must be irreducible and start with p."""
+    q, k = sys.q, sys.k
+    widths = _widths(q, k)
+    base = max(len(p) + k - 1, 2 * k - 1)
+    s = x.symbols
+    n = len(s)
+    ops = 0
+    levels: list[tuple[int, int, int]] = []  # (branch, i, image length)
+    while n > base:
+        branch, i = _classify(s, n, k, q)
+        levels.append((branch, i, n))
+        n -= branch
+        ops += 1
+    r = extension_index(Word(p, q), Word(s[len(p):n], q), sys)
+    ops += n
+    for branch, i, m in reversed(levels):
+        offset = 0
+        for lower in range(1, branch):
+            offset += widths[lower - 1] * count(m - lower)
+        r = (r - 1) * widths[branch - 1] + i + offset
+        ops += 2 * branch + 1
+    return r, ops
+
+
+def unrank_irr(n: int, j: int, sys: DupSystem) -> Word:
+    """The j-th irreducible word of length n (1-indexed) in the recursive
+    order."""
+    if n < 0:
+        raise DomainError(f"word length must be >= 0, got {n}")
+    count = count_table(sys).count
+    total = count(n)
+    if not 1 <= j <= total:
+        raise DomainError(f"rank {j} outside [1, {total}] for length {n}")
+    return _unrank((), n, j, count, sys)[0]
+
+
+def rank_irr(x: Word, sys: DupSystem) -> int:
+    """Rank (1-indexed) of an irreducible word in the recursive order."""
+    if x.q != sys.q:
+        raise DomainError(f"word alphabet q={x.q} does not match system q={sys.q}")
+    if not is_irreducible(x, sys.k):
+        raise DomainError(f"{x} is not irreducible for k = {sys.k}")
+    return _rank((), x, count_table(sys).count, sys)[0]
+
+
 def unrank_irr_prefix(p: Word, n: int, j: int, sys: DupSystem) -> Word:
     """The j-th irreducible length-n word with prefix p, under the same
     recursive order restricted to the prefix class (lexicographic base)."""
     _require_prefix(p, sys)
     if n < len(p):
         raise DomainError(f"target length {n} shorter than the prefix ({len(p)})")
-
-    def ct_prefix(nn: int) -> int:
-        return count_extensions(p, nn - len(p), sys)
-
-    total = ct_prefix(n)
+    count = _prefix_counter(p, sys)
+    total = count(n)
     if not 1 <= j <= total:
         raise DomainError(f"rank {j} outside [1, {total}] for prefix {p}, length {n}")
-    q, k = sys.q, sys.k
-    base = _prefix_base_length(p, sys)
-    steps: list[tuple[int, int]] = []
-    while n > base:
-        b1 = (q - 2) * ct_prefix(n - 1)
-        if j <= b1:
-            j, r = divmod(j - 1, q - 2)
-            steps.append((1, r + 1))
-            j += 1
-            n -= 1
-            continue
-        j -= b1
-        if k == 2:
-            j, r = divmod(j - 1, q - 2)
-            steps.append((2, r + 1))
-            j += 1
-            n -= 2
-            continue
-        b2 = (q - 3) * ct_prefix(n - 2)
-        if j <= b2:
-            j, r = divmod(j - 1, q - 3)
-            steps.append((2, r + 1))
-            j += 1
-            n -= 2
-        else:
-            j -= b2
-            j, r = divmod(j - 1, q - 2)
-            steps.append((3, r + 1))
-            j += 1
-            n -= 3
-    syms = p.symbols + kth_extension(p, n - len(p), j, sys).symbols
-    for branch, i in reversed(steps):
-        if k == 2:
-            syms = _phi(syms, i, q) if branch == 1 else _psi(syms, i, q)
-        else:
-            syms = (_phi1, _phi2, _phi3)[branch - 1](syms, i, q)
-    return Word(syms, q)
+    return _unrank(p.symbols, n, j, count, sys)[0]
 
 
 def rank_irr_prefix(p: Word, x: Word, sys: DupSystem) -> int:
@@ -440,61 +293,4 @@ def rank_irr_prefix(p: Word, x: Word, sys: DupSystem) -> int:
         raise DomainError(f"{x} does not start with prefix {p}")
     if not is_irreducible(x, sys.k):
         raise DomainError(f"{x} is not irreducible for k = {sys.k}")
-    q, k = sys.q, sys.k
-    base = _prefix_base_length(p, sys)
-    syms = x.symbols
-    n = len(syms)
-    levels: list[tuple[int, int, int]] = []
-    while n > base:
-        if k == 2:
-            if syms[-1] != syms[-3]:
-                i = _symbol_index({syms[-3], syms[-2]}, syms[-1], q)
-                levels.append((1, i, n))
-                syms = syms[:-1]
-                n -= 1
-            else:
-                i = _symbol_index({syms[-4], syms[-3]}, syms[-2], q)
-                levels.append((2, i, n))
-                syms = syms[:-2]
-                n -= 2
-        else:
-            branch = _classify3(syms)
-            if branch == 1:
-                avoid = {syms[-4], syms[-2]} if syms[-2] != syms[-4] else {syms[-3], syms[-2]}
-                i = _symbol_index(avoid, syms[-1], q)
-                levels.append((1, i, n))
-                syms = syms[:-1]
-                n -= 1
-            elif branch == 3:
-                avoid = {syms[-6], syms[-4]} if syms[-6] != syms[-4] else {syms[-5], syms[-4]}
-                i = _symbol_index(avoid, syms[-3], q)
-                levels.append((3, i, n))
-                syms = syms[:-3]
-                n -= 3
-            else:
-                if syms[-6] not in (syms[-4], syms[-3]) or syms[-5] == syms[-3]:
-                    avoid = {syms[-6], syms[-4], syms[-3]}
-                else:
-                    avoid = {syms[-5], syms[-4], syms[-3]}
-                i = _symbol_index(avoid, syms[-2], q)
-                levels.append((2, i, n))
-                syms = syms[:-2]
-                n -= 2
-    r = extension_index(p, Word(syms[len(p):], q), sys)
-
-    def ct_prefix(nn: int) -> int:
-        return count_extensions(p, nn - len(p), sys)
-
-    for branch, i, nn in reversed(levels):
-        if k == 2:
-            width = q - 2
-            offset = 0 if branch == 1 else (q - 2) * ct_prefix(nn - 1)
-        elif branch == 1:
-            width, offset = q - 2, 0
-        elif branch == 2:
-            width, offset = q - 3, (q - 2) * ct_prefix(nn - 1)
-        else:
-            width = q - 2
-            offset = (q - 2) * ct_prefix(nn - 1) + (q - 3) * ct_prefix(nn - 2)
-        r = (r - 1) * width + i + offset
-    return r
+    return _rank(p.symbols, x, _prefix_counter(p, sys), sys)[0]

@@ -159,6 +159,25 @@ class TestEncodeDecodeRoundTrip:
         assert rc == 0
         assert out.read_bytes() == b"hi"
 
+    def test_decode_reads_chunk_from_header_without_recounting(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        src = tmp_path / "src.bin"
+        src.write_bytes(b"hi")
+        enc = tmp_path / "enc.txt"
+        out = tmp_path / "out.bin"
+        rc, _, _ = run(capsys, "encode", "--mode", "code", "-q", "3", "-k", "2",
+                       "-n", "10", "-i", str(src), "-o", str(enc))
+        assert rc == 0
+
+        def no_code_size(*args):
+            raise AssertionError("code_size called although the header has chunk")
+
+        monkeypatch.setattr("tdcode.cli.code_size", no_code_size)
+        rc, _, err = run(capsys, "decode", "-i", str(enc), "-o", str(out))
+        assert rc == 0, err
+        assert out.read_bytes() == b"hi"
+
 
 class TestChannel:
     def test_noise_then_decode(self, tmp_path, capsys):

@@ -21,11 +21,12 @@ from tdcode import (
     is_irreducible,
     rank_irr,
     rank_irr_prefix,
-    rank_irr_with_cost,
     unrank_irr,
     unrank_irr_prefix,
-    unrank_irr_with_cost,
 )
+from tdcode import enumeration
+from tdcode.enumeration import count_table
+from tdcode.ranking import _rank, _unrank
 
 
 def w(text: str, q: int = 3) -> Word:
@@ -201,11 +202,20 @@ class TestUnrankRank:
         sys_ = request.getfixturevalue(sysname)
         for n in (100, 300, 500):
             j = count_irr(n, sys_) // 2 + 1
-            word, ops_u = unrank_irr_with_cost(n, j, sys_)
-            j_back, ops_r = rank_irr_with_cost(word, sys_)
+            count = count_table(sys_).count
+            word, ops_u = _unrank((), n, j, count, sys_)
+            j_back, ops_r = _rank((), word, count, sys_)
             assert j_back == j
             assert ops_u <= 8 * n
             assert ops_r <= 8 * n
+
+    def test_plain_path_keeps_the_window_table_small(self, s42, monkeypatch):
+        # plain rank/unrank count through CountTable; only the lexicographic
+        # base reads the window DP, so its layer table stays at 2k rows
+        monkeypatch.setattr(enumeration, "_dps", {})
+        j = count_irr(4000, s42) // 3
+        assert rank_irr(unrank_irr(4000, j, s42), s42) == j
+        assert len(enumeration._dp(s42).layers) <= 2 * s42.k
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -218,6 +228,8 @@ class TestUnrankRank:
         word = unrank_irr(n, j, sys_)
         assert is_irreducible(word, k)
         assert rank_irr(word, sys_) == j
+        p = Word(word.symbols[:data.draw(st.integers(1, n))], q)
+        assert unrank_irr_prefix(p, n, rank_irr_prefix(p, word, sys_), sys_) == word
 
 
 class TestPrefixUnrankRank:
@@ -243,6 +255,18 @@ class TestPrefixUnrankRank:
                     assert word.symbols[:3] == prefix.symbols
                     assert is_irreducible(word, sys_.k)
                     assert rank_irr_prefix(prefix, word, sys_) == j
+
+    @pytest.mark.parametrize("q, k, n", [(3, 2, 9), (4, 2, 7), (5, 2, 6),
+                                         (3, 3, 9), (4, 3, 8), (5, 3, 7)])
+    def test_prefix_order_is_plain_order_restricted(self, q, k, n):
+        # for |p| <= k the prefix order lists p's class by increasing plain rank
+        sys_ = DupSystem(q, k)
+        for length in range(1, k + 1):
+            for p in all_irr(length, sys_):
+                total = count_irr_prefix(p, n, sys_)
+                ranks = [rank_irr(unrank_irr_prefix(p, n, j, sys_), sys_)
+                         for j in range(1, total + 1)]
+                assert ranks == sorted(set(ranks))
 
     def test_prefix_classes_tile_the_rank_space(self, s32):
         # ranks within a class are dense in 1..N_p for every stem
