@@ -105,20 +105,33 @@ def _frame_bits(data: bytes) -> tuple[int, int]:
 
 
 def _split_chunks(value: int, nbits: int, chunk: int) -> list[int]:
-    """MSB-first chunk values, the last one zero padded."""
-    n_chunks = -(-nbits // chunk)
-    value <<= n_chunks * chunk - nbits
-    mask = (1 << chunk) - 1
-    return [(value >> ((n_chunks - 1 - i) * chunk)) & mask for i in range(n_chunks)]
+    """MSB-first chunk values, the last one zero padded.
+
+    Slices one binary string, so the cost is linear in nbits.
+    """
+    width = -(-nbits // chunk) * chunk
+    bits = format(value << (width - nbits), f"0{width}b")
+    return [int(bits[i:i + chunk], 2) for i in range(0, width, chunk)]
 
 
 def _join_chunks(values: list[int], chunk: int) -> bytes:
-    acc = 0
-    for v in values:
-        acc = (acc << chunk) | v
+    """Inverse of _split_chunks after _frame_bits: the framed payload.
+
+    Whole bytes leave the accumulator after every chunk, so it stays under
+    chunk + 8 bits and the cost is linear in the stream's bit count.
+    """
     nbits = chunk * len(values)
     if nbits < 64:
         raise CorruptInputError("stream too short to hold a payload length field")
+    buf = bytearray()
+    acc = width = 0
+    for v in values:
+        acc = (acc << chunk) | v
+        width += chunk
+        buf += (acc >> (width % 8)).to_bytes(width // 8, "big")
+        width %= 8
+        acc &= (1 << width) - 1
+    acc = (int.from_bytes(buf, "big") << width) | acc
     bit_len = acc >> (nbits - 64)
     if bit_len % 8 != 0 or bit_len > nbits - 64:
         raise CorruptInputError(f"invalid payload bit length {bit_len}")

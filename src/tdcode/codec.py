@@ -12,6 +12,7 @@ root classes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,12 +51,10 @@ def encode_codeword(j: int, spec: CodeSpec) -> Word:
     total = code_size(spec.n, spec.sys)
     if not 1 <= j <= total:
         raise DomainError(f"message index {j} outside [1, {total}]")
+    # the root length is the first i with cumulative(i) >= j
     ct = count_table(spec.sys)
-    i = 1
-    while j > ct.count(i):
-        j -= ct.count(i)
-        i += 1
-    r = unrank_irr(i, j, spec.sys)
+    i = 1 + bisect_left(range(1, spec.n + 1), j, key=ct.cumulative)
+    r = unrank_irr(i, j - ct.cumulative(i - 1), spec.sys)
     return extend_zeta(r, spec.n - i)
 
 

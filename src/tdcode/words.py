@@ -143,38 +143,51 @@ def find_tandem_repeat(x: Word, k: int) -> Optional[DuplicationEvent]:
 
 
 def is_irreducible(x: Word, k: int) -> bool:
-    """True when x contains no substring ww with |w| <= k."""
-    return find_tandem_repeat(x, k) is None
+    """True when x contains no substring ww with |w| <= k.
+
+    A square ww with |w| = t is a run of t consecutive positions i with
+    s[i] == s[i - t], so one pass per half-length t decides it.
+    """
+    if k < 1:
+        raise DomainError(f"repeat length bound must be >= 1, got {k}")
+    s = x.symbols
+    n = len(s)
+    for t in range(1, min(k, n // 2) + 1):
+        run = 0
+        for i in range(t, n):
+            run = run + 1 if s[i] == s[i - t] else 0
+            if run == t:
+                return False
+    return True
 
 
 def root(y: Word, sys: DupSystem) -> Word:
-    """Deduplicate greedily until irreducible; unique for k in {2, 3}.
+    """The irreducible root of y, by stack reduction in O(n*k).
 
-    Each pass removes the leftmost shortest repeat.  After an edit at
-    position i no new repeat can start before i - 2k + 2, so the scan
-    resumes nearby instead of from the front.
+    Push the symbols of y one at a time.  The stack before a push is
+    irreducible, so a square ww with |w| = t <= k can only appear ending
+    at the new symbol; then drop its second copy (pop t - 1 symbols and
+    skip the push).  What remains is a prefix of an irreducible stack,
+    hence irreducible again, and every step is a deduplication of the
+    whole word.  For k in {2, 3} the root is unique (Jain, Farnoud,
+    Schwartz and Bruck, IEEE T-IT 2017), so this order reaches it.
     """
     _check_alphabet(y, sys)
-    k = sys.k
-    syms = list(y.symbols)
-    start = 0
-    while True:
-        n = len(syms)
-        hit = None
-        i = start
-        while i < n - 1:
-            for t in range(1, k + 1):
-                if i + 2 * t <= n and syms[i:i + t] == syms[i + t:i + 2 * t]:
-                    hit = (i, t)
-                    break
-            if hit is not None:
-                break
-            i += 1
-        if hit is None:
-            return Word(tuple(syms), y.q)
-        i, t = hit
-        del syms[i + t:i + 2 * t]
-        start = max(0, i - 2 * k)
+    st: list[int] = []
+    push, pop = st.append, st.pop
+    k3 = sys.k == 3
+    for c in y.symbols:
+        n = len(st)
+        if n and st[-1] == c:
+            continue
+        if n >= 3 and st[-2] == c and st[-3] == st[-1]:
+            pop()
+        elif k3 and n >= 5 and st[-3] == c and st[-4] == st[-1] and st[-5] == st[-2]:
+            pop()
+            pop()
+        else:
+            push(c)
+    return Word(tuple(st), y.q)
 
 
 def extend_zeta(x: Word, i: int) -> Word:

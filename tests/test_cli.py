@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tdcode.cli import main, parse_header
+from tdcode import CodeSpec, DupSystem, encode_codeword
+from tdcode.cli import _frame_bits, _join_chunks, _split_chunks, main, parse_header
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -177,6 +182,62 @@ class TestEncodeDecodeRoundTrip:
         rc, _, err = run(capsys, "decode", "-i", str(enc), "-o", str(out))
         assert rc == 0, err
         assert out.read_bytes() == b"hi"
+
+
+CHUNK_WIDTHS = [1, 7, 26, 61, 64, 100]
+
+
+def split_reference(value: int, nbits: int, chunk: int) -> list[int]:
+    # one shift per chunk: quadratic in the chunk count, fine for small payloads
+    n_chunks = -(-nbits // chunk)
+    value <<= n_chunks * chunk - nbits
+    mask = (1 << chunk) - 1
+    return [(value >> ((n_chunks - 1 - i) * chunk)) & mask for i in range(n_chunks)]
+
+
+class TestFraming:
+    @pytest.mark.parametrize("chunk", CHUNK_WIDTHS)
+    @pytest.mark.parametrize("data", [b"", b"\x00", b"\xff"])
+    def test_tiny_payloads_round_trip(self, data, chunk):
+        assert _join_chunks(_split_chunks(*_frame_bits(data), chunk), chunk) == data
+
+    @given(data=st.binary(max_size=200), chunk=st.sampled_from(CHUNK_WIDTHS))
+    @settings(max_examples=120, deadline=None)
+    def test_random_payloads_round_trip(self, data, chunk):
+        values = _split_chunks(*_frame_bits(data), chunk)
+        assert values == split_reference(*_frame_bits(data), chunk)
+        assert _join_chunks(values, chunk) == data
+
+    def test_large_payload_is_linear(self):
+        # Shifting one big integer per chunk is quadratic: about 8 s for this
+        # payload on a 2-vCPU x86-64 host, where string framing takes 0.1 s.
+        data = random.Random(1).randbytes(300_000)
+        start = time.perf_counter()
+        values = _split_chunks(*_frame_bits(data), 26)
+        back = _join_chunks(values, 26)
+        elapsed = time.perf_counter() - start
+        assert back == data
+        assert elapsed < 2.0, f"framing 300 KB took {elapsed:.2f} s"
+
+    def _code_stream(self, tmp_path, values):
+        # code mode q=3 k=2 n=5 with a 5 bit chunk: strand j carries j - 1
+        spec = CodeSpec(DupSystem(3, 2), 5)
+        lines = ["# tdcode mode=code q=3 k=2 n=5 chunk=5 digits=0 dna=0"]
+        lines += [str(encode_codeword(v + 1, spec)) for v in values]
+        path = tmp_path / "enc.txt"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("values", [
+        [0],  # 5 bits cannot hold the 64 bit length field
+        [31] * 13,  # length field 2**64 - 1 is no byte count
+        [0] * 12 + [16],  # length field 8, but only 1 payload bit follows
+    ])
+    def test_corrupt_length_field_is_exit_one(self, values, tmp_path, capsys):
+        enc = self._code_stream(tmp_path, values)
+        rc, _, err = run(capsys, "decode", "-i", str(enc), "-o", str(tmp_path / "x"))
+        assert rc == 1
+        assert "error:" in err
 
 
 class TestChannel:

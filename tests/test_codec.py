@@ -62,6 +62,17 @@ class TestEncodeCodeword:
         assert encode_codeword(21, spec) == w("2122")
         assert encode_codeword(22, spec) == w("0102")
 
+    @pytest.mark.parametrize("sysname, n", [("s32", 9), ("s43", 7)])
+    def test_root_length_at_every_class_boundary(self, sysname, n, request):
+        spec = CodeSpec(request.getfixturevalue(sysname), n)
+        last = 0
+        for i in range(1, n + 1):
+            # roots of length i take messages last+1 .. last+count_irr(i)
+            first, last = last + 1, last + count_irr(i, spec.sys)
+            for j in (first, last):
+                assert len(root(encode_codeword(j, spec), spec.sys)) == i
+        assert last == code_size(n, spec.sys)
+
     def test_all_codewords_have_length_n(self, s33):
         spec = CodeSpec(s33, 3)
         words = [encode_codeword(j, spec) for j in range(1, 22)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,14 +12,23 @@ from tdcode import (
     DomainError,
     DupSystem,
     DuplicationEvent,
+    OracleBudget,
     Word,
+    all_roots_bfs,
+    count_irr,
     extend_zeta,
     find_tandem_repeat,
     is_irreducible,
     random_descendant,
     root,
     tandem_duplicate,
+    unrank_irr,
 )
+from tdcode.oracle import _has_square
+
+# Short words and few duplications keep the deduplication-graph search
+# to about a hundred words; the budget turns a runaway search into an error.
+ORACLE_BUDGET = OracleBudget(max_words=20_000)
 
 
 def w(text: str, q: int = 3) -> Word:
@@ -120,6 +131,20 @@ class TestIsIrreducible:
     def test_known_words(self, x, k, expected):
         assert is_irreducible(w(x), k) is expected
 
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_scan_and_oracle(self, data):
+        q = data.draw(st.integers(2, 5))
+        k = data.draw(st.integers(1, 4))
+        x = Word(tuple(data.draw(st.lists(st.integers(0, q - 1), max_size=24))), q)
+        got = is_irreducible(x, k)
+        assert got == (find_tandem_repeat(x, k) is None)
+        assert got == (not _has_square(x.symbols, k))
+
+    def test_rejects_nonpositive_bound(self):
+        with pytest.raises(DomainError):
+            is_irreducible(w("01"), 0)
+
 
 class TestRoot:
     def test_worked_chain(self, s33):
@@ -158,6 +183,39 @@ class TestRoot:
             word = tandem_duplicate(word, DuplicationEvent(pos, length))
         assert is_irreducible(root(word, sys_), k)
         assert root(word, sys_) == root(w(base), sys_)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_on_descendants(self, data):
+        sys_ = DupSystem(data.draw(st.integers(3, 6)), data.draw(st.sampled_from([2, 3])))
+        n = data.draw(st.integers(0, 8))
+        x = unrank_irr(n, data.draw(st.integers(1, count_irr(n, sys_))), sys_)
+        t = data.draw(st.integers(0, 5)) if n else 0
+        y, _ = random_descendant(x, t, sys_, data.draw(st.integers(0, 2**32)))
+        assert root(y, sys_) == x
+        assert all_roots_bfs(y, sys_, ORACLE_BUDGET) == {x}
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_on_random_words(self, data):
+        q = data.draw(st.integers(3, 6))
+        sys_ = DupSystem(q, data.draw(st.sampled_from([2, 3])))
+        y = Word(tuple(data.draw(st.lists(st.integers(0, q - 1), max_size=16))), q)
+        r = root(y, sys_)
+        assert is_irreducible(r, sys_.k)
+        assert all_roots_bfs(y, sys_, ORACLE_BUDGET) == {r}
+
+    def test_linear_time_on_long_descendant(self, s43):
+        # Rescanning with middle deletion is quadratic: 1.4-1.7 s for this word
+        # on a 2-vCPU x86-64 host, where stack reduction takes about 10 ms.
+        x = unrank_irr(200, 12345678901234567, s43)
+        y, events = random_descendant(x, 50_000, s43, seed=7)
+        assert len(y) >= 100_000 and len(events) == 50_000
+        start = time.perf_counter()
+        r = root(y, s43)
+        elapsed = time.perf_counter() - start
+        assert r == x
+        assert elapsed < 1.0, f"root took {elapsed:.2f} s on {len(y)} symbols"
 
 
 class TestExtendZeta:
