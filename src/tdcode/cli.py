@@ -244,23 +244,16 @@ def _cmd_encode(args) -> int:
             raise DomainError(
                 f"digit message length must be a multiple of ell={params.ell}"
             )
-        blocks = [
-            Word.from_string(text[i:i + params.ell], sys_.q)
+        values = [
+            _block_value(Word.from_string(text[i:i + params.ell], sys_.q), params)
             for i in range(0, len(text), params.ell)
         ]
     else:
         data = _read_bytes(args.input)
-        if data:
-            value, nbits = _frame_bits(data)
-            blocks = [
-                _value_block(v, params)
-                for v in _split_chunks(value, nbits, chunk)
-            ]
-        else:
-            blocks = []
+        values = _split_chunks(*_frame_bits(data), chunk) if data else []
     lines = [header]
-    if blocks:
-        lines.append(_render_word(codec.encode(blocks), dna))
+    if values:
+        lines.append(_render_word(codec.encode_values(values), dna))
     _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
@@ -331,19 +324,16 @@ def _cmd_decode(args) -> int:
         return 0
     if len(strands) != 1:
         raise CorruptInputError(f"fse mode expects one strand, found {len(strands)}")
-    clean = root(_parse_word(strands[0], sys_.q, dna), sys_)
-    blocks = codec.decode(clean)
+    values = codec.decode_values(root(_parse_word(strands[0], sys_.q, dna), sys_))
     if digits:
-        _write_text(args.output, "".join(str(b) for b in blocks) + "\n")
+        text = "".join(str(_value_block(v, params)) for v in values)
+        _write_text(args.output, text + "\n")
         return 0
-    values = []
-    for block in blocks:
-        v = _block_value(block, params)
+    for v in values:
         if v >= 1 << chunk:
             raise CorruptInputError(
                 f"decoded block value {v} does not fit in a {chunk} bit chunk"
             )
-        values.append(v)
     _write_bytes(args.output, _join_chunks(values, chunk))
     return 0
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .enumeration import code_size, count_table
 from .errors import DomainError, NotADescendantError
-from .ranking import rank_irr, unrank_irr
+from .ranking import _rank, unrank_irr
 from .words import DupSystem, Word, extend_zeta, root
 
 
@@ -77,5 +77,6 @@ def decode_codeword(y: Word, spec: CodeSpec) -> int:
         raise NotADescendantError(
             f"root length {len(r)} exceeds the code length {spec.n}"
         )
+    # root() returns an irreducible word, so rank it without rank_irr's re-check
     ct = count_table(spec.sys)
-    return ct.cumulative(len(r) - 1) + rank_irr(r, spec.sys)
+    return ct.cumulative(len(r) - 1) + _rank((), r, ct.count, spec.sys)[0]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import DomainError
 from .words import DupSystem, Word, is_irreducible
@@ -187,6 +187,42 @@ def count_extensions(x: Word, r: int, sys: DupSystem) -> int:
     return dp.count(dp.window_sid(x.symbols), r)
 
 
+def _kth(dp: _WindowDP, sid: int, r: int, j: int, out: list[int]) -> int:
+    """Append the j-th valid length-r extension of window sid to out and
+    return the final window id.  Needs dp.layers up to r and a valid j."""
+    trans = dp.trans
+    for layer in reversed(dp.layers[:r]):
+        for c, nxt in enumerate(trans[sid]):
+            if nxt >= 0:
+                cnt = layer[nxt]
+                if j <= cnt:
+                    out.append(c)
+                    sid = nxt
+                    break
+                j -= cnt
+    return sid
+
+
+def _index(dp: _WindowDP, sid: int, ys: Sequence[int]) -> tuple[int, int]:
+    """(index, final window id) of the extension ys of window sid; the
+    failure marker (offset, -1) names the first symbol that closes a
+    square.  Needs dp.layers up to len(ys)."""
+    layers, trans = dp.layers, dp.trans
+    idx = 1
+    rem = len(ys)
+    for d, c in enumerate(ys):
+        rem -= 1
+        layer = layers[rem]
+        row = trans[sid]
+        for nxt in row[:c]:
+            if nxt >= 0:
+                idx += layer[nxt]
+        sid = row[c]
+        if sid < 0:
+            return d, -1
+    return idx, sid
+
+
 def kth_extension(x: Word, r: int, j: int, sys: DupSystem) -> Word:
     """The j-th (1-indexed, lexicographic) valid length-r extension of x."""
     dp = _dp(sys)
@@ -194,21 +230,9 @@ def kth_extension(x: Word, r: int, j: int, sys: DupSystem) -> Word:
     total = dp.count(sid, r)
     if not 1 <= j <= total:
         raise DomainError(f"extension index {j} outside [1, {total}]")
-    out = []
-    for d in range(r):
-        rem = r - d - 1
-        row = dp.trans[sid]
-        for c in range(sys.q):
-            nxt = row[c]
-            if nxt < 0:
-                continue
-            cnt = dp.layers[rem][nxt]
-            if j <= cnt:
-                out.append(c)
-                sid = nxt
-                break
-            j -= cnt
-    return Word(tuple(out), sys.q)
+    out: list[int] = []
+    _kth(dp, sid, r, j, out)
+    return Word._unchecked(tuple(out), sys.q)
 
 
 def extension_index(x: Word, y: Word, sys: DupSystem) -> int:
@@ -217,21 +241,12 @@ def extension_index(x: Word, y: Word, sys: DupSystem) -> int:
         raise DomainError(f"word alphabet q={y.q} does not match system q={sys.q}")
     dp = _dp(sys)
     sid = dp.window_sid(x.symbols)
-    r = len(y)
-    dp.ensure_layers(r)
-    idx = 1
-    for d, c in enumerate(y.symbols):
-        rem = r - d - 1
-        row = dp.trans[sid]
-        for smaller in range(c):
-            nxt = row[smaller]
-            if nxt >= 0:
-                idx += dp.layers[rem][nxt]
-        sid = row[c]
-        if sid < 0:
-            raise DomainError(
-                f"{y} is not a valid extension of {x}: square ends at offset {d}"
-            )
+    dp.ensure_layers(len(y))
+    idx, sid = _index(dp, sid, y.symbols)
+    if sid < 0:
+        raise DomainError(
+            f"{y} is not a valid extension of {x}: square ends at offset {idx}"
+        )
     return idx
 
 

@@ -12,18 +12,20 @@ q**ell <= delta_min_degree(m), the minimum out-degree of the graph.
 Two interchangeable backends:
 
 * "rank" walks neighbor lists digit by digit via extension counts on the
-  boundary window, so nothing is materialized (O(m) big-int operations
-  per step);
+  boundary window, carrying the window id from state to state, so nothing
+  is materialized (O(m) big-int operations per step);
 * "lookup" materializes the full edge table once and indexes into it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .enumeration import (
     FseParams,
+    _dp,
+    _index,
+    _kth,
     count_extensions,
     count_irr,
     delta_min_degree,
@@ -38,7 +40,7 @@ from .errors import (
     NotAnEdgeError,
     UnlabeledEdgeError,
 )
-from .words import DupSystem, Word, is_irreducible
+from .words import Word, is_irreducible
 
 
 def _require_state(x: Word, params: FseParams) -> None:
@@ -177,63 +179,80 @@ class FseCodec:
         self.params = params
         self.backend = backend
         self.start_state = kth_extension(Word((), sys.q), params.m, 1, sys)
+        dp = _dp(sys)
+        dp.ensure_layers(params.m)
+        self._start_sid = dp.window_sid(self.start_state.symbols)
         self.table: Optional[EdgeLabelTable] = None
         if backend == "lookup":
             self.table = build_lookup_table(params, state_limit)
 
-    def _step(self, state: Word, j: int) -> Word:
-        if self.table is not None:
-            return self.table.rows[state][j - 1]
-        return kth_extension(state, self.params.m, j, self.params.sys)
+    def encode_values(self, values: Iterable[int]) -> Word:
+        """Concatenate the states visited while consuming block values in
+        [0, q**ell).  The rank backend carries the window id from step to
+        step; the lookup backend follows its rows."""
+        params = self.params
+        q, m = params.sys.q, params.m
+        labeled = q**params.ell
+        rows = None if self.table is None else self.table.rows
+        dp, sid, state = _dp(params.sys), self._start_sid, self.start_state
+        out: list[int] = []
+        for v in values:
+            if not 0 <= v < labeled:
+                raise DomainError(f"block value {v} outside [0, {labeled})")
+            if rows is None:
+                sid = _kth(dp, sid, m, v + 1, out)
+            else:
+                state = rows[state][v]
+                out += state.symbols
+        return Word._unchecked(tuple(out), q)
 
-    def _index(self, state: Word, nxt: Word) -> int:
-        if self.table is not None:
-            try:
-                return self.table.rows[state].index(nxt) + 1
-            except ValueError:
-                raise NotAnEdgeError(f"{nxt} is not a neighbor of {state}") from None
-        idx = extension_index(state, nxt, self.params.sys)
-        return idx
+    def decode_values(self, x: Word) -> list[int]:
+        """Invert encode_values, reading x one state at a time; raises
+        CorruptInputError on damaged input."""
+        params = self.params
+        q, m = params.sys.q, params.m
+        if x.q != q:
+            raise DomainError(f"word alphabet q={x.q} does not match system q={q}")
+        s = x.symbols
+        if len(s) % m != 0:
+            raise CorruptInputError(
+                f"length {len(s)} is not a multiple of the state length {m}"
+            )
+        labeled = q**params.ell
+        rows = None if self.table is None else self.table.rows
+        dp, sid, state = _dp(params.sys), self._start_sid, self.start_state
+        values: list[int] = []
+        for n, b in enumerate(range(0, len(s), m), start=1):
+            ys = s[b:b + m]
+            if rows is None:
+                idx, sid = _index(dp, sid, ys)
+                if sid < 0:
+                    raise CorruptInputError(
+                        f"state {n}: not an edge, a square ends at offset {idx}"
+                    )
+            else:
+                nxt = Word._unchecked(ys, q)
+                try:
+                    idx = rows[state].index(nxt) + 1
+                except ValueError:
+                    raise CorruptInputError(
+                        f"state {n}: {nxt} is not a neighbor of {state}"
+                    ) from None
+                state = nxt
+            if idx > labeled:
+                raise CorruptInputError(
+                    f"state {n}: edge index {idx} exceeds the labeled range {labeled}"
+                )
+            values.append(idx - 1)
+        return values
 
     def encode(self, blocks: Sequence[Word]) -> Word:
         """Concatenate the states visited while consuming the blocks."""
-        params = self.params
-        state = self.start_state
-        out: list[int] = []
-        for block in blocks:
-            j = _block_value(block, params) + 1
-            state = self._step(state, j)
-            out.extend(state.symbols)
-        return Word(tuple(out), params.sys.q)
+        return self.encode_values([_block_value(b, self.params) for b in blocks])
 
     def decode(self, x: Word) -> list[Word]:
         """Invert encode; raises CorruptInputError on damaged input."""
-        params = self.params
-        m = params.m
-        if x.q != params.sys.q:
-            raise DomainError(
-                f"word alphabet q={x.q} does not match system q={params.sys.q}"
-            )
-        if len(x) % m != 0:
-            raise CorruptInputError(
-                f"length {len(x)} is not a multiple of the state length {m}"
-            )
-        labeled = params.sys.q**params.ell
-        state = self.start_state
-        blocks: list[Word] = []
-        for b in range(len(x) // m):
-            chunk = Word(x.symbols[b * m:(b + 1) * m], x.q)
-            try:
-                idx = self._index(state, chunk)
-            except (DomainError, NotAnEdgeError) as e:
-                raise CorruptInputError(f"state {b + 1}: {e}") from None
-            if idx > labeled:
-                raise CorruptInputError(
-                    f"state {b + 1}: edge index {idx} exceeds the labeled range {labeled}"
-                )
-            blocks.append(_value_block(idx - 1, params))
-            state = chunk
-        return blocks
+        return [_value_block(v, self.params) for v in self.decode_values(x)]
 
 
 def encode_stream(blocks: Sequence[Word], params: FseParams) -> Word:

@@ -220,7 +220,7 @@ def _unrank(p: tuple[int, ...], n: int, j: int, count: Callable[[int], int],
         s.append(_pick_symbol(avoid, i, q))
         s += copied
         ops += 1
-    return Word(tuple(s), q), ops
+    return Word._unchecked(tuple(s), q), ops
 
 
 def _rank(p: tuple[int, ...], x: Word, count: Callable[[int], int],

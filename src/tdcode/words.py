@@ -17,6 +17,8 @@ from typing import Iterator, Optional
 from .errors import DomainError
 
 DNA_ALPHABET = "ACGT"
+_DNA_IN = bytes.maketrans(b"ACGT", bytes(range(4)))
+_DNA_OUT = bytes.maketrans(bytes(range(4)), b"ACGT")
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,15 @@ class Word:
                 raise DomainError(f"symbol {s!r} outside alphabet of size {self.q}")
 
     @classmethod
+    def _unchecked(cls, symbols: tuple[int, ...], q: int) -> "Word":
+        """A word from symbols already known to lie in range(q), built
+        without the per-symbol check; never for a caller's tuple."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "symbols", symbols)
+        object.__setattr__(w, "q", q)
+        return w
+
+    @classmethod
     def from_string(cls, text: str, q: int) -> "Word":
         """Parse a digit string; each character is one symbol (needs q <= 10)."""
         if q > 10:
@@ -47,16 +58,16 @@ class Word:
     @classmethod
     def from_dna(cls, text: str) -> "Word":
         """Parse an ACGT string as a word over q = 4 (A=0, C=1, G=2, T=3)."""
-        try:
-            syms = tuple(DNA_ALPHABET.index(ch) for ch in text.strip().upper())
-        except ValueError:
-            raise DomainError(f"not a DNA string: {text!r}") from None
-        return cls(syms, 4)
+        # "replace" turns every non-ASCII character into b"?", which is rejected
+        raw = text.strip().upper().encode("ascii", "replace")
+        if raw.translate(None, b"ACGT"):
+            raise DomainError(f"not a DNA string: {text!r}")
+        return cls._unchecked(tuple(raw.translate(_DNA_IN)), 4)
 
     def to_dna(self) -> str:
         if self.q != 4:
             raise DomainError("DNA rendering requires q = 4")
-        return "".join(DNA_ALPHABET[s] for s in self.symbols)
+        return bytes(self.symbols).translate(_DNA_OUT).decode("ascii")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -187,7 +198,7 @@ def root(y: Word, sys: DupSystem) -> Word:
             pop()
         else:
             push(c)
-    return Word(tuple(st), y.q)
+    return Word._unchecked(tuple(st), y.q)
 
 
 def extend_zeta(x: Word, i: int) -> Word:
@@ -196,7 +207,7 @@ def extend_zeta(x: Word, i: int) -> Word:
         raise DomainError("cannot extend the empty word")
     if i < 0:
         raise DomainError(f"extension count must be >= 0, got {i}")
-    return Word(x.symbols + (x.symbols[-1],) * i, x.q)
+    return Word._unchecked(x.symbols + (x.symbols[-1],) * i, x.q)
 
 
 def random_descendant(
@@ -206,7 +217,8 @@ def random_descendant(
 
     Each step draws the block length uniformly from [1, min(k, current
     length)] and the position uniformly over valid starts.  The same seed
-    always yields the same trace.
+    always yields the same trace.  The symbols live in a bytearray when
+    they fit a byte, so each insertion moves one byte per symbol.
     """
     _check_alphabet(x, sys)
     if t < 0:
@@ -214,11 +226,11 @@ def random_descendant(
     if len(x) == 0 and t > 0:
         raise DomainError("cannot duplicate within the empty word")
     rng = random.Random(seed)
-    syms = list(x.symbols)
+    syms = bytearray(x.symbols) if x.q <= 256 else list(x.symbols)
     events: list[DuplicationEvent] = []
     for _ in range(t):
         length = rng.randint(1, min(sys.k, len(syms)))
         pos = rng.randint(0, len(syms) - length)
         syms[pos + length:pos + length] = syms[pos:pos + length]
         events.append(DuplicationEvent(pos, length))
-    return Word(tuple(syms), x.q), events
+    return Word._unchecked(tuple(syms), x.q), events

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from tdcode import DupSystem
+from tdcode import DupSystem, Word
 
 CRITERION_RESULTS: list[tuple[int, str, bool, float, str]] = []
 
@@ -44,3 +44,23 @@ def s42() -> DupSystem:
 @pytest.fixture(scope="session")
 def s43() -> DupSystem:
     return DupSystem(q=4, k=3)
+
+
+class ValidationCounter:
+    """Counts the per-symbol checks Word.__post_init__ runs."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+
+@pytest.fixture
+def word_validations(monkeypatch) -> ValidationCounter:
+    counter = ValidationCounter()
+    check = Word.__post_init__
+
+    def counted(word: Word) -> None:
+        counter.calls += 1
+        check(word)
+
+    monkeypatch.setattr(Word, "__post_init__", counted)
+    return counter

@@ -119,6 +119,18 @@ class TestDecodeCodeword:
             y, _events = random_descendant(c, t, s33, rng.getrandbits(32))
             assert decode_codeword(y, spec) == j
 
+    def test_root_is_ranked_without_a_re_check(self, s43, monkeypatch):
+        # root() already returns an irreducible word; rank_irr would re-scan it
+        spec = CodeSpec(s43, 32)
+        j = code_size(32, s43) // 3
+        y, _events = random_descendant(encode_codeword(j, spec), 8, s43, seed=5)
+
+        def refuse(x, k):
+            raise AssertionError("is_irreducible called while decoding")
+
+        monkeypatch.setattr("tdcode.ranking.is_irreducible", refuse)
+        assert decode_codeword(y, spec) == j
+
     def test_rejects_short_word(self, s32):
         spec = CodeSpec(s32, 4)
         with pytest.raises(NotADescendantError):

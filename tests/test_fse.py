@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,10 +30,20 @@ from tdcode import (
     nth_neighbor,
     unrank_irr,
 )
+from tdcode.fse import _value_block
 
 
 def w(text: str, q: int = 3) -> Word:
     return Word.from_string(text, q)
+
+
+# The five systems of the random round-trip tests, as (q, k, ell, m).
+STREAM_SYSTEMS = [(3, 2, 1, 3), (3, 2, 2, 6), (3, 3, 1, 5), (4, 3, 2, 5), (4, 2, 2, 4)]
+
+
+@functools.cache
+def codec_for(q: int, k: int, ell: int, m: int, backend: str) -> FseCodec:
+    return FseCodec(FseParams(DupSystem(q, k), ell=ell, m=m), backend)
 
 
 EXAMPLE_TABLE = {
@@ -194,9 +206,7 @@ class TestFseCodec:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_random_streams_round_trip(self, data):
-        q, k, ell, m = data.draw(st.sampled_from([
-            (3, 2, 1, 3), (3, 2, 2, 6), (3, 3, 1, 5), (4, 3, 2, 5), (4, 2, 2, 4),
-        ]))
+        q, k, ell, m = data.draw(st.sampled_from(STREAM_SYSTEMS))
         params = FseParams(DupSystem(q, k), ell=ell, m=m)
         codec = FseCodec(params)
         values = data.draw(st.lists(st.integers(0, q**ell - 1), max_size=12))
@@ -211,3 +221,45 @@ class TestFseCodec:
         assert len(strand) == m * len(blocks)
         assert is_irreducible(strand, k)
         assert codec.decode(strand) == blocks
+
+
+class TestValueEngine:
+    @pytest.mark.parametrize("backend", ["rank", "lookup"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_values_agree_with_blocks(self, backend, data):
+        q, k, ell, m = data.draw(st.sampled_from(STREAM_SYSTEMS))
+        codec = codec_for(q, k, ell, m, backend)
+        values = data.draw(st.lists(st.integers(0, q**ell - 1), max_size=12))
+        blocks = [_value_block(v, codec.params) for v in values]
+        strand = codec.encode_values(values)
+        assert strand == codec.encode(blocks)
+        assert strand == codec_for(q, k, ell, m, "rank").encode(blocks)
+        assert codec.decode_values(strand) == values
+        assert codec.decode(strand) == blocks
+
+    @pytest.mark.parametrize("backend", ["rank", "lookup"])
+    @pytest.mark.parametrize("strand", ["0102", "020102", "201202"])
+    def test_damaged_streams_are_corrupt(self, backend, strand):
+        # ragged length, a non-edge (square 00), an unlabeled 4th neighbor
+        codec = codec_for(3, 2, 1, 3, backend)
+        with pytest.raises(CorruptInputError, match=r"length|state \d"):
+            codec.decode_values(w(strand))
+
+    @pytest.mark.parametrize("backend", ["rank", "lookup"])
+    @pytest.mark.parametrize("value", [-1, 3])
+    def test_out_of_range_value(self, backend, value):
+        with pytest.raises(DomainError):
+            codec_for(3, 2, 1, 3, backend).encode_values([0, value])
+
+    @pytest.mark.parametrize("backend", ["rank", "lookup"])
+    def test_validations_do_not_grow_with_the_stream(self, backend, word_validations):
+        codec = codec_for(4, 3, 2, 5, backend)
+        seen = []
+        for n in (4, 400):
+            values = [(7 * i) % 16 for i in range(n)]
+            before = word_validations.calls
+            strand = codec.encode_values(values)
+            assert codec.decode_values(strand) == values
+            seen.append(word_validations.calls - before)
+        assert seen[0] == seen[1] <= 2

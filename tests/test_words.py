@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -35,6 +36,28 @@ def w(text: str, q: int = 3) -> Word:
     return Word.from_string(text, q)
 
 
+def from_dna_reference(text: str) -> Word:
+    """The per-character parser that Word.from_dna replaced."""
+    try:
+        syms = tuple("ACGT".index(ch) for ch in text.strip().upper())
+    except ValueError:
+        raise DomainError(f"not a DNA string: {text!r}") from None
+    return Word(syms, 4)
+
+
+def random_descendant_reference(x: Word, t: int, k: int, seed: int):
+    """The list-based duplication loop that random_descendant replaced."""
+    rng = random.Random(seed)
+    syms = list(x.symbols)
+    events = []
+    for _ in range(t):
+        length = rng.randint(1, min(k, len(syms)))
+        pos = rng.randint(0, len(syms) - length)
+        syms[pos + length:pos + length] = syms[pos:pos + length]
+        events.append(DuplicationEvent(pos, length))
+    return Word(tuple(syms), x.q), events
+
+
 class TestWord:
     def test_from_string_round_trip(self):
         assert str(w("0120")) == "0120"
@@ -57,6 +80,29 @@ class TestWord:
         assert word.q == 4
         assert word.symbols == (0, 1, 2, 3)
         assert word.to_dna() == "ACGT"
+
+    @given(text=st.text(alphabet="ACGTacgtNÄı \t\n", max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_dna_matches_per_character_reference(self, text):
+        try:
+            expected = from_dna_reference(text)
+        except DomainError:
+            with pytest.raises(DomainError):
+                Word.from_dna(text)
+            return
+        got = Word.from_dna(text)
+        assert got == expected
+        assert got.to_dna() == "".join("ACGT"[s] for s in expected.symbols)
+
+    @pytest.mark.parametrize("text", ["ACNT", "AC GT", "ACÄT", "aıt", "Ä", "\ud800"])
+    def test_dna_rejects_foreign_characters(self, text):
+        with pytest.raises(DomainError):
+            Word.from_dna(text)
+
+    def test_dna_round_trip_skips_validation(self, word_validations):
+        text = "ACGT" * 2000
+        assert Word.from_dna(f" {text.lower()}\n").to_dna() == text
+        assert word_validations.calls == 0
 
     def test_to_dna_requires_q4(self):
         with pytest.raises(DomainError):
@@ -205,6 +251,12 @@ class TestRoot:
         assert is_irreducible(r, sys_.k)
         assert all_roots_bfs(y, sys_, ORACLE_BUDGET) == {r}
 
+    def test_validates_no_word(self, s43, word_validations):
+        y, _events = random_descendant(unrank_irr(300, 12345, s43), 500, s43, seed=1)
+        before = word_validations.calls
+        assert is_irreducible(root(y, s43), 3)
+        assert word_validations.calls == before
+
     def test_linear_time_on_long_descendant(self, s43):
         # Rescanning with middle deletion is quadratic: 1.4-1.7 s for this word
         # on a 2-vCPU x86-64 host, where stack reduction takes about 10 ms.
@@ -266,6 +318,18 @@ class TestRandomDescendant:
     def test_rejects_empty_start(self, s32):
         with pytest.raises(DomainError):
             random_descendant(Word((), 3), 1, s32, seed=0)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_list_reference(self, data):
+        q = data.draw(st.sampled_from([3, 4, 256, 257, 300]))
+        k = data.draw(st.sampled_from([2, 3]))
+        syms = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=20))
+        t = data.draw(st.integers(0, 40))
+        seed = data.draw(st.integers(0, 2**32))
+        x = Word(tuple(syms), q)
+        got = random_descendant(x, t, DupSystem(q, k), seed)
+        assert got == random_descendant_reference(x, t, k, seed)
 
 
 class TestDupSystem:
