@@ -33,7 +33,6 @@ from .enumeration import (
 )
 from .errors import (
     BudgetExceededError,
-    CapacityError,
     CorruptInputError,
     DomainError,
     NotADescendantError,
@@ -42,11 +41,7 @@ from .errors import (
     UnlabeledEdgeError,
 )
 from .fse import (
-    EdgeLabelTable,
     FseCodec,
-    build_lookup_table,
-    decode_stream,
-    encode_stream,
     neighbor_index,
     neighbors,
     nth_neighbor,
@@ -88,7 +83,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
-    "CapacityError",
     "CodeSpec",
     "CorruptInputError",
     "CountTable",
@@ -96,7 +90,6 @@ __all__ = [
     "DomainError",
     "DupSystem",
     "DuplicationEvent",
-    "EdgeLabelTable",
     "FseCodec",
     "FseParams",
     "MessageCapacity",
@@ -114,19 +107,16 @@ __all__ = [
     "apply_phi123",
     "apply_psi",
     "asymptotic_rate",
-    "build_lookup_table",
     "choose_params",
     "code_size",
     "count_extensions",
     "count_irr",
     "count_irr_prefix",
     "decode_codeword",
-    "decode_stream",
     "delta_closed_form",
     "delta_closed_form_report",
     "delta_min_degree",
     "encode_codeword",
-    "encode_stream",
     "enumerate_irr_bruteforce",
     "extend_zeta",
     "extension_index",

@@ -294,7 +294,11 @@ def _cmd_decode(args) -> int:
             raise DomainError("code mode needs -n or a stream header")
         spec = CodeSpec(sys_, int(n))
         if "chunk" in header:
+            # code_size(n) < q**(n + 1) bounds every chunk encode writes
             chunk = int(header["chunk"])
+            cap = (spec.n + 1) * sys_.q.bit_length()
+            if not 1 <= chunk <= cap:
+                raise CorruptInputError(f"header chunk={chunk} outside [1, {cap}]")
         else:
             chunk = code_size(int(n), sys_).bit_length() - 1
         if not strands:
@@ -311,11 +315,6 @@ def _cmd_decode(args) -> int:
         _write_bytes(args.output, _join_chunks(values, chunk))
         return 0
     params = _resolve_fse_params(args, sys_, header)
-    if "chunk" in header:
-        chunk = int(header["chunk"])
-    else:
-        chunk = (sys_.q**params.ell).bit_length() - 1
-    codec = FseCodec(params)
     if not strands:
         if digits:
             _write_text(args.output, "")
@@ -324,7 +323,20 @@ def _cmd_decode(args) -> int:
         return 0
     if len(strands) != 1:
         raise CorruptInputError(f"fse mode expects one strand, found {len(strands)}")
-    values = codec.decode_values(root(_parse_word(strands[0], sys_.q, dna), sys_))
+    received = _parse_word(strands[0], sys_.q, dna)
+    # q**ell <= delta_min_degree(m) < q**m, and the strand holds a state:
+    # this rejects nothing encode writes and bounds all counting below
+    if not params.ell < params.m <= len(received):
+        raise CorruptInputError(
+            f"ell={params.ell}, m={params.m} do not satisfy ell < m <= "
+            f"{len(received)}, the strand length"
+        )
+    chunk = (sys_.q**params.ell).bit_length() - 1
+    if header.get("chunk", chunk) != chunk:
+        raise CorruptInputError(
+            f"header chunk={header['chunk']} is not {chunk}, the width for ell={params.ell}"
+        )
+    values = FseCodec(params).decode_values(root(received, sys_))
     if digits:
         text = "".join(str(_value_block(v, params)) for v in values)
         _write_text(args.output, text + "\n")

@@ -25,6 +25,19 @@ from .words import DupSystem, Word, is_irreducible
 # ------------------------------------------------------------------ totals
 
 
+def _coefficients(sys: DupSystem) -> tuple[int, ...]:
+    # c with I(n) = c[0]*I(n-1) + c[1]*I(n-2) + ... beyond the base lengths
+    q = sys.q
+    return (q - 2, q - 2) if sys.k == 2 else (q - 2, q - 3, q - 2)
+
+
+def _extend(vals: list[int], n: int, sys: DupSystem) -> None:
+    """Append terms of the count recursion to vals until it holds index n."""
+    c = _coefficients(sys)
+    while len(vals) <= n:
+        vals.append(sum(ci * v for ci, v in zip(c, reversed(vals))))
+
+
 class CountTable:
     """Memoized counts I(n) of irreducible words for one system.
 
@@ -53,13 +66,8 @@ class CountTable:
         if n < 0:
             raise DomainError(f"word length must be >= 0, got {n}")
         v = self._values
-        q = self.sys.q
-        if self.sys.k == 2:
-            while len(v) <= n:
-                v.append((q - 2) * (v[-1] + v[-2]))
-        else:
-            while len(v) <= n:
-                v.append((q - 2) * v[-1] + (q - 3) * v[-2] + (q - 2) * v[-3])
+        if len(v) <= n:
+            _extend(v, n, self.sys)
         return v[n]
 
     def cumulative(self, n: int) -> int:
@@ -289,13 +297,14 @@ def count_irr_prefix(p: Word, n: int, sys: DupSystem) -> int:
 # ------------------------------------------------------- minimum out-degree
 
 
-_delta_cache: dict[DupSystem, dict[int, int]] = {}
+# delta_min_degree(2k-1 + i) at index i, per system
+_delta_values: dict[DupSystem, list[int]] = {}
 
 
 def _delta_bases(sys: DupSystem) -> range:
     # recursion needs the previous 2 (k=2) resp. 3 (k=3) values, starting
     # at the smallest legal state length m = 2k-1
-    return range(2 * sys.k - 1, 2 * sys.k - 1 + (2 if sys.k == 2 else 3))
+    return range(2 * sys.k - 1, 2 * sys.k - 1 + len(_coefficients(sys)))
 
 
 def delta_min_degree(m: int, sys: DupSystem) -> int:
@@ -309,29 +318,17 @@ def delta_min_degree(m: int, sys: DupSystem) -> int:
     width = 2 * sys.k - 1
     if m < width:
         raise DomainError(f"state length must be >= {width}, got {m}")
-    cache = _delta_cache.setdefault(sys, {})
-    got = cache.get(m)
-    if got is not None:
-        return got
-    bases = _delta_bases(sys)
-    if m in bases or any(b not in cache for b in bases):
+    vals = _delta_values.get(sys)
+    if vals is None:
+        bases = _delta_bases(sys)
         dp = _dp(sys)
         dp.ensure_layers(bases[-1])
         full = [sid for sid, w in enumerate(dp.states) if len(w) == width]
-        for b in bases:
-            cache.setdefault(b, min(dp.layers[b][sid] for sid in full))
-        if m in cache:
-            return cache[m]
-    q = sys.q
-    top = max(b for b in cache)
-    vals = {b: cache[b] for b in cache}
-    for i in range(top + 1, m + 1):
-        if sys.k == 2:
-            vals[i] = (q - 2) * (vals[i - 1] + vals[i - 2])
-        else:
-            vals[i] = (q - 2) * vals[i - 1] + (q - 3) * vals[i - 2] + (q - 2) * vals[i - 3]
-        cache[i] = vals[i]
-    return cache[m]
+        vals = _delta_values[sys] = [
+            min(dp.layers[b][sid] for sid in full) for b in bases
+        ]
+    _extend(vals, m - width, sys)
+    return vals[m - width]
 
 
 def delta_closed_form(m: int, sys: DupSystem) -> Optional[int]:
@@ -388,14 +385,17 @@ class RateInfo:
 
 
 def _growth_factor(sys: DupSystem) -> float:
-    q = sys.q
-    if sys.k == 2:
-        return (q - 2 + math.sqrt(q * q - 4)) / 2
-    # largest real root of x^3 - (q-2)x^2 - (q-3)x - (q-2); it lies in (1, q)
-    def f(x: float) -> float:
-        return ((x - (q - 2)) * x - (q - 3)) * x - (q - 2)
+    # largest real root of x^d - c[0]x^(d-1) - ... - c[d-1], the count
+    # recursion's characteristic polynomial; its coefficients change sign
+    # once, so it has exactly one positive root, and that lies in (1, q)
+    c = _coefficients(sys)
+    if len(c) == 2:
+        return (c[0] + math.sqrt(c[0] * c[0] + 4 * c[1])) / 2
 
-    lo, hi = 1.0, float(q)
+    def f(x: float) -> float:
+        return ((x - c[0]) * x - c[1]) * x - c[2]
+
+    lo, hi = 1.0, float(sys.q)
     for _ in range(200):
         mid = (lo + hi) / 2
         if f(mid) < 0:

@@ -9,10 +9,6 @@ class DomainError(TandemCodeError, ValueError):
     """An argument is outside the domain an operation is defined on."""
 
 
-class CapacityError(TandemCodeError):
-    """A requested materialization exceeds the configured size limit."""
-
-
 class BudgetExceededError(TandemCodeError):
     """A brute-force computation exceeded its search budget."""
 

@@ -9,17 +9,14 @@ as a number j in [1, q**ell], and moves to the j-th neighbor of the
 current state in lexicographic order.  This is well defined whenever
 q**ell <= delta_min_degree(m), the minimum out-degree of the graph.
 
-Two interchangeable backends:
-
-* "rank" walks neighbor lists digit by digit via extension counts on the
-  boundary window, carrying the window id from state to state, so nothing
-  is materialized (O(m) big-int operations per step);
-* "lookup" materializes the full edge table once and indexes into it.
+The graph is never materialized: a step picks the neighbor digit by
+digit from extension counts on the boundary window and carries the
+window id on to the next state (O(m) big-int operations per step).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .enumeration import (
     FseParams,
@@ -27,19 +24,12 @@ from .enumeration import (
     _index,
     _kth,
     count_extensions,
-    count_irr,
     delta_min_degree,
     extension_index,
     iter_extensions,
     kth_extension,
 )
-from .errors import (
-    CapacityError,
-    CorruptInputError,
-    DomainError,
-    NotAnEdgeError,
-    UnlabeledEdgeError,
-)
+from .errors import CorruptInputError, DomainError, NotAnEdgeError, UnlabeledEdgeError
 from .words import Word, is_irreducible
 
 
@@ -86,50 +76,9 @@ def neighbor_index(x: Word, x_next: Word, params: FseParams) -> int:
         raise NotAnEdgeError(str(e)) from None
     if idx > params.sys.q**params.ell:
         raise UnlabeledEdgeError(
-            f"edge index {idx} exceeds the labeled range {params.sys.q**params.ell}"
+            f"edge index {idx} exceeds the labeled range {params.sys.q}**{params.ell}"
         )
     return idx
-
-
-class EdgeLabelTable:
-    """Materialized encoder graph: full lex-ordered neighbor list per state.
-
-    Labels are implicit: the j-th entry of a row (1-indexed) is the
-    neighbor reached on message value j - 1, valid for j <= q**ell.
-    Entries beyond q**ell exist as edges but carry no label.
-    """
-
-    def __init__(self, params: FseParams, rows: dict[Word, tuple[Word, ...]]):
-        self.params = params
-        self.rows = rows
-
-    def states(self) -> list[Word]:
-        return list(self.rows)
-
-    def neighbors_of(self, x: Word) -> tuple[Word, ...]:
-        return self.rows[x]
-
-    def labeled_neighbors_of(self, x: Word) -> tuple[Word, ...]:
-        return self.rows[x][: self.params.sys.q**self.params.ell]
-
-
-def build_lookup_table(params: FseParams, state_limit: int = 200_000) -> EdgeLabelTable:
-    """Materialize every state's neighbor list (lexicographic rows).
-
-    Refuses (CapacityError) when the state count exceeds state_limit;
-    use the rank backend instead at large m.
-    """
-    sys = params.sys
-    n_states = count_irr(params.m, sys)
-    if n_states > state_limit:
-        raise CapacityError(
-            f"{n_states} states exceed the materialization limit {state_limit}"
-        )
-    empty = Word((), sys.q)
-    rows: dict[Word, tuple[Word, ...]] = {}
-    for state in iter_extensions(empty, params.m, sys):
-        rows[state] = tuple(iter_extensions(state, params.m, sys))
-    return EdgeLabelTable(params, rows)
 
 
 def _block_value(block: Word, params: FseParams) -> int:
@@ -161,56 +110,42 @@ class FseCodec:
     condition that makes every message block encodable from every state.
     """
 
-    def __init__(
-        self,
-        params: FseParams,
-        backend: str = "rank",
-        state_limit: int = 200_000,
-    ):
-        if backend not in ("rank", "lookup"):
-            raise DomainError(f"backend must be 'rank' or 'lookup', got {backend!r}")
-        sys = params.sys
-        degree = delta_min_degree(params.m, sys)
-        if sys.q**params.ell > degree:
+    def __init__(self, params: FseParams):
+        sys, ell, m = params.sys, params.ell, params.m
+        degree = delta_min_degree(m, sys)
+        labeled = sys.q**ell
+        if labeled > degree:
+            # sizes, not values: either number can exceed int-to-str limits
             raise DomainError(
-                f"q**ell = {sys.q**params.ell} exceeds the minimum out-degree "
-                f"{degree} at m = {params.m}; no labeling exists"
+                f"q**ell = {sys.q}**{ell} ({labeled.bit_length()} bits) exceeds "
+                f"the minimum out-degree at m = {m} ({degree.bit_length()} bits); "
+                "no labeling exists"
             )
         self.params = params
-        self.backend = backend
-        self.start_state = kth_extension(Word((), sys.q), params.m, 1, sys)
+        self.start_state = kth_extension(Word((), sys.q), m, 1, sys)
         dp = _dp(sys)
-        dp.ensure_layers(params.m)
+        dp.ensure_layers(m)
         self._start_sid = dp.window_sid(self.start_state.symbols)
-        self.table: Optional[EdgeLabelTable] = None
-        if backend == "lookup":
-            self.table = build_lookup_table(params, state_limit)
 
     def encode_values(self, values: Iterable[int]) -> Word:
         """Concatenate the states visited while consuming block values in
-        [0, q**ell).  The rank backend carries the window id from step to
-        step; the lookup backend follows its rows."""
+        [0, q**ell), carrying the window id from step to step."""
         params = self.params
-        q, m = params.sys.q, params.m
-        labeled = q**params.ell
-        rows = None if self.table is None else self.table.rows
-        dp, sid, state = _dp(params.sys), self._start_sid, self.start_state
+        q, ell, m = params.sys.q, params.ell, params.m
+        labeled = q**ell
+        dp, sid = _dp(params.sys), self._start_sid
         out: list[int] = []
-        for v in values:
+        for n, v in enumerate(values, start=1):
             if not 0 <= v < labeled:
-                raise DomainError(f"block value {v} outside [0, {labeled})")
-            if rows is None:
-                sid = _kth(dp, sid, m, v + 1, out)
-            else:
-                state = rows[state][v]
-                out += state.symbols
+                raise DomainError(f"block {n}: value outside [0, {q}**{ell})")
+            sid = _kth(dp, sid, m, v + 1, out)
         return Word._unchecked(tuple(out), q)
 
     def decode_values(self, x: Word) -> list[int]:
         """Invert encode_values, reading x one state at a time; raises
         CorruptInputError on damaged input."""
         params = self.params
-        q, m = params.sys.q, params.m
+        q, ell, m = params.sys.q, params.ell, params.m
         if x.q != q:
             raise DomainError(f"word alphabet q={x.q} does not match system q={q}")
         s = x.symbols
@@ -218,30 +153,18 @@ class FseCodec:
             raise CorruptInputError(
                 f"length {len(s)} is not a multiple of the state length {m}"
             )
-        labeled = q**params.ell
-        rows = None if self.table is None else self.table.rows
-        dp, sid, state = _dp(params.sys), self._start_sid, self.start_state
+        labeled = q**ell
+        dp, sid = _dp(params.sys), self._start_sid
         values: list[int] = []
         for n, b in enumerate(range(0, len(s), m), start=1):
-            ys = s[b:b + m]
-            if rows is None:
-                idx, sid = _index(dp, sid, ys)
-                if sid < 0:
-                    raise CorruptInputError(
-                        f"state {n}: not an edge, a square ends at offset {idx}"
-                    )
-            else:
-                nxt = Word._unchecked(ys, q)
-                try:
-                    idx = rows[state].index(nxt) + 1
-                except ValueError:
-                    raise CorruptInputError(
-                        f"state {n}: {nxt} is not a neighbor of {state}"
-                    ) from None
-                state = nxt
+            idx, sid = _index(dp, sid, s[b:b + m])
+            if sid < 0:
+                raise CorruptInputError(
+                    f"state {n}: not an edge, a square ends at offset {idx}"
+                )
             if idx > labeled:
                 raise CorruptInputError(
-                    f"state {n}: edge index {idx} exceeds the labeled range {labeled}"
+                    f"state {n}: edge index exceeds the labeled range {q}**{ell}"
                 )
             values.append(idx - 1)
         return values
@@ -253,13 +176,3 @@ class FseCodec:
     def decode(self, x: Word) -> list[Word]:
         """Invert encode; raises CorruptInputError on damaged input."""
         return [_value_block(v, self.params) for v in self.decode_values(x)]
-
-
-def encode_stream(blocks: Sequence[Word], params: FseParams) -> Word:
-    """One-shot encode with the rank backend."""
-    return FseCodec(params).encode(blocks)
-
-
-def decode_stream(x: Word, params: FseParams) -> list[Word]:
-    """One-shot decode with the rank backend."""
-    return FseCodec(params).decode(x)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import time
 
 import pytest
@@ -84,6 +85,43 @@ class TestExitCodes:
         rc, _, err = run(capsys, "decode", "-i", str(bad), "-o", str(tmp_path / "x"))
         assert rc == 1
         assert "error:" in err
+
+
+class TestHeaderBounds:
+    # the honest hello stream has 312 symbols and chunk=1 (fse), or chunk=9
+    # under the cap (n + 1) * q.bit_length() = 22 (code)
+    MODES = {
+        "fse": ("--mode", "fse", "--ell", "1", "--m", "3"),
+        "code": ("--mode", "code", "-n", "10"),
+    }
+
+    @pytest.mark.parametrize("mode, field, value", [
+        ("fse", "ell", 3),
+        ("fse", "m", 1000),
+        ("fse", "chunk", 40),
+        ("code", "chunk", 0),
+        ("code", "chunk", 23),
+    ])
+    def test_bad_field_fails_before_counting(
+        self, mode, field, value, tmp_path, capsys, monkeypatch
+    ):
+        src = tmp_path / "src.bin"
+        src.write_bytes(b"hello")
+        enc = tmp_path / "enc.txt"
+        rc, _, _ = run(capsys, "encode", *self.MODES[mode], "-q", "3", "-k", "2",
+                       "-i", str(src), "-o", str(enc))
+        assert rc == 0
+        text = enc.read_text()
+        enc.write_text(re.sub(rf"\b{field}=\d+", f"{field}={value}", text, count=1))
+
+        def counting(*args):
+            raise AssertionError("decoding started before the header was checked")
+
+        monkeypatch.setattr("tdcode.cli.FseCodec", counting)
+        monkeypatch.setattr("tdcode.cli.decode_codeword", counting)
+        rc, _, err = run(capsys, "decode", "-i", str(enc), "-o", str(tmp_path / "out"))
+        assert rc == 1
+        assert "error:" in err and "Traceback" not in err
 
 
 class TestEncodeDecodeRoundTrip:

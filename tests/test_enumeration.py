@@ -29,6 +29,7 @@ from tdcode import (
     kth_extension,
     unrank_irr,
 )
+from tdcode.enumeration import _dp
 
 
 def w(text: str, q: int = 3) -> Word:
@@ -221,6 +222,44 @@ class TestDeltaMinDegree:
         assert not report[7]["agrees"]
         assert report[7]["computed"] == 9
         assert delta_closed_form(7, s33) != delta_min_degree(7, s33)
+
+
+GUARD_SYSTEMS = [(q, k) for q in range(3, 7) for k in (2, 3)]
+
+
+class TestRecursionAgainstWindowDP:
+    """Exact guards for the shared count recursion: every value it yields
+    equals the direct suffix-window DP."""
+
+    @pytest.mark.parametrize("q, k", GUARD_SYSTEMS)
+    def test_delta_is_the_full_window_minimum(self, q, k):
+        sys_ = DupSystem(q, k)
+        dp = _dp(sys_)
+        width = 2 * k - 1
+        full = [sid for sid, w in enumerate(dp.states) if len(w) == width]
+        for m in range(width, 61):
+            assert delta_min_degree(m, sys_) == min(dp.count(sid, m) for sid in full)
+
+    @pytest.mark.parametrize("q, k", GUARD_SYSTEMS)
+    def test_counts_are_the_dp_from_the_empty_window(self, q, k):
+        sys_ = DupSystem(q, k)
+        dp = _dp(sys_)
+        empty = dp.window_sid(())
+        for n in range(61):
+            assert count_irr(n, sys_) == dp.count(empty, n)
+
+    @pytest.mark.parametrize("q, k", GUARD_SYSTEMS)
+    def test_every_window_follows_the_count_recursion(self, q, k):
+        # written out here, independently of the package's coefficients
+        coeffs = (q - 2, q - 2) if k == 2 else (q - 2, q - 3, q - 2)
+        dp = _dp(DupSystem(q, k))
+        dp.ensure_layers(40)
+        layers = dp.layers
+        for r in range(2 * k, 41):
+            for sid in range(len(dp.states)):
+                assert layers[r][sid] == sum(
+                    c * layers[r - 1 - i][sid] for i, c in enumerate(coeffs)
+                ), (r, dp.states[sid])
 
 
 # four-decimal reference values; some truncate the last digit (e.g.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import functools
 
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdcode import (
-    CapacityError,
     CorruptInputError,
     DomainError,
     DupSystem,
@@ -18,18 +18,18 @@ from tdcode import (
     NotAnEdgeError,
     UnlabeledEdgeError,
     Word,
-    build_lookup_table,
     count_extensions,
     count_irr,
-    decode_stream,
     delta_min_degree,
-    encode_stream,
+    enumerate_irr_bruteforce,
     is_irreducible,
     neighbor_index,
     neighbors,
     nth_neighbor,
     unrank_irr,
 )
+from tdcode import oracle
+from tdcode.enumeration import _dp
 from tdcode.fse import _value_block
 
 
@@ -42,8 +42,13 @@ STREAM_SYSTEMS = [(3, 2, 1, 3), (3, 2, 2, 6), (3, 3, 1, 5), (4, 3, 2, 5), (4, 2,
 
 
 @functools.cache
-def codec_for(q: int, k: int, ell: int, m: int, backend: str) -> FseCodec:
-    return FseCodec(FseParams(DupSystem(q, k), ell=ell, m=m), backend)
+def codec_for(q: int, k: int, ell: int, m: int) -> FseCodec:
+    return FseCodec(FseParams(DupSystem(q, k), ell=ell, m=m))
+
+
+# (q, k, ell, m) small enough for brute-force neighbor lists, each with
+# the largest ell that q**ell <= delta_min_degree(m) allows
+ORACLE_SYSTEMS = [(3, 2, 1, 3), (3, 2, 1, 4), (4, 2, 2, 3), (3, 3, 1, 5)]
 
 
 EXAMPLE_TABLE = {
@@ -118,20 +123,6 @@ class TestNeighbors:
             neighbors(w("0102"), p313)
 
 
-class TestLookupTable:
-    def test_rows_cover_all_states_with_labeled_prefix(self, p313, s32):
-        table = build_lookup_table(p313)
-        assert len(table.states()) == count_irr(3, s32)
-        for state in table.states():
-            row = table.labeled_neighbors_of(state)
-            assert len(row) == 3  # q**ell
-            assert list(row) == neighbors(state, p313)[:3]
-
-    def test_capacity_guard(self, p313):
-        with pytest.raises(CapacityError):
-            build_lookup_table(p313, state_limit=5)
-
-
 class TestFseCodec:
     def test_worked_stream(self, p313):
         codec = FseCodec(p313)
@@ -145,22 +136,36 @@ class TestFseCodec:
         params = FseParams(DupSystem(3, 2), ell=1, m=5)
         assert str(FseCodec(params).start_state) == "01020"
 
-    def test_backends_agree(self, p313):
-        rank_codec = FseCodec(p313, backend="rank")
-        table_codec = FseCodec(p313, backend="lookup")
-        blocks = [w(d) for d in "0120210012"]
-        strand = rank_codec.encode(blocks)
-        assert table_codec.encode(blocks) == strand
-        assert table_codec.decode(strand) == rank_codec.decode(strand)
-
     def test_rejects_overloaded_label_space(self, s32):
         # q**ell must fit under the minimum out-degree
         with pytest.raises(DomainError):
             FseCodec(FseParams(s32, ell=2, m=3))
+        # 3**12000 has 5726 digits, more than int-to-str conversion allows,
+        # so the message must not print it
+        with pytest.raises(DomainError, match=r"3\*\*12000"):
+            FseCodec(FseParams(s32, ell=12000, m=12001))
 
-    def test_rejects_unknown_backend(self, p313):
-        with pytest.raises(DomainError):
-            FseCodec(p313, backend="magic")
+    @pytest.mark.parametrize("q, k, ell, m", ORACLE_SYSTEMS)
+    def test_steps_match_bruteforce_neighbors(self, q, k, ell, m):
+        sys_ = DupSystem(q, k)
+        codec = codec_for(q, k, ell, m)
+        states = enumerate_irr_bruteforce(m, sys_)
+        labeled = q**ell
+        degrees = []
+        for x in states:
+            nbrs = [y for y in states if not oracle._has_square(x.symbols + y.symbols, k)]
+            degrees.append(len(nbrs))
+            # the same codec with its walk started at x
+            at_x = copy.copy(codec)
+            at_x._start_sid = _dp(sys_).window_sid(x.symbols)
+            for j, y in enumerate(nbrs[:labeled], start=1):
+                assert at_x.encode_values([j - 1]) == y
+                assert at_x.decode_values(y) == [j - 1]
+            for y in states:
+                if y not in nbrs[:labeled]:
+                    with pytest.raises(CorruptInputError):
+                        at_x.decode_values(y)
+        assert min(degrees) == delta_min_degree(m, sys_) >= labeled
 
     def test_empty_stream(self, p313):
         codec = FseCodec(p313)
@@ -197,12 +202,6 @@ class TestFseCodec:
         with pytest.raises(CorruptInputError):
             FseCodec(p313).decode(w("201202"))
 
-    def test_stream_wrappers(self, p313):
-        blocks = [w(d) for d in "012"]
-        strand = encode_stream(blocks, p313)
-        assert str(strand) == "201021021"
-        assert decode_stream(strand, p313) == blocks
-
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_random_streams_round_trip(self, data):
@@ -224,37 +223,32 @@ class TestFseCodec:
 
 
 class TestValueEngine:
-    @pytest.mark.parametrize("backend", ["rank", "lookup"])
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_values_agree_with_blocks(self, backend, data):
+    def test_values_agree_with_blocks(self, data):
         q, k, ell, m = data.draw(st.sampled_from(STREAM_SYSTEMS))
-        codec = codec_for(q, k, ell, m, backend)
+        codec = codec_for(q, k, ell, m)
         values = data.draw(st.lists(st.integers(0, q**ell - 1), max_size=12))
         blocks = [_value_block(v, codec.params) for v in values]
         strand = codec.encode_values(values)
         assert strand == codec.encode(blocks)
-        assert strand == codec_for(q, k, ell, m, "rank").encode(blocks)
         assert codec.decode_values(strand) == values
         assert codec.decode(strand) == blocks
 
-    @pytest.mark.parametrize("backend", ["rank", "lookup"])
     @pytest.mark.parametrize("strand", ["0102", "020102", "201202"])
-    def test_damaged_streams_are_corrupt(self, backend, strand):
+    def test_damaged_streams_are_corrupt(self, strand):
         # ragged length, a non-edge (square 00), an unlabeled 4th neighbor
-        codec = codec_for(3, 2, 1, 3, backend)
+        codec = codec_for(3, 2, 1, 3)
         with pytest.raises(CorruptInputError, match=r"length|state \d"):
             codec.decode_values(w(strand))
 
-    @pytest.mark.parametrize("backend", ["rank", "lookup"])
     @pytest.mark.parametrize("value", [-1, 3])
-    def test_out_of_range_value(self, backend, value):
+    def test_out_of_range_value(self, value):
         with pytest.raises(DomainError):
-            codec_for(3, 2, 1, 3, backend).encode_values([0, value])
+            codec_for(3, 2, 1, 3).encode_values([0, value])
 
-    @pytest.mark.parametrize("backend", ["rank", "lookup"])
-    def test_validations_do_not_grow_with_the_stream(self, backend, word_validations):
-        codec = codec_for(4, 3, 2, 5, backend)
+    def test_validations_do_not_grow_with_the_stream(self, word_validations):
+        codec = codec_for(4, 3, 2, 5)
         seen = []
         for n in (4, 400):
             values = [(7 * i) % 16 for i in range(n)]
