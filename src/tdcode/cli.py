@@ -7,6 +7,7 @@ import hashlib
 import json
 import random
 import sys as _sys
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 from .codec import CodeSpec, decode_codeword, encode_codeword
@@ -18,7 +19,7 @@ from .enumeration import (
     count_irr,
     delta_min_degree,
 )
-from .errors import CorruptInputError, DomainError, TandemCodeError
+from .errors import CorruptInputError, DomainError, TandemCodeError, show_int
 from .fse import FseCodec, _block_value, _value_block
 from .oracle import (
     OracleBudget,
@@ -155,24 +156,40 @@ def _check_render(q: int, dna: bool) -> None:
         raise DomainError("digit rendering requires q <= 10; use --dna for q=4")
 
 
-def _resolve_fse_params(args, sys_: DupSystem, header: Optional[dict] = None) -> FseParams:
-    if getattr(args, "epsilon", None) is not None:
-        return choose_params(args.epsilon, sys_)
-    hdr = header or {}
-    ell = args.ell if args.ell is not None else hdr.get("ell")
-    m = args.m if args.m is not None else hdr.get("m")
+def _resolve_fse_params(args, sys_: DupSystem, header: dict) -> FseParams:
+    # like _merged: the header's ell and m win, -e (or else --ell/--m) fills gaps
+    ell, m = args.ell, args.m
+    if args.epsilon is not None and not ("ell" in header and "m" in header):
+        chosen = choose_params(args.epsilon, sys_)
+        ell, m = chosen.ell, chosen.m
+    ell, m = _merged(header, "ell", ell), _merged(header, "m", m)
     if ell is None or m is None:
         raise DomainError("fse mode needs -e, or both --ell and --m")
     return FseParams(sys_, int(ell), int(m))
 
 
+@contextmanager
+def _all_digits():
+    # count and rank print exact values; header parsing keeps the digit limit
+    if not hasattr(_sys, "get_int_max_str_digits"):  # before 3.10.7: no limit
+        yield
+        return
+    limit = _sys.get_int_max_str_digits()
+    _sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        _sys.set_int_max_str_digits(limit)
+
+
 def _cmd_count(args) -> int:
     sys_ = DupSystem(args.q, args.k)
     value = count_irr(args.n, sys_)
-    if args.json:
-        print(json.dumps({"n": args.n, "q": args.q, "k": args.k, "count": value}))
-    else:
-        print(value)
+    with _all_digits():
+        if args.json:
+            print(json.dumps({"n": args.n, "q": args.q, "k": args.k, "count": value}))
+        else:
+            print(value)
     return 0
 
 
@@ -197,7 +214,8 @@ def _cmd_rank(args) -> int:
     sys_ = DupSystem(args.q, args.k)
     _check_render(args.q, args.dna)
     word = Word.from_dna(args.word) if args.dna else Word.from_string(args.word, args.q)
-    print(rank_irr(word, sys_))
+    with _all_digits():
+        print(rank_irr(word, sys_))
     return 0
 
 
@@ -231,7 +249,7 @@ def _cmd_encode(args) -> int:
                 lines.append(_render_word(encode_codeword(v + 1, spec), dna))
         _write_text(args.output, "\n".join(lines) + "\n")
         return 0
-    params = _resolve_fse_params(args, sys_)
+    params = _resolve_fse_params(args, sys_, {})
     chunk = (sys_.q**params.ell).bit_length() - 1
     codec = FseCodec(params)
     header = format_header({
@@ -293,33 +311,33 @@ def _cmd_decode(args) -> int:
         if n is None:
             raise DomainError("code mode needs -n or a stream header")
         spec = CodeSpec(sys_, int(n))
-        if "chunk" in header:
+        chunk = header.get("chunk")
+        if chunk is not None:
             # code_size(n) < q**(n + 1) bounds every chunk encode writes
-            chunk = int(header["chunk"])
             cap = (spec.n + 1) * sys_.q.bit_length()
             if not 1 <= chunk <= cap:
                 raise CorruptInputError(f"header chunk={chunk} outside [1, {cap}]")
-        else:
-            chunk = code_size(int(n), sys_).bit_length() - 1
         if not strands:
             _write_bytes(args.output, b"")
             return 0
+        # duplications only lengthen strands; check before code_size(n) costs O(n**2) bits
+        if spec.n > min(map(len, strands)):
+            raise CorruptInputError(f"code length n={spec.n} exceeds the shortest strand")
+        if chunk is None:
+            chunk = code_size(spec.n, sys_).bit_length() - 1
         values = []
         for s in strands:
             j = decode_codeword(_parse_word(s, sys_.q, dna), spec)
             if j - 1 >= 1 << chunk:
                 raise CorruptInputError(
-                    f"decoded index {j} does not fit in a {chunk} bit chunk"
+                    f"decoded index {show_int(j)} does not fit in a {chunk} bit chunk"
                 )
             values.append(j - 1)
         _write_bytes(args.output, _join_chunks(values, chunk))
         return 0
     params = _resolve_fse_params(args, sys_, header)
     if not strands:
-        if digits:
-            _write_text(args.output, "")
-        else:
-            _write_bytes(args.output, b"")
+        _write_bytes(args.output, b"")
         return 0
     if len(strands) != 1:
         raise CorruptInputError(f"fse mode expects one strand, found {len(strands)}")
@@ -344,7 +362,7 @@ def _cmd_decode(args) -> int:
     for v in values:
         if v >= 1 << chunk:
             raise CorruptInputError(
-                f"decoded block value {v} does not fit in a {chunk} bit chunk"
+                f"decoded block value {show_int(v)} does not fit in a {chunk} bit chunk"
             )
     _write_bytes(args.output, _join_chunks(values, chunk))
     return 0

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .enumeration import code_size, count_table
-from .errors import DomainError, NotADescendantError
+from .errors import DomainError, NotADescendantError, show_int
 from .ranking import _rank, unrank_irr
 from .words import DupSystem, Word, extend_zeta, root
 
@@ -50,7 +50,7 @@ def encode_codeword(j: int, spec: CodeSpec) -> Word:
     each length ordered by rank, then padded to length n."""
     total = code_size(spec.n, spec.sys)
     if not 1 <= j <= total:
-        raise DomainError(f"message index {j} outside [1, {total}]")
+        raise DomainError(f"message index {show_int(j)} outside [1, {show_int(total)}]")
     # the root length is the first i with cumulative(i) >= j
     ct = count_table(spec.sys)
     i = 1 + bisect_left(range(1, spec.n + 1), j, key=ct.cumulative)

@@ -8,42 +8,36 @@ The workhorse is a suffix-window dynamic program: a square that ends at
 a freshly appended symbol spans at most the last 2k symbols, so the
 number of valid length-r extensions of a word depends only on its last
 min(len, 2k-1) symbols.  States are the irreducible words of length at
-most 2k-1; one table of per-state extension counts serves prefix
-counting, lexicographic unranking, neighbor indexing, and out-degree
-minimization alike.
+most 2k-1; their table of extension counts is the data of the
+lexicographic walks.  Class sizes come from CountTable's recursion,
+seeded so that counting never grows that table past 2k rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, show_int
 from .words import DupSystem, Word, is_irreducible
 
 # ------------------------------------------------------------------ totals
 
 
 def _coefficients(sys: DupSystem) -> tuple[int, ...]:
-    # c with I(n) = c[0]*I(n-1) + c[1]*I(n-2) + ... beyond the base lengths
+    # c with I(n) = c[0]*I(n-1) + c[1]*I(n-2) + ... beyond the base lengths;
+    # c[b-1] is also the width of the ranking's suffix-map branch b
     q = sys.q
     return (q - 2, q - 2) if sys.k == 2 else (q - 2, q - 3, q - 2)
 
 
-def _extend(vals: list[int], n: int, sys: DupSystem) -> None:
-    """Append terms of the count recursion to vals until it holds index n."""
-    c = _coefficients(sys)
-    while len(vals) <= n:
-        vals.append(sum(ci * v for ci, v in zip(c, reversed(vals))))
-
-
 class CountTable:
-    """Memoized counts I(n) of irreducible words for one system.
-
-    Base values cover n <= 3 (k = 2) resp. n <= 5 (k = 3); beyond that
-    the counts satisfy a constant-coefficient linear recursion.  Values
-    are exact integers.
+    """Memoized class sizes for one system, exact: base values, then the
+    count recursion.  CountTable(sys) holds the counts I(n) of irreducible
+    words, with closed-form base values for n <= 3 (k = 2) resp. n <= 5
+    (k = 3); _seeded starts another class from its own base values.
     """
 
     def __init__(self, sys: DupSystem):
@@ -62,12 +56,21 @@ class CountTable:
             ]
         self._cumulative = [0]
 
+    @classmethod
+    def _seeded(cls, sys: DupSystem, values: Sequence[int]) -> CountTable:
+        # at least one base value per recursion coefficient
+        table = cls(sys)
+        table._values = list(values)
+        return table
+
     def count(self, n: int) -> int:
         if n < 0:
             raise DomainError(f"word length must be >= 0, got {n}")
         v = self._values
         if len(v) <= n:
-            _extend(v, n, self.sys)
+            c = _coefficients(self.sys)
+            while len(v) <= n:
+                v.append(sum(map(mul, c, reversed(v))))
         return v[n]
 
     def cumulative(self, n: int) -> int:
@@ -166,9 +169,10 @@ class _WindowDP:
             raise DomainError(f"suffix {w} is not irreducible")
         return sid
 
-    def count(self, sid: int, r: int) -> int:
-        self.ensure_layers(r)
-        return self.layers[r][sid]
+    def counts(self, sid: int) -> CountTable:
+        # window sid's extension counts obey the count recursion beyond row 2k-1
+        self.ensure_layers(self.width)
+        return CountTable._seeded(self.sys, [layer[sid] for layer in self.layers[:self.width + 1]])
 
 
 _dps: dict[DupSystem, _WindowDP] = {}
@@ -192,7 +196,7 @@ def count_extensions(x: Word, r: int, sys: DupSystem) -> int:
     if r < 0:
         raise DomainError(f"extension length must be >= 0, got {r}")
     dp = _dp(sys)
-    return dp.count(dp.window_sid(x.symbols), r)
+    return dp.counts(dp.window_sid(x.symbols)).count(r)
 
 
 def _kth(dp: _WindowDP, sid: int, r: int, j: int, out: list[int]) -> int:
@@ -235,9 +239,10 @@ def kth_extension(x: Word, r: int, j: int, sys: DupSystem) -> Word:
     """The j-th (1-indexed, lexicographic) valid length-r extension of x."""
     dp = _dp(sys)
     sid = dp.window_sid(x.symbols)
-    total = dp.count(sid, r)
+    dp.ensure_layers(r)
+    total = dp.layers[r][sid]
     if not 1 <= j <= total:
-        raise DomainError(f"extension index {j} outside [1, {total}]")
+        raise DomainError(f"extension index {show_int(j)} outside [1, {show_int(total)}]")
     out: list[int] = []
     _kth(dp, sid, r, j, out)
     return Word._unchecked(tuple(out), sys.q)
@@ -283,13 +288,11 @@ def iter_extensions(x: Word, r: int, sys: DupSystem) -> Iterator[Word]:
 def count_irr_prefix(p: Word, n: int, sys: DupSystem) -> int:
     """Number of irreducible length-n words that start with p (0 if p is not
     irreducible)."""
-    if p.q != sys.q:
-        raise DomainError(f"prefix alphabet q={p.q} does not match system q={sys.q}")
     if len(p) < 1:
         raise DomainError("prefix must be nonempty")
     if n < len(p):
         raise DomainError(f"target length {n} shorter than the prefix ({len(p)})")
-    if not is_irreducible(p, sys.k):
+    if not is_irreducible(p, sys.k):  # count_extensions checks p.q
         return 0
     return count_extensions(p, n - len(p), sys)
 
@@ -298,37 +301,28 @@ def count_irr_prefix(p: Word, n: int, sys: DupSystem) -> int:
 
 
 # delta_min_degree(2k-1 + i) at index i, per system
-_delta_values: dict[DupSystem, list[int]] = {}
-
-
-def _delta_bases(sys: DupSystem) -> range:
-    # recursion needs the previous 2 (k=2) resp. 3 (k=3) values, starting
-    # at the smallest legal state length m = 2k-1
-    return range(2 * sys.k - 1, 2 * sys.k - 1 + len(_coefficients(sys)))
+_degree_tables: dict[DupSystem, CountTable] = {}
 
 
 def delta_min_degree(m: int, sys: DupSystem) -> int:
     """Minimum over irreducible x of length m of the number of irreducible
     words x' of length m with x..x' irreducible (the encoder out-degree).
 
-    Base values are computed exactly as a minimum of extension counts
-    over suffix windows; larger m follows the same linear recursion as
-    the total counts.
+    Base values at m = 2k-1, ..., 3k-2 are computed exactly as minima of
+    extension counts over full suffix windows; larger m follows the same
+    linear recursion as the total counts.
     """
     width = 2 * sys.k - 1
     if m < width:
         raise DomainError(f"state length must be >= {width}, got {m}")
-    vals = _delta_values.get(sys)
-    if vals is None:
-        bases = _delta_bases(sys)
+    table = _degree_tables.get(sys)
+    if table is None:
         dp = _dp(sys)
-        dp.ensure_layers(bases[-1])
-        full = [sid for sid, w in enumerate(dp.states) if len(w) == width]
-        vals = _delta_values[sys] = [
-            min(dp.layers[b][sid] for sid in full) for b in bases
-        ]
-    _extend(vals, m - width, sys)
-    return vals[m - width]
+        full = [dp.counts(sid) for sid, w in enumerate(dp.states) if len(w) == width]
+        table = _degree_tables[sys] = CountTable._seeded(
+            sys, [min(t.count(b) for t in full) for b in range(width, 3 * sys.k - 1)]
+        )
+    return table.count(m - width)
 
 
 def delta_closed_form(m: int, sys: DupSystem) -> Optional[int]:
@@ -357,7 +351,7 @@ def delta_closed_form(m: int, sys: DupSystem) -> Optional[int]:
 def delta_closed_form_report(sys: DupSystem) -> list[dict]:
     """Compare computed base out-degrees against their closed forms."""
     report = []
-    for m in _delta_bases(sys):
+    for m in range(2 * sys.k - 1, 3 * sys.k - 1):
         computed = delta_min_degree(m, sys)
         stated = delta_closed_form(m, sys)
         report.append(
@@ -411,9 +405,7 @@ def asymptotic_rate(sys: DupSystem) -> RateInfo:
     """Growth factor of count_irr, its log_q (the code rate), and kappa."""
     lam = _growth_factor(sys)
     rate = math.log(lam) / math.log(sys.q)
-    kappa = min(
-        delta_min_degree(m, sys) / lam**m for m in _delta_bases(sys)
-    )
+    kappa = min(delta_min_degree(m, sys) / lam**m for m in range(2 * sys.k - 1, 3 * sys.k - 1))
     return RateInfo(sys, lam, rate, kappa)
 
 

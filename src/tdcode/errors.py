@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and show_int for their messages."""
 
 
 class TandemCodeError(Exception):
@@ -27,3 +27,9 @@ class CorruptInputError(TandemCodeError, ValueError):
 
 class NotADescendantError(TandemCodeError, ValueError):
     """The received word cannot descend from any codeword."""
+
+
+def show_int(v: int) -> str:
+    """v as an error message shows it: exact up to 64 bits, else by bit
+    length.  str() of an integer past 4300 digits raises ValueError."""
+    return str(v) if v.bit_length() <= 64 else f"<{v.bit_length()}-bit integer>"

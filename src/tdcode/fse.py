@@ -23,13 +23,12 @@ from .enumeration import (
     _dp,
     _index,
     _kth,
-    count_extensions,
     delta_min_degree,
     extension_index,
     iter_extensions,
     kth_extension,
 )
-from .errors import CorruptInputError, DomainError, NotAnEdgeError, UnlabeledEdgeError
+from .errors import CorruptInputError, DomainError, NotAnEdgeError, UnlabeledEdgeError, show_int
 from .words import Word, is_irreducible
 
 
@@ -55,9 +54,6 @@ def nth_neighbor(x: Word, j: int, params: FseParams) -> Word:
     materializing the list: symbols are chosen digit by digit, counting
     completions through the boundary window."""
     _require_state(x, params)
-    total = count_extensions(x, params.m, params.sys)
-    if not 1 <= j <= total:
-        raise DomainError(f"neighbor index {j} outside [1, {total}]")
     return kth_extension(x, params.m, j, params.sys)
 
 
@@ -115,17 +111,12 @@ class FseCodec:
         degree = delta_min_degree(m, sys)
         labeled = sys.q**ell
         if labeled > degree:
-            # sizes, not values: either number can exceed int-to-str limits
-            raise DomainError(
-                f"q**ell = {sys.q}**{ell} ({labeled.bit_length()} bits) exceeds "
-                f"the minimum out-degree at m = {m} ({degree.bit_length()} bits); "
-                "no labeling exists"
-            )
+            raise DomainError(f"q**ell = {sys.q}**{ell} exceeds the minimum out-degree "
+                              f"{show_int(degree)} at m = {m}; no labeling exists")
         self.params = params
+        # this walk grows the window table to the m rows every step reads
         self.start_state = kth_extension(Word((), sys.q), m, 1, sys)
-        dp = _dp(sys)
-        dp.ensure_layers(m)
-        self._start_sid = dp.window_sid(self.start_state.symbols)
+        self._start_sid = _dp(sys).window_sid(self.start_state.symbols)
 
     def encode_values(self, values: Iterable[int]) -> Word:
         """Concatenate the states visited while consuming block values in

@@ -15,21 +15,23 @@ shorter irreducible word:
 
 Branch b of a suffix map always appends b symbols: a free symbol sigma
 chosen from outside an avoid set, then symbols copied from the input.
-Within a branch the preimage is ordered recursively and the avoid-set
-index varies fastest, so ranks are computed by divmod against block
-sizes taken from a count function.  Words with a fixed prefix p use the
-same order restricted to p's class, with a lexicographic base up to
-length max(|p| + k - 1, 2k - 1); the plain order is the empty prefix.
+Branch b has c[b-1] free symbols, c the count recursion's coefficients,
+so it holds c[b-1] * size(n - b) words of a class.  Within a branch the
+preimage is ordered recursively and the avoid-set index varies fastest,
+so ranks are computed by divmod against block sizes from the class's
+CountTable.  Words with a fixed prefix p use the same order restricted
+to p's class, with a lexicographic base up to length
+max(|p| + k - 1, 2k - 1); the plain order is the empty prefix.
 Everything is exact integer arithmetic: unranking and ranking cost O(n)
-big-integer operations on top of the cached counts.
+big-integer operations on top of the class sizes.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .enumeration import count_extensions, count_table, extension_index, kth_extension
-from .errors import DomainError
+from .enumeration import _coefficients, _dp, count_table, extension_index, kth_extension
+from .errors import DomainError, show_int
 from .words import DupSystem, Word, is_irreducible
 
 # --------------------------------------------------------- the suffix maps
@@ -88,20 +90,13 @@ def _classify(s: Sequence[int], n: int, k: int, q: int) -> tuple[int, int]:
     return branch, 1 + sigma - sum(1 for a in avoid if a < sigma)
 
 
-def _widths(q: int, k: int) -> tuple[int, ...]:
-    # avoid-set complement size of each branch, in branch order
-    return (q - 2, q - 2) if k == 2 else (q - 2, q - 3, q - 2)
-
-
 def _apply(x: Word, i: int, branch: int, sys: DupSystem, k: int, min_len: int) -> Word:
     _require_system(x, sys, k)
     if len(x) < min_len:
         raise DomainError(f"map input needs length >= {min_len}, got {len(x)}")
-    width = _widths(sys.q, k)[branch - 1]
-    if not 1 <= i <= width:
-        raise DomainError(f"avoid-set index {i} outside [1, {width}]")
     if not is_irreducible(x, k):
         raise DomainError("map input must be irreducible")
+    # _pick_symbol rejects i outside [1, width of the branch]
     s = x.symbols
     avoid, copied = _suffix_map(s, len(s), branch, sys.k)
     return Word(s + (_pick_symbol(avoid, i, sys.q),) + copied, sys.q)
@@ -186,7 +181,9 @@ def _require_prefix(p: Word, sys: DupSystem) -> None:
 
 def _prefix_counter(p: Word, sys: DupSystem) -> Callable[[int], int]:
     # irreducible length-n words that start with p
-    return lambda n: count_extensions(p, n - len(p), sys)
+    dp = _dp(sys)
+    count = dp.counts(dp.window_sid(p.symbols)).count
+    return lambda n: count(n - len(p))
 
 
 # ------------------------------------------------------------- the engine
@@ -197,7 +194,7 @@ def _unrank(p: tuple[int, ...], n: int, j: int, count: Callable[[int], int],
     """The j-th length-n word of p's class, and the number of big-integer
     operations spent.  count(m) is the class size at length m."""
     q, k = sys.q, sys.k
-    branches = tuple(enumerate(_widths(q, k), start=1))
+    branches = tuple(enumerate(_coefficients(sys), start=1))
     base = max(len(p) + k - 1, 2 * k - 1)
     ops = 0
     steps: list[tuple[int, int]] = []
@@ -228,7 +225,7 @@ def _rank(p: tuple[int, ...], x: Word, count: Callable[[int], int],
     """Rank of x within p's class, and the number of big-integer operations
     spent.  x must be irreducible and start with p."""
     q, k = sys.q, sys.k
-    widths = _widths(q, k)
+    widths = _coefficients(sys)
     base = max(len(p) + k - 1, 2 * k - 1)
     s = x.symbols
     n = len(s)
@@ -258,7 +255,7 @@ def unrank_irr(n: int, j: int, sys: DupSystem) -> Word:
     count = count_table(sys).count
     total = count(n)
     if not 1 <= j <= total:
-        raise DomainError(f"rank {j} outside [1, {total}] for length {n}")
+        raise DomainError(f"rank {show_int(j)} outside [1, {show_int(total)}] for length {n}")
     return _unrank((), n, j, count, sys)[0]
 
 
@@ -280,7 +277,8 @@ def unrank_irr_prefix(p: Word, n: int, j: int, sys: DupSystem) -> Word:
     count = _prefix_counter(p, sys)
     total = count(n)
     if not 1 <= j <= total:
-        raise DomainError(f"rank {j} outside [1, {total}] for prefix {p}, length {n}")
+        raise DomainError(f"rank {show_int(j)} outside [1, {show_int(total)}] "
+                          f"for prefix {p}, length {n}")
     return _unrank(p.symbols, n, j, count, sys)[0]
 
 

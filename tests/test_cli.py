@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcode import CodeSpec, DupSystem, encode_codeword
+from tdcode import CodeSpec, DupSystem, count_irr, encode_codeword
 from tdcode.cli import _frame_bits, _join_chunks, _split_chunks, main, parse_header
 
 
@@ -79,6 +80,23 @@ class TestExitCodes:
         rc, _, _ = run(capsys, "--help")
         assert rc == 0
 
+    def test_huge_count_prints_every_digit(self, capsys):
+        # count_irr(20000) at q4k2 has about 8700 digits, past str()'s limit
+        limit = sys.get_int_max_str_digits()
+        rc, out, err = run(capsys, "count", "-q", "4", "-k", "2", "-n", "20000")
+        assert rc == 0, err
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+        try:
+            assert out.strip() == str(count_irr(20000, DupSystem(4, 2)))
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_huge_range_error_is_exit_two(self, capsys):
+        rc, _, err = run(capsys, "unrank", "-q", "4", "-k", "2", "-n", "20000", "-j", "0")
+        assert rc == 2
+        assert "error:" in err and "Traceback" not in err
+
     def test_corrupt_stream_is_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("# tdcode mode=fse q=3 k=2 ell=1 m=3 chunk=1 digits=1 dna=0\n0102\n")
@@ -122,6 +140,25 @@ class TestHeaderBounds:
         rc, _, err = run(capsys, "decode", "-i", str(enc), "-o", str(tmp_path / "out"))
         assert rc == 1
         assert "error:" in err and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("strands, rc_expected", [("0120120120\n", 1), ("", 0)],
+                             ids=["short-strand", "empty"])
+    def test_code_length_checked_before_counting(
+        self, strands, rc_expected, tmp_path, capsys, monkeypatch
+    ):
+        # no chunk field: only code_size(n) could supply it, at O(n**2) bits
+        enc = tmp_path / "enc.txt"
+        enc.write_text("# tdcode mode=code q=4 k=2 n=60000 digits=0 dna=0\n" + strands)
+
+        def counting(*args):
+            raise AssertionError("code_size ran before the strands were checked")
+
+        monkeypatch.setattr("tdcode.cli.code_size", counting)
+        rc, _, err = run(capsys, "decode", "-i", str(enc), "-o", str(tmp_path / "out"))
+        assert rc == rc_expected
+        assert "Traceback" not in err
+        assert ("error:" in err) == (rc_expected == 1)
 
 
 class TestEncodeDecodeRoundTrip:
@@ -182,6 +219,18 @@ class TestEncodeDecodeRoundTrip:
         rc, _, _ = run(capsys, "decode", "-q", "4", "-k", "3", "-n", "64",
                        "--mode", "fse", "-i", str(enc), "-o", str(out))
         assert rc == 0
+        assert out.read_bytes() == b"hi"
+
+    @pytest.mark.parametrize("flags", [("--ell", "1", "--m", "3"), ("-e", "0.1")])
+    def test_fse_header_fields_win_over_flags(self, flags, tmp_path, capsys):
+        src = tmp_path / "src.bin"
+        src.write_bytes(b"hi")
+        enc = tmp_path / "enc.txt"
+        out = tmp_path / "out.bin"
+        run(capsys, "encode", "--mode", "fse", "-q", "3", "-k", "2", "--ell", "2",
+            "--m", "6", "-i", str(src), "-o", str(enc))
+        rc, _, err = run(capsys, "decode", *flags, "-i", str(enc), "-o", str(out))
+        assert rc == 0, err
         assert out.read_bytes() == b"hi"
 
     def test_decode_without_header_needs_flags(self, tmp_path, capsys):

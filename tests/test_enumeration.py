@@ -237,16 +237,18 @@ class TestRecursionAgainstWindowDP:
         dp = _dp(sys_)
         width = 2 * k - 1
         full = [sid for sid, w in enumerate(dp.states) if len(w) == width]
+        dp.ensure_layers(60)
         for m in range(width, 61):
-            assert delta_min_degree(m, sys_) == min(dp.count(sid, m) for sid in full)
+            assert delta_min_degree(m, sys_) == min(dp.layers[m][sid] for sid in full)
 
     @pytest.mark.parametrize("q, k", GUARD_SYSTEMS)
     def test_counts_are_the_dp_from_the_empty_window(self, q, k):
         sys_ = DupSystem(q, k)
         dp = _dp(sys_)
         empty = dp.window_sid(())
+        dp.ensure_layers(60)
         for n in range(61):
-            assert count_irr(n, sys_) == dp.count(empty, n)
+            assert count_irr(n, sys_) == dp.layers[n][empty]
 
     @pytest.mark.parametrize("q, k", GUARD_SYSTEMS)
     def test_every_window_follows_the_count_recursion(self, q, k):
@@ -260,6 +262,12 @@ class TestRecursionAgainstWindowDP:
                 assert layers[r][sid] == sum(
                     c * layers[r - 1 - i][sid] for i, c in enumerate(coeffs)
                 ), (r, dp.states[sid])
+        # count_extensions runs that recursion from the first 2k rows
+        for sid, state in enumerate(dp.states):
+            x = Word(state, q)
+            assert [count_extensions(x, r, dp.sys) for r in range(41)] == [
+                layers[r][sid] for r in range(41)
+            ], state
 
 
 # four-decimal reference values; some truncate the last digit (e.g.

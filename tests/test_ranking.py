@@ -217,6 +217,16 @@ class TestUnrankRank:
         assert rank_irr(unrank_irr(4000, j, s42), s42) == j
         assert len(enumeration._dp(s42).layers) <= 2 * s42.k
 
+    def test_prefix_path_keeps_the_window_table_small(self, monkeypatch):
+        # prefix classes count through a CountTable seeded from the window's
+        # first 2k rows; the table grows further only for a lexicographic walk
+        s63 = DupSystem(6, 3)
+        monkeypatch.setattr(enumeration, "_dps", {})
+        p = Word.from_string("012", 6)
+        j = count_irr_prefix(p, 1000, s63) // 3
+        assert rank_irr_prefix(p, unrank_irr_prefix(p, 1000, j, s63), s63) == j
+        assert len(enumeration._dp(s63).layers) <= 2 * s63.k
+
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
     def test_random_round_trip(self, data):
