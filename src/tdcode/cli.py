@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 from .codec import CodeSpec, decode_codeword, encode_codeword
 from .enumeration import (
     FseParams,
+    _estimate,
     asymptotic_rate,
     choose_params,
     code_size,
@@ -31,6 +32,13 @@ from .ranking import rank_irr, unrank_irr
 from .words import DupSystem, Word, random_descendant, root
 
 HEADER_PREFIX = "# tdcode"
+
+# The longest class a flag may make the CLI count.  A CountTable keeps
+# every count up to its length n, about rate * log2(q) * n**2 / 2 bits
+# (100 MB at q = 4, k = 2, n = 2**15): count -n, unrank -n, rank -w and
+# encode -n set n, and -e sets the state length m up to which
+# delta_min_degree counts.  A stream's strands bound its header.
+MAX_TABLE_LENGTH = 1 << 15
 
 
 def format_header(fields: dict[str, object]) -> str:
@@ -156,11 +164,23 @@ def _check_render(q: int, dna: bool) -> None:
         raise DomainError("digit rendering requires q <= 10; use --dna for q=4")
 
 
+def _check_length(n: int, what: str) -> None:
+    if n > MAX_TABLE_LENGTH:
+        raise DomainError(f"{what} {n} exceeds the counting cap {MAX_TABLE_LENGTH}")
+
+
+def _choose_params(epsilon: float, sys_: DupSystem) -> FseParams:
+    info = asymptotic_rate(sys_)
+    if 0 < epsilon < info.rate:  # else choose_params rejects epsilon
+        _check_length(_estimate(epsilon, info)[1], f"epsilon {epsilon}: state length")
+    return choose_params(epsilon, sys_)
+
+
 def _resolve_fse_params(args, sys_: DupSystem, header: dict) -> FseParams:
     # like _merged: the header's ell and m win, -e (or else --ell/--m) fills gaps
     ell, m = args.ell, args.m
     if args.epsilon is not None and not ("ell" in header and "m" in header):
-        chosen = choose_params(args.epsilon, sys_)
+        chosen = _choose_params(args.epsilon, sys_)
         ell, m = chosen.ell, chosen.m
     ell, m = _merged(header, "ell", ell), _merged(header, "m", m)
     if ell is None or m is None:
@@ -184,6 +204,7 @@ def _all_digits():
 
 def _cmd_count(args) -> int:
     sys_ = DupSystem(args.q, args.k)
+    _check_length(args.n, "length")
     value = count_irr(args.n, sys_)
     with _all_digits():
         if args.json:
@@ -204,7 +225,7 @@ def _cmd_rate(args) -> int:
         "kappa": info.kappa,
     }
     if args.epsilon is not None:
-        params = choose_params(args.epsilon, sys_)
+        params = _choose_params(args.epsilon, sys_)
         out.update({"epsilon": args.epsilon, "ell": params.ell, "m": params.m})
     print(json.dumps(out))
     return 0
@@ -214,6 +235,7 @@ def _cmd_rank(args) -> int:
     sys_ = DupSystem(args.q, args.k)
     _check_render(args.q, args.dna)
     word = Word.from_dna(args.word) if args.dna else Word.from_string(args.word, args.q)
+    _check_length(len(word), "word length")
     with _all_digits():
         print(rank_irr(word, sys_))
     return 0
@@ -222,6 +244,7 @@ def _cmd_rank(args) -> int:
 def _cmd_unrank(args) -> int:
     sys_ = DupSystem(args.q, args.k)
     _check_render(args.q, args.dna)
+    _check_length(args.n, "length")
     print(_render_word(unrank_irr(args.n, args.j, sys_), args.dna))
     return 0
 
@@ -235,6 +258,7 @@ def _cmd_encode(args) -> int:
             raise DomainError("--digits applies only to --mode fse")
         if args.n is None:
             raise DomainError("code mode needs -n")
+        _check_length(args.n, "code length")
         spec = CodeSpec(sys_, args.n)
         chunk = code_size(args.n, sys_).bit_length() - 1
         header = format_header({

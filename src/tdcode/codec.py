@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .enumeration import code_size, count_table
 from .errors import DomainError, NotADescendantError, show_int
-from .ranking import _rank, unrank_irr
+from .ranking import rank_irr, unrank_irr
 from .words import DupSystem, Word, extend_zeta, root
 
 
@@ -77,6 +77,4 @@ def decode_codeword(y: Word, spec: CodeSpec) -> int:
         raise NotADescendantError(
             f"root length {len(r)} exceeds the code length {spec.n}"
         )
-    # root() returns an irreducible word, so rank it without rank_irr's re-check
-    ct = count_table(spec.sys)
-    return ct.cumulative(len(r) - 1) + _rank((), r, ct.count, spec.sys)[0]
+    return count_table(spec.sys).cumulative(len(r) - 1) + rank_irr(r, spec.sys)

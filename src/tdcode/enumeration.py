@@ -153,6 +153,7 @@ class _WindowDP:
             trans.append(row)
         self.trans = trans
         self.layers: list[list[int]] = [[1] * len(states)]
+        self._counts: dict[int, CountTable] = {}
 
     def ensure_layers(self, r: int) -> None:
         layers = self.layers
@@ -169,10 +170,17 @@ class _WindowDP:
             raise DomainError(f"suffix {w} is not irreducible")
         return sid
 
-    def counts(self, sid: int) -> CountTable:
+    def seed(self, sid: int) -> list[int]:
         # window sid's extension counts obey the count recursion beyond row 2k-1
         self.ensure_layers(self.width)
-        return CountTable._seeded(self.sys, [layer[sid] for layer in self.layers[:self.width + 1]])
+        return [layer[sid] for layer in self.layers[:self.width + 1]]
+
+    def counts(self, sid: int) -> CountTable:
+        """Window sid's extension counts, kept like count_table(sys)."""
+        table = self._counts.get(sid)
+        if table is None:
+            table = self._counts[sid] = CountTable._seeded(self.sys, self.seed(sid))
+        return table
 
 
 _dps: dict[DupSystem, _WindowDP] = {}
@@ -318,7 +326,9 @@ def delta_min_degree(m: int, sys: DupSystem) -> int:
     table = _degree_tables.get(sys)
     if table is None:
         dp = _dp(sys)
-        full = [dp.counts(sid) for sid, w in enumerate(dp.states) if len(w) == width]
+        # one throwaway table per full window, not kept like dp.counts
+        full = [CountTable._seeded(sys, dp.seed(sid))
+                for sid, w in enumerate(dp.states) if len(w) == width]
         table = _degree_tables[sys] = CountTable._seeded(
             sys, [min(t.count(b) for t in full) for b in range(width, 3 * sys.k - 1)]
         )
@@ -428,6 +438,18 @@ class FseParams:
             )
 
 
+def _estimate(epsilon: float, info: RateInfo) -> tuple[int, int]:
+    # choose_params' start (ell, m): the float bound delta_min_degree(m) >=
+    # kappa * lam**m, which only rounding can make miss, by one step of m
+    c = info.rate
+    log_kappa = math.log(info.kappa, info.sys.q)  # negative
+    ell = (c - epsilon) * (c - log_kappa) / epsilon
+    if ell == math.inf:
+        raise DomainError(f"epsilon {epsilon} is too small: ell overflows a float")
+    ell = math.ceil(ell)
+    return ell, max(math.ceil((ell - log_kappa) / c), 2 * info.sys.k - 1)
+
+
 def choose_params(epsilon: float, sys: DupSystem) -> FseParams:
     """Smallest (ell, m) pair guaranteeing rate >= asymptotic rate - epsilon.
 
@@ -443,13 +465,13 @@ def choose_params(epsilon: float, sys: DupSystem) -> FseParams:
         raise DomainError(
             f"epsilon {epsilon} must be below the asymptotic rate {c:.6f}"
         )
-    q = sys.q
-    log_kappa = math.log(info.kappa) / math.log(q)  # negative
-    ell = math.ceil((c - epsilon) * (c - log_kappa) / epsilon)
-    m = max(math.ceil((ell - log_kappa) / c), 2 * sys.k - 1)
-    # ceil on floats can land one short in principle; the exact check rules
-    while q**ell > delta_min_degree(m, sys):
+    ell, m = _estimate(epsilon, info)
+    # step to the smallest m with q**ell <= delta_min_degree(m), which grows with m
+    labeled = sys.q**ell
+    while labeled > delta_min_degree(m, sys):
         m += 1
+    while m > 2 * sys.k - 1 and labeled <= delta_min_degree(m - 1, sys):
+        m -= 1
     params = FseParams(sys, ell, m, epsilon)
     if ell / m < c - epsilon:
         raise DomainError(

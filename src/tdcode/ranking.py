@@ -22,15 +22,18 @@ so ranks are computed by divmod against block sizes from the class's
 CountTable.  Words with a fixed prefix p use the same order restricted
 to p's class, with a lexicographic base up to length
 max(|p| + k - 1, 2k - 1); the plain order is the empty prefix.
-Everything is exact integer arithmetic: unranking and ranking cost O(n)
-big-integer operations on top of the class sizes.
+
+Ranking and unranking walk window ids, the last 2k - 1 symbols that the
+window DP carries, through two tables per system built on first use
+from the suffix maps (_WalkTables).  A level then costs a few list
+lookups and O(1) big-integer operations on top of the class sizes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .enumeration import _coefficients, _dp, count_table, extension_index, kth_extension
+from .enumeration import _coefficients, _dp, _index, _kth, count_table
 from .errors import DomainError, show_int
 from .words import DupSystem, Word, is_irreducible
 
@@ -57,17 +60,10 @@ def _suffix_map(
     return (a, b), ((a, b) if branch == 3 else ())
 
 
-def _pick_symbol(avoid: tuple[int, ...], i: int, q: int) -> int:
-    """The i-th smallest symbol (1-indexed) of {0..q-1} minus avoid."""
-    width = q - len(avoid)
-    if not 1 <= i <= width:
-        raise DomainError(f"avoid-set index {i} outside [1, {width}]")
-    for c in range(q):
-        if c not in avoid:
-            i -= 1
-            if i == 0:
-                return c
-    raise AssertionError("unreachable")
+def _free_symbols(avoid: tuple[int, ...], q: int) -> list[int]:
+    """The symbols outside avoid in increasing order; free index i picks
+    the i-th of them (1-indexed)."""
+    return [c for c in range(q) if c not in avoid]
 
 
 def _classify(s: Sequence[int], n: int, k: int, q: int) -> tuple[int, int]:
@@ -96,10 +92,12 @@ def _apply(x: Word, i: int, branch: int, sys: DupSystem, k: int, min_len: int) -
         raise DomainError(f"map input needs length >= {min_len}, got {len(x)}")
     if not is_irreducible(x, k):
         raise DomainError("map input must be irreducible")
-    # _pick_symbol rejects i outside [1, width of the branch]
     s = x.symbols
     avoid, copied = _suffix_map(s, len(s), branch, sys.k)
-    return Word(s + (_pick_symbol(avoid, i, sys.q),) + copied, sys.q)
+    free = _free_symbols(avoid, sys.q)
+    if not 1 <= i <= len(free):
+        raise DomainError(f"avoid-set index {i} outside [1, {len(free)}]")
+    return Word(s + (free[i - 1],) + copied, sys.q)
 
 
 def _invert(y: Word, sys: DupSystem, k: int, min_len: int) -> tuple[Word, int, int]:
@@ -179,72 +177,161 @@ def _require_prefix(p: Word, sys: DupSystem) -> None:
         raise DomainError(f"prefix {p} is not irreducible for k = {sys.k}")
 
 
-def _prefix_counter(p: Word, sys: DupSystem) -> Callable[[int], int]:
-    # irreducible length-n words that start with p
-    dp = _dp(sys)
-    count = dp.counts(dp.window_sid(p.symbols)).count
-    return lambda n: count(n - len(p))
+def _class_sizes(p: tuple[int, ...], n: int, sys: DupSystem) -> list[int]:
+    # v[r]: the size of p's class at length len(p) + r, for r <= n - len(p)
+    if p:
+        dp = _dp(sys)
+        table = dp.counts(dp.window_sid(p))
+    else:
+        table = count_table(sys)
+    table.count(n - len(p))
+    return table._values
 
 
 # ------------------------------------------------------------- the engine
 
 
-def _unrank(p: tuple[int, ...], n: int, j: int, count: Callable[[int], int],
-            sys: DupSystem) -> tuple[Word, int]:
+class _WalkTables:
+    """The recursive order as lookups on window ids, for one system.
+
+    Step code starts[b - 1] + i (0 <= i < c[b - 1]) names branch b with
+    free index i + 1.  apply[sid * span + code] is the window after that
+    step from window sid, wherever the image is longer than a window.
+    classify[sid * q + c] is the step code of an image ending in c whose
+    other symbols end in the full window sid; filled from the length-2k
+    images, it is apply's inverse (as _classify is).  Other cells hold -1.
+    """
+
+    def __init__(self, sys: DupSystem):
+        q, k = sys.q, sys.k
+        dp = _dp(sys)
+        trans = dp.trans
+        widths = _coefficients(sys)
+        self.starts = starts = tuple(sum(widths[:b]) for b in range(k))
+        self.span = span = sum(widths)
+        self.branch = tuple(b for b, w in enumerate(widths, start=1) for _ in range(w))
+        self.classify = classify = [-1] * (len(trans) * q)
+        self.apply = apply = [-1] * (len(trans) * span)
+        free_sets: dict[tuple[int, ...], list[int]] = {}
+        for sid, w in enumerate(dp.states):
+            for branch in range(max(2 * k - len(w), 1), k + 1):
+                avoid, copied = _suffix_map(w, len(w), branch, k)
+                free = free_sets.get(avoid)
+                if free is None:
+                    free = free_sets[avoid] = _free_symbols(avoid, q)
+                # image i's last symbol, last[i], follows the window before[i]
+                before, last = [sid] * len(free), free
+                for c in copied:
+                    before, last = [trans[t][a] for t, a in zip(before, last)], [c] * len(free)
+                at = sid * span + starts[branch - 1]
+                apply[at:at + len(free)] = [trans[t][a] for t, a in zip(before, last)]
+                if len(w) + branch == 2 * k:  # the length-2k images: each cell once
+                    for code, (t, a) in enumerate(zip(before, last), start=starts[branch - 1]):
+                        classify[t * q + a] = code
+
+
+_walks: dict[DupSystem, _WalkTables] = {}
+
+
+def _walk_tables(sys: DupSystem) -> _WalkTables:
+    tables = _walks.get(sys)
+    if tables is None:
+        tables = _walks[sys] = _WalkTables(sys)
+    return tables
+
+
+def _unrank(p: tuple[int, ...], n: int, j: int, sys: DupSystem) -> tuple[Word, int]:
     """The j-th length-n word of p's class, and the number of big-integer
-    operations spent.  count(m) is the class size at length m."""
-    q, k = sys.q, sys.k
-    branches = tuple(enumerate(_coefficients(sys), start=1))
-    base = max(len(p) + k - 1, 2 * k - 1)
-    ops = 0
-    steps: list[tuple[int, int]] = []
-    while n > base:
-        for branch, width in branches:
-            block = width * count(n - branch)
-            ops += 3
-            if j <= block:
-                j, r = divmod(j - 1, width)
-                steps.append((branch, r + 1))
-                j += 1
-                n -= branch
-                break
-            j -= block
-    s = list(p)
-    s += kth_extension(Word(p, q), n - len(p), j, sys).symbols
-    ops += n
-    for branch, i in reversed(steps):
-        avoid, copied = _suffix_map(s, len(s), branch, k)
-        s.append(_pick_symbol(avoid, i, q))
-        s += copied
-        ops += 1
-    return Word._unchecked(tuple(s), q), ops
-
-
-def _rank(p: tuple[int, ...], x: Word, count: Callable[[int], int],
-          sys: DupSystem) -> tuple[int, int]:
-    """Rank of x within p's class, and the number of big-integer operations
-    spent.  x must be irreducible and start with p."""
-    q, k = sys.q, sys.k
+    operations spent.  j must be in range."""
     widths = _coefficients(sys)
-    base = max(len(p) + k - 1, 2 * k - 1)
-    s = x.symbols
-    n = len(s)
+    walk, dp = _walk_tables(sys), _dp(sys)
+    v = _class_sizes(p, n, sys)
+    r = n - len(p)
+    base = max(sys.k - 1, 2 * sys.k - 1 - len(p))
+    j -= 1
     ops = 0
-    levels: list[tuple[int, int, int]] = []  # (branch, i, image length)
+    codes: list[int] = []
+    if len(set(widths)) == 1:  # all of k = 2: one divmod, then compares
+        w = widths[0]
+        while r > base:
+            j, i = divmod(j, w)
+            b = 1
+            ops += 2
+            while j >= v[r - b]:  # skip the lower branches' blocks
+                j -= v[r - b]
+                b += 1
+                ops += 2
+            codes.append((b - 1) * w + i)
+            r -= b
+    else:
+        while r > base:
+            for b, w in enumerate(widths, start=1):
+                block = w * v[r - b]
+                ops += 3  # a multiply, a compare, then a subtract or a divmod
+                if j < block:
+                    j, i = divmod(j, w)
+                    codes.append(walk.starts[b - 1] + i)
+                    r -= b
+                    break
+                j -= block
+    dp.ensure_layers(r)
+    s = list(p)
+    sid = _kth(dp, dp.window_sid(p), r, j + 1, s)
+    apply, span, branch, states = walk.apply, walk.span, walk.branch, dp.states
+    for code in reversed(codes):
+        sid = apply[sid * span + code]
+        s += states[sid][-branch[code]:]
+    return Word._unchecked(tuple(s), sys.q), ops + r
+
+
+def _rank(p: tuple[int, ...], x: Word, sys: DupSystem) -> tuple[int, int]:
+    """Rank of x within p's class, and the number of big-integer operations
+    spent.  x must start with p; DomainError if x is reducible."""
+    q = sys.q
+    widths = _coefficients(sys)
+    walk, dp = _walk_tables(sys), _dp(sys)
+    trans = dp.trans
+    s = x.symbols
+    sid = dp.window_sid(())
+    wins = [sid]  # wins[m]: window id of s[:m]
+    for c in s:
+        sid = trans[sid][c]
+        if sid < 0:  # a square ends at c
+            raise DomainError(f"{x} is not irreducible for k = {sys.k}")
+        wins.append(sid)
+    n = len(s)
+    base = max(len(p) + sys.k - 1, 2 * sys.k - 1)
+    classify, branch, starts = walk.classify, walk.branch, walk.starts
+    codes: list[int] = []
     while n > base:
-        branch, i = _classify(s, n, k, q)
-        levels.append((branch, i, n))
-        n -= branch
-        ops += 1
-    r = extension_index(Word(p, q), Word(s[len(p):n], q), sys)
-    ops += n
-    for branch, i, m in reversed(levels):
-        offset = 0
-        for lower in range(1, branch):
-            offset += widths[lower - 1] * count(m - lower)
-        r = (r - 1) * widths[branch - 1] + i + offset
-        ops += 2 * branch + 1
-    return r, ops
+        code = classify[wins[n - 1] * q + s[n - 1]]
+        codes.append(code)
+        n -= branch[code]
+    dp.ensure_layers(n - len(p))
+    rank = _index(dp, wins[len(p)], s[len(p):n])[0] - 1
+    v = _class_sizes(p, len(s), sys)
+    r = ops = n - len(p)
+    if len(set(widths)) == 1:  # as in _unrank: one multiply per level
+        w = widths[0]
+        for code in reversed(codes):
+            r += 1
+            while code >= w:  # skip the lower branches' blocks
+                code -= w
+                rank += v[r]
+                r += 1
+                ops += 1
+            rank = rank * w + code
+            ops += 1
+    else:
+        for code in reversed(codes):
+            b = branch[code]
+            r += b
+            rank = rank * widths[b - 1] + code - starts[b - 1]
+            ops += 1
+            for lower in range(1, b):  # skip the lower branches' blocks
+                rank += widths[lower - 1] * v[r - lower]
+                ops += 2
+    return rank + 1, ops
 
 
 def unrank_irr(n: int, j: int, sys: DupSystem) -> Word:
@@ -252,20 +339,17 @@ def unrank_irr(n: int, j: int, sys: DupSystem) -> Word:
     order."""
     if n < 0:
         raise DomainError(f"word length must be >= 0, got {n}")
-    count = count_table(sys).count
-    total = count(n)
+    total = count_table(sys).count(n)
     if not 1 <= j <= total:
         raise DomainError(f"rank {show_int(j)} outside [1, {show_int(total)}] for length {n}")
-    return _unrank((), n, j, count, sys)[0]
+    return _unrank((), n, j, sys)[0]
 
 
 def rank_irr(x: Word, sys: DupSystem) -> int:
     """Rank (1-indexed) of an irreducible word in the recursive order."""
     if x.q != sys.q:
         raise DomainError(f"word alphabet q={x.q} does not match system q={sys.q}")
-    if not is_irreducible(x, sys.k):
-        raise DomainError(f"{x} is not irreducible for k = {sys.k}")
-    return _rank((), x, count_table(sys).count, sys)[0]
+    return _rank((), x, sys)[0]
 
 
 def unrank_irr_prefix(p: Word, n: int, j: int, sys: DupSystem) -> Word:
@@ -274,12 +358,11 @@ def unrank_irr_prefix(p: Word, n: int, j: int, sys: DupSystem) -> Word:
     _require_prefix(p, sys)
     if n < len(p):
         raise DomainError(f"target length {n} shorter than the prefix ({len(p)})")
-    count = _prefix_counter(p, sys)
-    total = count(n)
+    total = _class_sizes(p.symbols, n, sys)[n - len(p)]
     if not 1 <= j <= total:
         raise DomainError(f"rank {show_int(j)} outside [1, {show_int(total)}] "
                           f"for prefix {p}, length {n}")
-    return _unrank(p.symbols, n, j, count, sys)[0]
+    return _unrank(p.symbols, n, j, sys)[0]
 
 
 def rank_irr_prefix(p: Word, x: Word, sys: DupSystem) -> int:
@@ -289,6 +372,4 @@ def rank_irr_prefix(p: Word, x: Word, sys: DupSystem) -> int:
         raise DomainError(f"word alphabet q={x.q} does not match system q={sys.q}")
     if x.symbols[:len(p)] != p.symbols:
         raise DomainError(f"{x} does not start with prefix {p}")
-    if not is_irreducible(x, sys.k):
-        raise DomainError(f"{x} is not irreducible for k = {sys.k}")
-    return _rank(p.symbols, x, _prefix_counter(p, sys), sys)[0]
+    return _rank(p.symbols, x, sys)[0]

@@ -12,8 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcode import CodeSpec, DupSystem, count_irr, encode_codeword
-from tdcode.cli import _frame_bits, _join_chunks, _split_chunks, main, parse_header
+from tdcode import CodeSpec, DomainError, DupSystem, count_irr, encode_codeword
+from tdcode.cli import (
+    MAX_TABLE_LENGTH,
+    _check_length,
+    _frame_bits,
+    _join_chunks,
+    _split_chunks,
+    main,
+    parse_header,
+)
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -103,6 +111,45 @@ class TestExitCodes:
         rc, _, err = run(capsys, "decode", "-i", str(bad), "-o", str(tmp_path / "x"))
         assert rc == 1
         assert "error:" in err
+
+
+class TestFlagBounds:
+    OVER = str(MAX_TABLE_LENGTH + 1)
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "-q", "4", "-k", "2", "-n", OVER),
+        ("unrank", "-q", "4", "-k", "2", "-n", OVER, "-j", "1"),
+        ("rank", "-q", "3", "-k", "2", "-w", ("012" * MAX_TABLE_LENGTH)[:MAX_TABLE_LENGTH + 1]),
+        ("encode", "--mode", "code", "-q", "4", "-k", "2", "-n", OVER),
+        ("rate", "-q", "4", "-k", "3", "-e", "1e-6"),
+        ("encode", "--mode", "fse", "-q", "4", "-k", "3", "-e", "1e-6"),
+        ("decode", "--mode", "fse", "-q", "3", "-k", "2", "-e", "1e-6"),
+    ], ids=["count", "unrank", "rank", "encode-code", "rate", "encode-fse", "decode-fse"])
+    def test_flag_past_the_cap_fails_before_counting(self, argv, tmp_path, capsys, monkeypatch):
+        def counting(*args):
+            raise AssertionError("counting started before the flag was checked")
+
+        for name in ("count_irr", "code_size", "choose_params", "rank_irr", "unrank_irr"):
+            monkeypatch.setattr(f"tdcode.cli.{name}", counting)
+        src = tmp_path / "in.txt"
+        src.write_text("0102\n")
+        if argv[0] in ("encode", "decode"):
+            argv += ("-i", str(src), "-o", str(tmp_path / "out"))
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2
+        assert "exceeds the counting cap" in err and "Traceback" not in err
+
+    def test_subnormal_epsilon_is_a_domain_error(self, capsys, monkeypatch):
+        # its ell overflows a float before there is a state length to cap
+        monkeypatch.setattr("tdcode.cli.choose_params", None)
+        rc, _, err = run(capsys, "rate", "-q", "3", "-k", "2", "-e", "5e-324")
+        assert rc == 2
+        assert "is too small" in err and "Traceback" not in err
+
+    def test_the_cap_itself_is_allowed(self):
+        _check_length(MAX_TABLE_LENGTH, "length")
+        with pytest.raises(DomainError):
+            _check_length(MAX_TABLE_LENGTH + 1, "length")
 
 
 class TestHeaderBounds:

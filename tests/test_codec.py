@@ -120,7 +120,7 @@ class TestDecodeCodeword:
             assert decode_codeword(y, spec) == j
 
     def test_root_is_ranked_without_a_re_check(self, s43, monkeypatch):
-        # root() already returns an irreducible word; rank_irr would re-scan it
+        # root() already returns an irreducible word; decoding must not re-scan it
         spec = CodeSpec(s43, 32)
         j = code_size(32, s43) // 3
         y, _events = random_descendant(encode_codeword(j, spec), 8, s43, seed=5)

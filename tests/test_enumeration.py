@@ -338,6 +338,26 @@ class TestChooseParams:
         assert q**params.ell <= delta_min_degree(params.m, sys_)
         assert params.ell / params.m + 1e-12 >= asymptotic_rate(sys_).rate - eps
 
+    @pytest.mark.parametrize("q, k, eps, m", [(3, 2, 0.007, 108), (4, 2, 0.021, 43)])
+    def test_state_length_is_the_smallest_admissible(self, q, k, eps, m):
+        # a float start one too high used to be kept as it was
+        sys_ = DupSystem(q, k)
+        params = choose_params(eps, sys_)
+        assert params.m == m
+        assert q**params.ell <= delta_min_degree(m, sys_)
+        assert q**params.ell > delta_min_degree(m - 1, sys_)
+
+    @pytest.mark.parametrize("q, k", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 3)])
+    def test_state_length_is_minimal_across_gaps(self, q, k):
+        sys_ = DupSystem(q, k)
+        for eps in (0.1, 0.05, 0.03, 0.021, 0.01, 0.007):
+            if eps >= asymptotic_rate(sys_).rate:
+                continue
+            params = choose_params(eps, sys_)
+            assert params.m == 2 * k - 1 or (
+                q**params.ell > delta_min_degree(params.m - 1, sys_)
+            ), eps
+
     def test_rejects_impossible_gap(self, s32):
         with pytest.raises(DomainError):
             choose_params(0.0, s32)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,9 +27,18 @@ from tdcode import (
     unrank_irr,
     unrank_irr_prefix,
 )
-from tdcode import enumeration
-from tdcode.enumeration import count_table
-from tdcode.ranking import _rank, _unrank
+from tdcode import (
+    CodeSpec,
+    FseCodec,
+    FseParams,
+    code_size,
+    decode_codeword,
+    encode_codeword,
+    extension_index,
+    kth_extension,
+)
+from tdcode import enumeration, ranking
+from tdcode.ranking import _classify, _rank, _unrank, _walk_tables
 
 
 def w(text: str, q: int = 3) -> Word:
@@ -202,9 +214,8 @@ class TestUnrankRank:
         sys_ = request.getfixturevalue(sysname)
         for n in (100, 300, 500):
             j = count_irr(n, sys_) // 2 + 1
-            count = count_table(sys_).count
-            word, ops_u = _unrank((), n, j, count, sys_)
-            j_back, ops_r = _rank((), word, count, sys_)
+            word, ops_u = _unrank((), n, j, sys_)
+            j_back, ops_r = _rank((), word, sys_)
             assert j_back == j
             assert ops_u <= 8 * n
             assert ops_r <= 8 * n
@@ -296,3 +307,121 @@ class TestPrefixUnrankRank:
         total = count_irr_prefix(w("102"), 5, s32)
         with pytest.raises(DomainError):
             unrank_irr_prefix(w("102"), 5, total + 1, s32)
+
+
+# ------------------------------------------- the window walk vs the maps
+
+
+def _widths(sys_: DupSystem) -> tuple[int, ...]:
+    # written out here, independently of the package's coefficients
+    q = sys_.q
+    return (q - 2, q - 2) if sys_.k == 2 else (q - 2, q - 3, q - 2)
+
+
+def _apply_ref(x: Word, i: int, branch: int, sys_: DupSystem) -> Word:
+    if sys_.k == 3:
+        return apply_phi123(x, i, branch, sys_)
+    return (apply_phi if branch == 1 else apply_psi)(x, i, sys_)
+
+
+def _invert_ref(y: Word, sys_: DupSystem) -> tuple[Word, int, int]:
+    if sys_.k == 3:
+        return invert_phi123(y, sys_)
+    if y.symbols[-1] != y.symbols[-3]:
+        return (*invert_phi(y, sys_), 1)
+    return (*invert_psi(y, sys_), 2)
+
+
+def _size_ref(p: Word, n: int, sys_: DupSystem) -> int:
+    return count_irr_prefix(p, n, sys_) if len(p) else count_irr(n, sys_)
+
+
+def _unrank_ref(p: Word, n: int, j: int, sys_: DupSystem) -> Word:
+    """The recursive order spelled out with the public suffix maps."""
+    if n <= max(len(p) + sys_.k - 1, 2 * sys_.k - 1):
+        return p.concat(kth_extension(p, n - len(p), j, sys_))
+    for branch, width in enumerate(_widths(sys_), start=1):
+        block = width * _size_ref(p, n - branch, sys_)
+        if j <= block:
+            x = _unrank_ref(p, n - branch, (j - 1) // width + 1, sys_)
+            return _apply_ref(x, (j - 1) % width + 1, branch, sys_)
+        j -= block
+    raise AssertionError("rank past the class")
+
+
+def _rank_ref(p: Word, y: Word, sys_: DupSystem) -> int:
+    n = len(y)
+    if n <= max(len(p) + sys_.k - 1, 2 * sys_.k - 1):
+        return extension_index(p, Word(y.symbols[len(p):], sys_.q), sys_)
+    x, i, branch = _invert_ref(y, sys_)
+    widths = _widths(sys_)
+    lower = sum(widths[b - 1] * _size_ref(p, n - b, sys_) for b in range(1, branch))
+    return (_rank_ref(p, x, sys_) - 1) * widths[branch - 1] + i + lower
+
+
+ENGINE_SYSTEMS = [(q, k) for q in range(3, 7) for k in (2, 3)]
+
+
+class TestWindowWalk:
+    @pytest.mark.parametrize("q, k", ENGINE_SYSTEMS)
+    def test_agrees_with_the_suffix_map_recursion(self, q, k):
+        sys_ = DupSystem(q, k)
+        rng = random.Random(q * 10 + k)
+        for n in [0, 1, 2 * k - 1, 2 * k, 2 * k + 1] + [rng.randint(1, 200) for _ in range(3)]:
+            j = rng.randint(1, count_irr(n, sys_))
+            word, _ = _unrank((), n, j, sys_)
+            assert word == _unrank_ref(Word((), q), n, j, sys_), (n, j)
+            assert _rank((), word, sys_)[0] == j == _rank_ref(Word((), q), word, sys_)
+        for _ in range(4):
+            length = rng.randint(1, 5)
+            p = unrank_irr(length, rng.randint(1, count_irr(length, sys_)), sys_)
+            n = rng.randint(length, 200)
+            j = rng.randint(1, count_irr_prefix(p, n, sys_))
+            word, _ = _unrank(p.symbols, n, j, sys_)
+            assert word == _unrank_ref(p, n, j, sys_), (p, n, j)
+            assert _rank(p.symbols, word, sys_)[0] == j == _rank_ref(p, word, sys_)
+
+    @pytest.mark.parametrize("q, k", ENGINE_SYSTEMS)
+    def test_classify_table_is_the_classifier(self, q, k):
+        sys_ = DupSystem(q, k)
+        dp, walk = enumeration._dp(sys_), _walk_tables(sys_)
+        assert len(walk.classify) == len(dp.trans) * q
+        assert len(walk.apply) == len(dp.trans) * walk.span
+        assert all(-1 <= t < len(dp.states) for t in walk.apply)
+        for sid, state in enumerate(dp.states):
+            for c, nxt in enumerate(dp.trans[sid]):
+                code = walk.classify[sid * q + c]
+                if len(state) < dp.width or nxt < 0:
+                    assert code == -1
+                    continue
+                branch, i = _classify(state + (c,), len(state) + 1, k, q)
+                assert walk.branch[code] == branch
+                assert code - walk.starts[branch - 1] == i - 1
+
+    def test_counting_and_the_fse_never_build_the_tables(self, s43, monkeypatch):
+        def refuse(sys_):
+            raise AssertionError("ranking tables built")
+
+        monkeypatch.setattr(ranking, "_walks", {})
+        monkeypatch.setattr(ranking, "_WalkTables", refuse)
+        monkeypatch.setattr(enumeration, "_dps", {})
+        assert code_size(500, s43) > 0
+        codec = FseCodec(FseParams(s43, 13, 19))
+        assert codec.decode_values(codec.encode_values([0, 5, 4**13 - 1])) == [0, 5, 4**13 - 1]
+        with pytest.raises(AssertionError, match="ranking tables built"):
+            decode_codeword(encode_codeword(7, CodeSpec(s43, 12)), CodeSpec(s43, 12))
+
+    @pytest.mark.parametrize("word, k", [("0010", 2), ("0121010", 2), ("012012", 3)])
+    def test_reducible_word_message(self, word, k):
+        sys_ = DupSystem(3, k)
+        message = f"^{re.escape(word)} is not irreducible for k = {k}$"
+        with pytest.raises(DomainError, match=message):
+            rank_irr(w(word), sys_)
+        with pytest.raises(DomainError, match=message):
+            rank_irr_prefix(w(word[:1]), w(word), sys_)
+
+    def test_reducible_at_the_end_of_a_long_word(self, s42):
+        x = unrank_irr(300, count_irr(300, s42) // 5, s42)
+        y = x.append(x.symbols[-1])
+        with pytest.raises(DomainError, match="is not irreducible for k = 2$"):
+            rank_irr(y, s42)
