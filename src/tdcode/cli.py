@@ -18,6 +18,7 @@ from .enumeration import (
     choose_params,
     code_size,
     count_irr,
+    count_table,
     delta_min_degree,
 )
 from .errors import CorruptInputError, DomainError, TandemCodeError, show_int
@@ -39,6 +40,12 @@ HEADER_PREFIX = "# tdcode"
 # encode -n set n, and -e sets the state length m up to which
 # delta_min_degree counts.  A stream's strands bound its header.
 MAX_TABLE_LENGTH = 1 << 15
+
+# The most full suffix windows (irreducible words of length 2k - 1) a
+# command may build the window DP over; the DP's time and memory grow with
+# them (q = 8, k = 3: 18480 windows, `rate` in under a second at 40 MB).
+# This admits q <= 8 at k = 3 and q <= 27 at k = 2.
+MAX_WINDOWS = 20_000
 
 
 def format_header(fields: dict[str, object]) -> str:
@@ -169,6 +176,17 @@ def _check_length(n: int, what: str) -> None:
         raise DomainError(f"{what} {n} exceeds the counting cap {MAX_TABLE_LENGTH}")
 
 
+def _window_system(q: int, k: int) -> DupSystem:
+    # for every command that builds the window DP, before it does
+    sys_ = DupSystem(q, k)
+    windows = count_table(sys_).count(2 * k - 1)  # a closed-form base value
+    if windows > MAX_WINDOWS:
+        raise DomainError(
+            f"q={q}, k={k} has {windows} full windows, over the window cap {MAX_WINDOWS}"
+        )
+    return sys_
+
+
 def _choose_params(epsilon: float, sys_: DupSystem) -> FseParams:
     info = asymptotic_rate(sys_)
     if 0 < epsilon < info.rate:  # else choose_params rejects epsilon
@@ -215,7 +233,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    sys_ = DupSystem(args.q, args.k)
+    sys_ = _window_system(args.q, args.k)
     info = asymptotic_rate(sys_)
     out: dict[str, object] = {
         "q": args.q,
@@ -232,7 +250,7 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    sys_ = DupSystem(args.q, args.k)
+    sys_ = _window_system(args.q, args.k)
     _check_render(args.q, args.dna)
     word = Word.from_dna(args.word) if args.dna else Word.from_string(args.word, args.q)
     _check_length(len(word), "word length")
@@ -242,7 +260,7 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_unrank(args) -> int:
-    sys_ = DupSystem(args.q, args.k)
+    sys_ = _window_system(args.q, args.k)
     _check_render(args.q, args.dna)
     _check_length(args.n, "length")
     print(_render_word(unrank_irr(args.n, args.j, sys_), args.dna))
@@ -250,7 +268,7 @@ def _cmd_unrank(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    sys_ = DupSystem(args.q, args.k)
+    sys_ = _window_system(args.q, args.k)
     dna = bool(args.dna)
     _check_render(args.q, dna)
     if args.mode == "code":
@@ -326,7 +344,7 @@ def _cmd_decode(args) -> int:
     k = _merged(header, "k", args.k)
     if q is None or k is None:
         raise DomainError("decoding needs -q and -k or a stream header")
-    sys_ = DupSystem(int(q), int(k))
+    sys_ = _window_system(int(q), int(k))
     dna = bool(_merged(header, "dna", int(args.dna) if args.dna else None, 0))
     digits = bool(_merged(header, "digits", int(args.digits) if args.digits else None, 0))
     _check_render(sys_.q, dna)
@@ -432,7 +450,7 @@ def _default_delta_lengths(sys_: DupSystem) -> tuple[int, ...]:
 
 
 def _cmd_verify(args) -> int:
-    sys_ = DupSystem(args.q, args.k)
+    sys_ = _window_system(args.q, args.k)
     budget = OracleBudget(max_words=args.budget, max_depth=max(args.depth, 12))
     checks: list[dict] = []
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, show_int
 from .words import DupSystem, Word, is_irreducible
@@ -122,7 +122,7 @@ class _WindowDP:
 
     def __init__(self, sys: DupSystem):
         self.sys = sys
-        self.width = 2 * sys.k - 1
+        self.width = width = 2 * sys.k - 1
         q, k = sys.q, sys.k
         states: list[tuple[int, ...]] = []
         index: dict[tuple[int, ...], int] = {}
@@ -133,25 +133,27 @@ class _WindowDP:
                 continue
             index[w] = len(states)
             states.append(w)
-            if len(w) < self.width:
+            if len(w) < width:
                 for c in range(q):
                     if _append_ok(w, c, k):
                         stack.append(w + (c,))
         self.states = states
         self.index = index
+        # trans[sid][c]: the window after appending c, -1 if c closes a
+        # square; succ[sid]: the valid ones in symbol order, each ending in
+        # the symbol that reached it (last).  A square of half-length < k
+        # ends at c iff the next window is not irreducible (not in index);
+        # after a full window w, half-length k is w + (c,) itself
         trans: list[list[int]] = []
+        succ: list[tuple[int, ...]] = []
         for w in states:
-            row = []
-            for c in range(q):
-                if _append_ok(w, c, k):
-                    nxt = w + (c,)
-                    if len(nxt) > self.width:
-                        nxt = nxt[1:]
-                    row.append(index[nxt])
-                else:
-                    row.append(-1)
+            head = w[:k] if len(w) == width else None
+            row = [-1 if head == (w + (c,))[k:] else index.get((w + (c,))[-width:], -1)
+                   for c in range(q)]
             trans.append(row)
-        self.trans = trans
+            succ.append(tuple([t for t in row if t >= 0]))
+        self.trans, self.succ = trans, succ
+        self.last = [w[-1] if w else -1 for w in states]
         self.layers: list[list[int]] = [[1] * len(states)]
         self._counts: dict[int, CountTable] = {}
 
@@ -159,9 +161,7 @@ class _WindowDP:
         layers = self.layers
         while len(layers) <= r:
             prev = layers[-1]
-            layers.append(
-                [sum(prev[t] for t in row if t >= 0) for row in self.trans]
-            )
+            layers.append([sum(map(prev.__getitem__, row)) for row in self.succ])
 
     def window_sid(self, symbols: tuple[int, ...]) -> int:
         w = symbols if len(symbols) <= self.width else symbols[-self.width:]
@@ -207,40 +207,47 @@ def count_extensions(x: Word, r: int, sys: DupSystem) -> int:
     return dp.counts(dp.window_sid(x.symbols)).count(r)
 
 
-def _kth(dp: _WindowDP, sid: int, r: int, j: int, out: list[int]) -> int:
-    """Append the j-th valid length-r extension of window sid to out and
-    return the final window id.  Needs dp.layers up to r and a valid j."""
-    trans = dp.trans
-    for layer in reversed(dp.layers[:r]):
-        for c, nxt in enumerate(trans[sid]):
-            if nxt >= 0:
+def _kth(dp: _WindowDP, sid: int, r: int, js: Iterable[int], out: list[int]) -> int:
+    """For each j in js, append the j-th (0-indexed) valid length-r extension
+    of the current window to out and move on to its final window; return
+    the last window id.  Needs dp.layers up to r and valid js."""
+    succ, last = dp.succ, dp.last
+    view = dp.layers[:r][::-1]
+    for j in js:
+        for layer in view:
+            for nxt in succ[sid]:
                 cnt = layer[nxt]
-                if j <= cnt:
-                    out.append(c)
-                    sid = nxt
+                if j < cnt:
                     break
                 j -= cnt
+            out.append(last[nxt])
+            sid = nxt
     return sid
 
 
-def _index(dp: _WindowDP, sid: int, ys: Sequence[int]) -> tuple[int, int]:
-    """(index, final window id) of the extension ys of window sid; the
-    failure marker (offset, -1) names the first symbol that closes a
-    square.  Needs dp.layers up to len(ys)."""
-    layers, trans = dp.layers, dp.trans
-    idx = 1
-    rem = len(ys)
-    for d, c in enumerate(ys):
-        rem -= 1
-        layer = layers[rem]
-        row = trans[sid]
-        for nxt in row[:c]:
-            if nxt >= 0:
+def _index(
+    dp: _WindowDP, sid: int, r: int, steps: Iterable[Sequence[int]]
+) -> tuple[list[int], int]:
+    """The 0-indexed positions of consecutive length-r extensions, starting
+    at window sid, and the final window id.  If a symbol closes a square the
+    id is -1 and the list ends with that symbol's offset in its step.
+    Needs dp.layers up to r."""
+    succ, last = dp.succ, dp.last
+    view = dp.layers[:r][::-1]
+    out: list[int] = []
+    for ys in steps:
+        idx = 0
+        for layer, c in zip(view, ys):
+            for nxt in succ[sid]:
+                if last[nxt] == c:
+                    break
                 idx += layer[nxt]
-        sid = row[c]
-        if sid < 0:
-            return d, -1
-    return idx, sid
+            else:  # c closes a square; its offset is its layer's position
+                out.append([v is layer for v in view].index(True))
+                return out, -1
+            sid = nxt
+        out.append(idx)
+    return out, sid
 
 
 def kth_extension(x: Word, r: int, j: int, sys: DupSystem) -> Word:
@@ -252,7 +259,7 @@ def kth_extension(x: Word, r: int, j: int, sys: DupSystem) -> Word:
     if not 1 <= j <= total:
         raise DomainError(f"extension index {show_int(j)} outside [1, {show_int(total)}]")
     out: list[int] = []
-    _kth(dp, sid, r, j, out)
+    _kth(dp, sid, r, (j - 1,), out)
     return Word._unchecked(tuple(out), sys.q)
 
 
@@ -263,31 +270,23 @@ def extension_index(x: Word, y: Word, sys: DupSystem) -> int:
     dp = _dp(sys)
     sid = dp.window_sid(x.symbols)
     dp.ensure_layers(len(y))
-    idx, sid = _index(dp, sid, y.symbols)
+    (idx,), sid = _index(dp, sid, len(y), (y.symbols,))
     if sid < 0:
         raise DomainError(
             f"{y} is not a valid extension of {x}: square ends at offset {idx}"
         )
-    return idx
+    return idx + 1
 
 
 def iter_extensions(x: Word, r: int, sys: DupSystem) -> Iterator[Word]:
     """Yield all valid length-r extensions of x in lexicographic order."""
     dp = _dp(sys)
-    start = dp.window_sid(x.symbols)
-    q = sys.q
-
-    def walk(sid: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == r:
-            yield prefix
-            return
-        row = dp.trans[sid]
-        for c in range(q):
-            if row[c] >= 0:
-                yield from walk(row[c], prefix + (c,))
-
-    for syms in walk(start, ()):
-        yield Word(syms, sys.q)
+    sid = dp.window_sid(x.symbols)
+    dp.ensure_layers(r)
+    for j in range(dp.layers[r][sid]):
+        out: list[int] = []
+        _kth(dp, sid, r, (j,), out)
+        yield Word._unchecked(tuple(out), sys.q)
 
 
 # -------------------------------------------------------- prefix counting
@@ -466,15 +465,14 @@ def choose_params(epsilon: float, sys: DupSystem) -> FseParams:
             f"epsilon {epsilon} must be below the asymptotic rate {c:.6f}"
         )
     ell, m = _estimate(epsilon, info)
-    # step to the smallest m with q**ell <= delta_min_degree(m), which grows with m
-    labeled = sys.q**ell
-    while labeled > delta_min_degree(m, sys):
-        m += 1
-    while m > 2 * sys.k - 1 and labeled <= delta_min_degree(m - 1, sys):
-        m -= 1
-    params = FseParams(sys, ell, m, epsilon)
-    if ell / m < c - epsilon:
-        raise DomainError(
-            f"no admissible encoder at epsilon={epsilon}: got rate {ell}/{m}"
-        )
-    return params
+    while True:
+        # step to the smallest m with q**ell <= delta_min_degree(m), which grows with m
+        labeled = sys.q**ell
+        while labeled > delta_min_degree(m, sys):
+            m += 1
+        while m > 2 * sys.k - 1 and labeled <= delta_min_degree(m - 1, sys):
+            m -= 1
+        if ell / m >= c - epsilon:
+            return FseParams(sys, ell, m, epsilon)
+        # m sits at its floor 2k-1 (short blocks only); ell/m -> c as ell grows
+        ell += 1

@@ -120,16 +120,16 @@ class FseCodec:
 
     def encode_values(self, values: Iterable[int]) -> Word:
         """Concatenate the states visited while consuming block values in
-        [0, q**ell), carrying the window id from step to step."""
+        [0, q**ell), in one walk that carries the window id across states."""
         params = self.params
-        q, ell, m = params.sys.q, params.ell, params.m
+        q, ell = params.sys.q, params.ell
         labeled = q**ell
-        dp, sid = _dp(params.sys), self._start_sid
-        out: list[int] = []
+        values = list(values)
         for n, v in enumerate(values, start=1):
             if not 0 <= v < labeled:
                 raise DomainError(f"block {n}: value outside [0, {q}**{ell})")
-            sid = _kth(dp, sid, m, v + 1, out)
+        out: list[int] = []
+        _kth(_dp(params.sys), self._start_sid, params.m, values, out)
         return Word._unchecked(tuple(out), q)
 
     def decode_values(self, x: Word) -> list[int]:
@@ -145,19 +145,17 @@ class FseCodec:
                 f"length {len(s)} is not a multiple of the state length {m}"
             )
         labeled = q**ell
-        dp, sid = _dp(params.sys), self._start_sid
-        values: list[int] = []
-        for n, b in enumerate(range(0, len(s), m), start=1):
-            idx, sid = _index(dp, sid, s[b:b + m])
-            if sid < 0:
-                raise CorruptInputError(
-                    f"state {n}: not an edge, a square ends at offset {idx}"
-                )
-            if idx > labeled:
+        steps = (s[b:b + m] for b in range(0, len(s), m))
+        values, sid = _index(_dp(params.sys), self._start_sid, m, steps)
+        for n, v in enumerate(values[:-1] if sid < 0 else values, start=1):
+            if v >= labeled:
                 raise CorruptInputError(
                     f"state {n}: edge index exceeds the labeled range {q}**{ell}"
                 )
-            values.append(idx - 1)
+        if sid < 0:  # values ends with the offset in the last state
+            raise CorruptInputError(
+                f"state {len(values)}: not an edge, a square ends at offset {values[-1]}"
+            )
         return values
 
     def encode(self, blocks: Sequence[Word]) -> Word:

@@ -276,7 +276,7 @@ def _unrank(p: tuple[int, ...], n: int, j: int, sys: DupSystem) -> tuple[Word, i
                 j -= block
     dp.ensure_layers(r)
     s = list(p)
-    sid = _kth(dp, dp.window_sid(p), r, j + 1, s)
+    sid = _kth(dp, dp.window_sid(p), r, (j,), s)
     apply, span, branch, states = walk.apply, walk.span, walk.branch, dp.states
     for code in reversed(codes):
         sid = apply[sid * span + code]
@@ -308,7 +308,7 @@ def _rank(p: tuple[int, ...], x: Word, sys: DupSystem) -> tuple[int, int]:
         codes.append(code)
         n -= branch[code]
     dp.ensure_layers(n - len(p))
-    rank = _index(dp, wins[len(p)], s[len(p):n])[0] - 1
+    (rank,), _ = _index(dp, wins[len(p)], n - len(p), (s[len(p):n],))
     v = _class_sizes(p, len(s), sys)
     r = ops = n - len(p)
     if len(set(widths)) == 1:  # as in _unrank: one multiply per level

@@ -184,7 +184,7 @@ def root(y: Word, sys: DupSystem) -> Word:
     Schwartz and Bruck, IEEE T-IT 2017), so this order reaches it.
     """
     _check_alphabet(y, sys)
-    st: list[int] = []
+    st = bytearray() if y.q <= 256 else []
     push, pop = st.append, st.pop
     k3 = sys.k == 3
     for c in y.symbols:

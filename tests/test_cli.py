@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from tdcode import CodeSpec, DomainError, DupSystem, count_irr, encode_codeword
 from tdcode.cli import (
     MAX_TABLE_LENGTH,
+    MAX_WINDOWS,
     _check_length,
     _frame_bits,
     _join_chunks,
@@ -145,6 +146,30 @@ class TestFlagBounds:
         rc, _, err = run(capsys, "rate", "-q", "3", "-k", "2", "-e", "5e-324")
         assert rc == 2
         assert "is too small" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("rate", "-q", "40", "-k", "3"),
+        ("rank", "-q", "9", "-k", "3", "-w", "012"),
+        ("unrank", "-q", "28", "-k", "2", "-n", "3", "-j", "1"),
+        ("encode", "--mode", "fse", "-q", "9", "-k", "3", "--ell", "1", "--m", "5"),
+        ("encode", "--mode", "code", "-q", "9", "-k", "3", "-n", "5"),
+        ("decode",),
+        ("verify", "-q", "40", "-k", "2"),
+    ], ids=["rate", "rank", "unrank", "encode-fse", "encode-code", "decode-header", "verify"])
+    def test_alphabet_past_the_window_cap_fails_before_the_dp(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        def building(*args):
+            raise AssertionError("the window DP was built before q was checked")
+
+        monkeypatch.setattr("tdcode.enumeration._WindowDP", building)
+        src = tmp_path / "in.txt"
+        src.write_text("# tdcode mode=fse q=40 k=3 ell=1 m=5 chunk=5 digits=0 dna=0\n0102\n")
+        if argv[0] in ("encode", "decode"):
+            argv += ("-i", str(src), "-o", str(tmp_path / "out"))
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2
+        assert f"over the window cap {MAX_WINDOWS}" in err and "Traceback" not in err
 
     def test_the_cap_itself_is_allowed(self):
         _check_length(MAX_TABLE_LENGTH, "length")

@@ -347,6 +347,16 @@ class TestChooseParams:
         assert q**params.ell <= delta_min_degree(m, sys_)
         assert q**params.ell > delta_min_degree(m - 1, sys_)
 
+    @pytest.mark.parametrize("q, k, eps, expected", [(4, 3, 0.3, (3, 5)), (5, 3, 0.2, (4, 6))])
+    def test_short_blocks_step_ell_up(self, q, k, eps, expected):
+        # the estimated ell misses the rate even at the smallest admissible m
+        sys_ = DupSystem(q, k)
+        params = choose_params(eps, sys_)
+        assert (params.ell, params.m) == expected
+        assert params.ell / params.m >= asymptotic_rate(sys_).rate - eps
+        assert q**params.ell <= delta_min_degree(params.m, sys_)
+        assert params.m == 2 * k - 1 or q**params.ell > delta_min_degree(params.m - 1, sys_)
+
     @pytest.mark.parametrize("q, k", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 3)])
     def test_state_length_is_minimal_across_gaps(self, q, k):
         sys_ = DupSystem(q, k)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from tdcode import (
     unrank_irr,
 )
 from tdcode import oracle
-from tdcode.enumeration import _dp
+from tdcode.enumeration import _dp, _index, _kth, extension_index, kth_extension
 from tdcode.fse import _value_block
 
 
@@ -235,17 +236,55 @@ class TestValueEngine:
         assert codec.decode_values(strand) == values
         assert codec.decode(strand) == blocks
 
-    @pytest.mark.parametrize("strand", ["0102", "020102", "201202"])
-    def test_damaged_streams_are_corrupt(self, strand):
-        # ragged length, a non-edge (square 00), an unlabeled 4th neighbor
+    @pytest.mark.parametrize("strand, message", [
+        ("0102", "length 4 is not a multiple of the state length 3"),
+        ("020102", "state 1: not an edge, a square ends at offset 0"),
+        ("201022", "state 2: not an edge, a square ends at offset 2"),
+        ("201202", "state 2: edge index exceeds the labeled range 3**1"),
+        ("201202010", "state 2: edge index exceeds the labeled range 3**1"),
+    ], ids=["0102", "020102", "201022", "201202", "201202010"])
+    def test_damaged_streams_are_corrupt(self, strand, message):
+        # ragged length, non-edges (squares 00 after the start state 010,
+        # 22 after 201), an unlabeled 4th neighbor, also when a later state
+        # is not an edge (2020): the first damage is named
         codec = codec_for(3, 2, 1, 3)
-        with pytest.raises(CorruptInputError, match=r"length|state \d"):
+        with pytest.raises(CorruptInputError) as info:
             codec.decode_values(w(strand))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("value", [-1, 3])
     def test_out_of_range_value(self, value):
         with pytest.raises(DomainError):
             codec_for(3, 2, 1, 3).encode_values([0, value])
+
+    @pytest.mark.parametrize("q", [3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_stream_walk_is_the_per_step_walk(self, q, k):
+        # one _kth / _index call per stream against one kth_extension /
+        # extension_index call per step, from every full window; steps of
+        # 2k - 1 and 2k symbols, so windows also shift inside a step
+        sys_ = DupSystem(q, k)
+        dp = _dp(sys_)
+        rng = random.Random(10 * q + k)
+        for start, window in enumerate(dp.states):
+            if len(window) != 2 * k - 1:
+                continue
+            r = len(window) + start % 2
+            x, js, expected = Word(window, q), [], []
+            for _ in range(3):
+                js.append(rng.randrange(count_extensions(x, r, sys_)))
+                x = kth_extension(x, r, js[-1] + 1, sys_)
+                expected += x.symbols
+            out: list[int] = []
+            end = _kth(dp, start, r, js, out)
+            assert out == expected
+            assert end == dp.window_sid(tuple(out))
+            steps = [out[b:b + r] for b in range(0, len(out), r)]
+            assert _index(dp, start, r, steps) == (js, end)
+            prev = Word(window, q)
+            for j, step in zip(js, steps):
+                assert extension_index(prev, Word(tuple(step), q), sys_) == j + 1
+                prev = Word(tuple(step), q)
 
     def test_validations_do_not_grow_with_the_stream(self, word_validations):
         codec = codec_for(4, 3, 2, 5)
