@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import random
 import sys as _sys
 from contextlib import contextmanager
 from typing import Optional, Sequence
 
-from .codec import CodeSpec, decode_codeword, encode_codeword
+from .codec import CodeSpec, decode_codewords, encode_codewords
 from .enumeration import (
     FseParams,
     _estimate,
@@ -23,12 +21,6 @@ from .enumeration import (
 )
 from .errors import CorruptInputError, DomainError, TandemCodeError, show_int
 from .fse import FseCodec, _block_value, _value_block
-from .oracle import (
-    OracleBudget,
-    all_roots_bfs,
-    enumerate_irr_bruteforce,
-    min_outdegree_bruteforce,
-)
 from .ranking import rank_irr, unrank_irr
 from .words import DupSystem, Word, random_descendant, root
 
@@ -221,6 +213,8 @@ def _all_digits():
 
 
 def _cmd_count(args) -> int:
+    import json
+
     sys_ = DupSystem(args.q, args.k)
     _check_length(args.n, "length")
     value = count_irr(args.n, sys_)
@@ -233,6 +227,8 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_rate(args) -> int:
+    import json
+
     sys_ = _window_system(args.q, args.k)
     info = asymptotic_rate(sys_)
     out: dict[str, object] = {
@@ -286,9 +282,8 @@ def _cmd_encode(args) -> int:
         data = _read_bytes(args.input)
         lines = [header]
         if data:
-            value, nbits = _frame_bits(data)
-            for v in _split_chunks(value, nbits, chunk):
-                lines.append(_render_word(encode_codeword(v + 1, spec), dna))
+            js = [v + 1 for v in _split_chunks(*_frame_bits(data), chunk)]
+            lines += [_render_word(y, dna) for y in encode_codewords(js, spec)]
         _write_text(args.output, "\n".join(lines) + "\n")
         return 0
     params = _resolve_fse_params(args, sys_, {})
@@ -367,9 +362,10 @@ def _cmd_decode(args) -> int:
             raise CorruptInputError(f"code length n={spec.n} exceeds the shortest strand")
         if chunk is None:
             chunk = code_size(spec.n, sys_).bit_length() - 1
+        # parsed one strand at a time, so the first bad strand is the one reported
+        received = (_parse_word(s, sys_.q, dna) for s in strands)
         values = []
-        for s in strands:
-            j = decode_codeword(_parse_word(s, sys_.q, dna), spec)
+        for j in decode_codewords(received, spec):
             if j - 1 >= 1 << chunk:
                 raise CorruptInputError(
                     f"decoded index {show_int(j)} does not fit in a {chunk} bit chunk"
@@ -411,6 +407,8 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_channel(args) -> int:
+    import hashlib
+
     if args.t < 0:
         raise DomainError(f"duplication count must be >= 0, got {args.t}")
     out_lines: list[str] = []
@@ -450,6 +448,15 @@ def _default_delta_lengths(sys_: DupSystem) -> tuple[int, ...]:
 
 
 def _cmd_verify(args) -> int:
+    import json
+
+    from .oracle import (
+        OracleBudget,
+        all_roots_bfs,
+        enumerate_irr_bruteforce,
+        min_outdegree_bruteforce,
+    )
+
     sys_ = _window_system(args.q, args.k)
     budget = OracleBudget(max_words=args.budget, max_depth=max(args.depth, 12))
     checks: list[dict] = []

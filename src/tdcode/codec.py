@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .enumeration import code_size, count_table
 from .errors import DomainError, NotADescendantError, show_int
-from .ranking import rank_irr, unrank_irr
+from .ranking import _walk_tables
 from .words import DupSystem, Word, extend_zeta, root
 
 
@@ -45,17 +45,52 @@ def message_capacity(spec: CodeSpec) -> MessageCapacity:
     return MessageCapacity(math.log2(symbols), symbols)
 
 
-def encode_codeword(j: int, spec: CodeSpec) -> Word:
-    """The j-th codeword (1-indexed): roots are taken in order of length,
-    each length ordered by rank, then padded to length n."""
-    total = code_size(spec.n, spec.sys)
-    if not 1 <= j <= total:
-        raise DomainError(f"message index {show_int(j)} outside [1, {show_int(total)}]")
-    # the root length is the first i with cumulative(i) >= j
+def encode_codewords(js: Iterable[int], spec: CodeSpec) -> Iterator[Word]:
+    """The j-th codeword (1-indexed) for each j in js: roots are taken in
+    order of length, each length ordered by rank, then padded to length n.
+
+    The count table, its cumulative sums and the rank walker are looked up
+    once per stream.
+    """
+    n = spec.n
     ct = count_table(spec.sys)
-    i = 1 + bisect_left(range(1, spec.n + 1), j, key=ct.cumulative)
-    r = unrank_irr(i, j - ct.cumulative(i - 1), spec.sys)
-    return extend_zeta(r, spec.n - i)
+    total = ct.cumulative(n)  # code_size(n)
+    cum = ct._cumulative  # cum[i]: the messages whose root is at most i long
+    unrank = _walk_tables(spec.sys).unrank
+    for j in js:
+        if not 1 <= j <= total:
+            raise DomainError(f"message index {show_int(j)} outside [1, {show_int(total)}]")
+        i = bisect_left(cum, j, 1, n + 1)  # the first root length with cum[i] >= j
+        r, _ = unrank((), i, j - cum[i - 1])
+        yield extend_zeta(r, n - i)
+
+
+def decode_codewords(ys: Iterable[Word], spec: CodeSpec) -> Iterator[int]:
+    """The message index of each received word, as decode_codeword gives
+    it, with the per-system lookups made once per stream."""
+    sys, n = spec.sys, spec.n
+    ct = count_table(sys)
+    cum = ct._cumulative
+    rank = _walk_tables(sys).rank
+    for y in ys:
+        if y.q != sys.q:
+            raise DomainError(f"word alphabet q={y.q} does not match system q={sys.q}")
+        if len(y.symbols) < n:
+            raise NotADescendantError(
+                f"received length {len(y)} is shorter than the code length {n}"
+            )
+        r = root(y, sys)
+        m = len(r.symbols)
+        if m > n:
+            raise NotADescendantError(f"root length {m} exceeds the code length {n}")
+        if len(cum) < m:
+            ct.cumulative(m - 1)
+        yield cum[m - 1] + rank((), r)[0]
+
+
+def encode_codeword(j: int, spec: CodeSpec) -> Word:
+    """The j-th codeword (1-indexed); see encode_codewords."""
+    return next(encode_codewords((j,), spec))
 
 
 def decode_codeword(y: Word, spec: CodeSpec) -> int:
@@ -64,17 +99,4 @@ def decode_codeword(y: Word, spec: CodeSpec) -> int:
     Rejects (NotADescendantError) received words shorter than n and
     words whose root is longer than n; no codeword can reach those.
     """
-    if y.q != spec.sys.q:
-        raise DomainError(
-            f"word alphabet q={y.q} does not match system q={spec.sys.q}"
-        )
-    if len(y) < spec.n:
-        raise NotADescendantError(
-            f"received length {len(y)} is shorter than the code length {spec.n}"
-        )
-    r = root(y, spec.sys)
-    if len(r) > spec.n:
-        raise NotADescendantError(
-            f"root length {len(r)} exceeds the code length {spec.n}"
-        )
-    return count_table(spec.sys).cumulative(len(r) - 1) + rank_irr(r, spec.sys)
+    return next(decode_codewords((y,), spec))

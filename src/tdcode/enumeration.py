@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -384,7 +385,13 @@ class RateInfo:
     sys: DupSystem
     lam: float  # dominant growth factor of count_irr(n)
     rate: float  # log_q(lam), symbols of information per code symbol
-    kappa: float  # largest constant with delta_min_degree(m) >= kappa * lam**m
+
+    @cached_property
+    def kappa(self) -> float:
+        """The largest constant with delta_min_degree(m) >= kappa * lam**m;
+        built from the window DP on first read."""
+        sys, lam = self.sys, self.lam
+        return min(delta_min_degree(m, sys) / lam**m for m in range(2 * sys.k - 1, 3 * sys.k - 1))
 
 
 def _growth_factor(sys: DupSystem) -> float:
@@ -413,9 +420,7 @@ def _growth_factor(sys: DupSystem) -> float:
 def asymptotic_rate(sys: DupSystem) -> RateInfo:
     """Growth factor of count_irr, its log_q (the code rate), and kappa."""
     lam = _growth_factor(sys)
-    rate = math.log(lam) / math.log(sys.q)
-    kappa = min(delta_min_degree(m, sys) / lam**m for m in range(2 * sys.k - 1, 3 * sys.k - 1))
-    return RateInfo(sys, lam, rate, kappa)
+    return RateInfo(sys, lam, math.log(lam) / math.log(sys.q))
 
 
 @dataclass(frozen=True)

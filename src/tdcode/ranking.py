@@ -177,22 +177,14 @@ def _require_prefix(p: Word, sys: DupSystem) -> None:
         raise DomainError(f"prefix {p} is not irreducible for k = {sys.k}")
 
 
-def _class_sizes(p: tuple[int, ...], n: int, sys: DupSystem) -> list[int]:
-    # v[r]: the size of p's class at length len(p) + r, for r <= n - len(p)
-    if p:
-        dp = _dp(sys)
-        table = dp.counts(dp.window_sid(p))
-    else:
-        table = count_table(sys)
-    table.count(n - len(p))
-    return table._values
-
-
 # ------------------------------------------------------------- the engine
 
 
 class _WalkTables:
-    """The recursive order as lookups on window ids, for one system.
+    """The recursive order as lookups on window ids, for one system, and
+    the rest of what rank and unrank read, built once: the window DP, the
+    branch widths (the count coefficients), the plain class sizes and
+    whether all branches have equal width.
 
     Step code starts[b - 1] + i (0 <= i < c[b - 1]) names branch b with
     free index i + 1.  apply[sid * span + code] is the window after that
@@ -204,11 +196,15 @@ class _WalkTables:
 
     def __init__(self, sys: DupSystem):
         q, k = sys.q, sys.k
-        dp = _dp(sys)
+        self.sys = sys
+        self.dp = dp = _dp(sys)
+        self.plain = count_table(sys)
         trans = dp.trans
-        widths = _coefficients(sys)
+        self.widths = widths = _coefficients(sys)
+        self.equal = len(set(widths)) == 1
         self.starts = starts = tuple(sum(widths[:b]) for b in range(k))
         self.span = span = sum(widths)
+        self.steps = tuple(zip(range(1, k + 1), widths, starts))  # (b, c[b - 1], starts[b - 1])
         self.branch = tuple(b for b, w in enumerate(widths, start=1) for _ in range(w))
         self.classify = classify = [-1] * (len(trans) * q)
         self.apply = apply = [-1] * (len(trans) * span)
@@ -229,6 +225,108 @@ class _WalkTables:
                     for code, (t, a) in enumerate(zip(before, last), start=starts[branch - 1]):
                         classify[t * q + a] = code
 
+    def class_sizes(self, p: tuple[int, ...], n: int) -> list[int]:
+        # v[r]: the size of p's class at length len(p) + r, for r <= n - len(p)
+        if p:
+            dp = self.dp
+            table = dp.counts(dp.window_sid(p))
+        else:
+            table = self.plain
+        table.count(n - len(p))
+        return table._values
+
+    def unrank(self, p: tuple[int, ...], n: int, j: int) -> tuple[Word, int]:
+        """The j-th length-n word of p's class, and the number of big-integer
+        operations spent.  j must be in range."""
+        widths, dp = self.widths, self.dp
+        v = self.class_sizes(p, n)
+        r = n - len(p)
+        k = self.sys.k
+        base = max(k - 1, 2 * k - 1 - len(p))
+        j -= 1
+        ops = 0
+        codes: list[int] = []
+        if self.equal:  # all of k = 2: one divmod, then compares
+            w = widths[0]
+            while r > base:
+                j, i = divmod(j, w)
+                b = 1
+                ops += 2
+                while j >= v[r - b]:  # skip the lower branches' blocks
+                    j -= v[r - b]
+                    b += 1
+                    ops += 2
+                codes.append((b - 1) * w + i)
+                r -= b
+        else:
+            steps = self.steps
+            while r > base:
+                for b, w, start in steps:
+                    block = w * v[r - b]
+                    ops += 3  # a multiply, a compare, then a subtract or a divmod
+                    if j < block:
+                        j, i = divmod(j, w)
+                        codes.append(start + i)
+                        r -= b
+                        break
+                    j -= block
+        dp.ensure_layers(r)
+        s = list(p)
+        sid = _kth(dp, dp.window_sid(p), r, (j,), s)
+        apply, span, branch, states = self.apply, self.span, self.branch, dp.states
+        for code in reversed(codes):
+            sid = apply[sid * span + code]
+            s += states[sid][-branch[code]:]
+        return Word._unchecked(tuple(s), self.sys.q), ops + r
+
+    def rank(self, p: tuple[int, ...], x: Word) -> tuple[int, int]:
+        """Rank of x within p's class, and the number of big-integer
+        operations spent.  x must start with p; DomainError if x is
+        reducible."""
+        sys, dp = self.sys, self.dp
+        q, trans = sys.q, dp.trans
+        s = x.symbols
+        sid = dp.window_sid(())
+        wins = [sid]  # wins[m]: window id of s[:m]
+        for c in s:
+            sid = trans[sid][c]
+            if sid < 0:  # a square ends at c
+                raise DomainError(f"{x} is not irreducible for k = {sys.k}")
+            wins.append(sid)
+        n = len(s)
+        base = max(len(p) + sys.k - 1, 2 * sys.k - 1)
+        classify, branch, starts, widths = self.classify, self.branch, self.starts, self.widths
+        codes: list[int] = []
+        while n > base:
+            code = classify[wins[n - 1] * q + s[n - 1]]
+            codes.append(code)
+            n -= branch[code]
+        dp.ensure_layers(n - len(p))
+        (rank,), _ = _index(dp, wins[len(p)], n - len(p), (s[len(p):n],))
+        v = self.class_sizes(p, len(s))
+        r = ops = n - len(p)
+        if self.equal:  # as in unrank: one multiply per level
+            w = widths[0]
+            for code in reversed(codes):
+                r += 1
+                while code >= w:  # skip the lower branches' blocks
+                    code -= w
+                    rank += v[r]
+                    r += 1
+                    ops += 1
+                rank = rank * w + code
+                ops += 1
+        else:
+            for code in reversed(codes):
+                b = branch[code]
+                r += b
+                rank = rank * widths[b - 1] + code - starts[b - 1]
+                ops += 1
+                for lower in range(1, b):  # skip the lower branches' blocks
+                    rank += widths[lower - 1] * v[r - lower]
+                    ops += 2
+        return rank + 1, ops
+
 
 _walks: dict[DupSystem, _WalkTables] = {}
 
@@ -241,97 +339,11 @@ def _walk_tables(sys: DupSystem) -> _WalkTables:
 
 
 def _unrank(p: tuple[int, ...], n: int, j: int, sys: DupSystem) -> tuple[Word, int]:
-    """The j-th length-n word of p's class, and the number of big-integer
-    operations spent.  j must be in range."""
-    widths = _coefficients(sys)
-    walk, dp = _walk_tables(sys), _dp(sys)
-    v = _class_sizes(p, n, sys)
-    r = n - len(p)
-    base = max(sys.k - 1, 2 * sys.k - 1 - len(p))
-    j -= 1
-    ops = 0
-    codes: list[int] = []
-    if len(set(widths)) == 1:  # all of k = 2: one divmod, then compares
-        w = widths[0]
-        while r > base:
-            j, i = divmod(j, w)
-            b = 1
-            ops += 2
-            while j >= v[r - b]:  # skip the lower branches' blocks
-                j -= v[r - b]
-                b += 1
-                ops += 2
-            codes.append((b - 1) * w + i)
-            r -= b
-    else:
-        while r > base:
-            for b, w in enumerate(widths, start=1):
-                block = w * v[r - b]
-                ops += 3  # a multiply, a compare, then a subtract or a divmod
-                if j < block:
-                    j, i = divmod(j, w)
-                    codes.append(walk.starts[b - 1] + i)
-                    r -= b
-                    break
-                j -= block
-    dp.ensure_layers(r)
-    s = list(p)
-    sid = _kth(dp, dp.window_sid(p), r, (j,), s)
-    apply, span, branch, states = walk.apply, walk.span, walk.branch, dp.states
-    for code in reversed(codes):
-        sid = apply[sid * span + code]
-        s += states[sid][-branch[code]:]
-    return Word._unchecked(tuple(s), sys.q), ops + r
+    return _walk_tables(sys).unrank(p, n, j)
 
 
 def _rank(p: tuple[int, ...], x: Word, sys: DupSystem) -> tuple[int, int]:
-    """Rank of x within p's class, and the number of big-integer operations
-    spent.  x must start with p; DomainError if x is reducible."""
-    q = sys.q
-    widths = _coefficients(sys)
-    walk, dp = _walk_tables(sys), _dp(sys)
-    trans = dp.trans
-    s = x.symbols
-    sid = dp.window_sid(())
-    wins = [sid]  # wins[m]: window id of s[:m]
-    for c in s:
-        sid = trans[sid][c]
-        if sid < 0:  # a square ends at c
-            raise DomainError(f"{x} is not irreducible for k = {sys.k}")
-        wins.append(sid)
-    n = len(s)
-    base = max(len(p) + sys.k - 1, 2 * sys.k - 1)
-    classify, branch, starts = walk.classify, walk.branch, walk.starts
-    codes: list[int] = []
-    while n > base:
-        code = classify[wins[n - 1] * q + s[n - 1]]
-        codes.append(code)
-        n -= branch[code]
-    dp.ensure_layers(n - len(p))
-    (rank,), _ = _index(dp, wins[len(p)], n - len(p), (s[len(p):n],))
-    v = _class_sizes(p, len(s), sys)
-    r = ops = n - len(p)
-    if len(set(widths)) == 1:  # as in _unrank: one multiply per level
-        w = widths[0]
-        for code in reversed(codes):
-            r += 1
-            while code >= w:  # skip the lower branches' blocks
-                code -= w
-                rank += v[r]
-                r += 1
-                ops += 1
-            rank = rank * w + code
-            ops += 1
-    else:
-        for code in reversed(codes):
-            b = branch[code]
-            r += b
-            rank = rank * widths[b - 1] + code - starts[b - 1]
-            ops += 1
-            for lower in range(1, b):  # skip the lower branches' blocks
-                rank += widths[lower - 1] * v[r - lower]
-                ops += 2
-    return rank + 1, ops
+    return _walk_tables(sys).rank(p, x)
 
 
 def unrank_irr(n: int, j: int, sys: DupSystem) -> Word:
@@ -358,7 +370,7 @@ def unrank_irr_prefix(p: Word, n: int, j: int, sys: DupSystem) -> Word:
     _require_prefix(p, sys)
     if n < len(p):
         raise DomainError(f"target length {n} shorter than the prefix ({len(p)})")
-    total = _class_sizes(p.symbols, n, sys)[n - len(p)]
+    total = _walk_tables(sys).class_sizes(p.symbols, n)[n - len(p)]
     if not 1 <= j <= total:
         raise DomainError(f"rank {show_int(j)} outside [1, {show_int(total)}] "
                           f"for prefix {p}, length {n}")

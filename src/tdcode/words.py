@@ -105,6 +105,14 @@ class DuplicationEvent:
         if self.length < 1:
             raise DomainError(f"duplication length must be >= 1, got {self.length}")
 
+    @classmethod
+    def _unchecked(cls, position: int, length: int) -> "DuplicationEvent":
+        """An event already known to be valid, built without the checks."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "position", position)
+        object.__setattr__(e, "length", length)
+        return e
+
 
 @dataclass(frozen=True)
 class DupSystem:
@@ -216,21 +224,31 @@ def random_descendant(
     """Apply t random duplications and return the result with its event trace.
 
     Each step draws the block length uniformly from [1, min(k, current
-    length)] and the position uniformly over valid starts.  The same seed
-    always yields the same trace.  The symbols live in a bytearray when
-    they fit a byte, so each insertion moves one byte per symbol.
+    length)] and the position uniformly over valid starts, both as
+    Random.randint draws them: getrandbits of the range's bit length,
+    drawn again while the value is out of range.  The same seed always
+    yields the same trace.  The symbols live in a bytearray when they fit
+    a byte, so each insertion moves one byte per symbol.
     """
     _check_alphabet(x, sys)
     if t < 0:
         raise DomainError(f"duplication count must be >= 0, got {t}")
     if len(x) == 0 and t > 0:
         raise DomainError("cannot duplicate within the empty word")
-    rng = random.Random(seed)
+    bits = random.Random(seed).getrandbits
     syms = bytearray(x.symbols) if x.q <= 256 else list(x.symbols)
     events: list[DuplicationEvent] = []
+    event = DuplicationEvent._unchecked
     for _ in range(t):
-        length = rng.randint(1, min(sys.k, len(syms)))
-        pos = rng.randint(0, len(syms) - length)
+        w = min(sys.k, len(syms))  # length - 1 is drawn below w
+        length = bits(w.bit_length())
+        while length >= w:
+            length = bits(w.bit_length())
+        length += 1
+        w = len(syms) - length + 1  # pos is drawn below w
+        pos = bits(w.bit_length())
+        while pos >= w:
+            pos = bits(w.bit_length())
         syms[pos + length:pos + length] = syms[pos:pos + length]
-        events.append(DuplicationEvent(pos, length))
+        events.append(event(pos, length))
     return Word._unchecked(tuple(syms), x.q), events

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcode import CodeSpec, DomainError, DupSystem, count_irr, encode_codeword
+from tdcode import CodeSpec, DomainError, DupSystem, count_irr, encode_codeword, unrank_irr
 from tdcode.cli import (
     MAX_TABLE_LENGTH,
     MAX_WINDOWS,
@@ -208,7 +211,7 @@ class TestHeaderBounds:
             raise AssertionError("decoding started before the header was checked")
 
         monkeypatch.setattr("tdcode.cli.FseCodec", counting)
-        monkeypatch.setattr("tdcode.cli.decode_codeword", counting)
+        monkeypatch.setattr("tdcode.cli.decode_codewords", counting)
         rc, _, err = run(capsys, "decode", "-i", str(enc), "-o", str(tmp_path / "out"))
         assert rc == 1
         assert "error:" in err and "Traceback" not in err
@@ -231,6 +234,68 @@ class TestHeaderBounds:
         assert rc == rc_expected
         assert "Traceback" not in err
         assert ("error:" in err) == (rc_expected == 1)
+
+
+class TestCodeStreamErrors:
+    # strands of a q=4, k=3, n=12 code stream (chunk=18, code_size 394084);
+    # the first failing strand decides the message, whatever follows it
+    BAD = {
+        "parse": ("01x201230123",
+                  "cannot parse strand '01x201230123': not a digit string: '01x201230123'"),
+        "short": ("0120", "code length n=12 exceeds the shortest strand"),
+        "long-root": (None, "root length 13 exceeds the code length 12"),
+        "overflow": (None, "decoded index 394084 does not fit in a 18 bit chunk"),
+    }
+
+    @staticmethod
+    def strand(name: str) -> str:
+        s43 = DupSystem(4, 3)
+        if name == "long-root":
+            return str(unrank_irr(13, 5, s43))
+        if name == "overflow":
+            return str(encode_codeword(394084, CodeSpec(s43, 12)))
+        return TestCodeStreamErrors.BAD[name][0]
+
+    @pytest.mark.parametrize("then", [None, *BAD])
+    @pytest.mark.parametrize("first", [*BAD])
+    def test_first_bad_strand_is_reported(self, first, then, tmp_path, capsys):
+        src = tmp_path / "src.bin"
+        src.write_bytes(b"hello")
+        enc = tmp_path / "enc.txt"
+        rc, _, _ = run(capsys, "encode", "--mode", "code", "-q", "4", "-k", "3", "-n", "12",
+                       "-i", str(src), "-o", str(enc))
+        assert rc == 0
+        header, *strands = enc.read_text().splitlines()
+        bad = [self.strand(first)] + ([self.strand(then)] if then else [])
+        enc.write_text("\n".join([header, *strands[:2], *bad, *strands[2:]]) + "\n")
+        rc, _, err = run(capsys, "decode", "-i", str(enc), "-o", str(tmp_path / "out"))
+        # the shortest-strand check runs before any strand is decoded
+        name = "short" if "short" in (first, then) else first
+        assert rc == 1
+        assert err == f"error: {self.BAD[name][1]}\n"
+
+
+class TestColdStart:
+    def test_cli_import_loads_neither_the_oracle_nor_openssl(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys, tdcode.cli; "
+                "print(sorted({'tdcode.oracle', '_hashlib', 'json'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+        assert out.strip() == "[]"
+
+    def test_every_public_name_resolves(self):
+        import tdcode
+
+        for name in tdcode.__all__:
+            value = getattr(tdcode, name)
+            home = sys.modules[getattr(value, "__module__", "tdcode.words")]
+            assert getattr(home, name) is value
+        assert set(tdcode.__all__) <= set(dir(tdcode))
+        assert {"codec", "oracle", "words", "__version__"} <= set(dir(tdcode))
+        assert tdcode.oracle.all_roots_bfs is tdcode.all_roots_bfs
+        with pytest.raises(AttributeError):
+            tdcode.no_such_name
 
 
 class TestEncodeDecodeRoundTrip:

@@ -20,6 +20,8 @@ from tdcode import (
     decode_codeword,
     encode_codeword,
     extend_zeta,
+    rank_irr,
+    unrank_irr,
     is_irreducible,
     message_capacity,
     random_descendant,
@@ -27,6 +29,7 @@ from tdcode import (
     tandem_duplicate,
     DuplicationEvent,
 )
+from tdcode.codec import decode_codewords, encode_codewords
 
 
 def w(text: str, q: int = 3) -> Word:
@@ -180,3 +183,63 @@ class TestDecodeCodeword:
         y, _events = random_descendant(c, data.draw(st.integers(0, 12)), sys_,
                                        data.draw(st.integers(0, 2**32)))
         assert decode_codeword(y, spec) == j
+
+
+def codeword_reference(j: int, spec: CodeSpec) -> Word:
+    """The codeword as the public counting and unranking functions give it."""
+    i = 1
+    while code_size(i, spec.sys) < j:
+        i += 1
+    shorter = code_size(i - 1, spec.sys) if i > 1 else 0
+    return extend_zeta(unrank_irr(i, j - shorter, spec.sys), spec.n - i)
+
+
+def index_reference(y: Word, spec: CodeSpec) -> int:
+    r = root(y, spec.sys)
+    return (code_size(len(r) - 1, spec.sys) if len(r) > 1 else 0) + rank_irr(r, spec.sys)
+
+
+STREAM_SPECS = [(q, k, n) for q in range(3, 7) for k in (2, 3) for n in (1, 2 * k, 40)]
+
+
+class TestStreams:
+    @pytest.mark.parametrize("q, k, n", STREAM_SPECS + [(4, 2, 4000)])
+    def test_stream_equals_per_codeword(self, q, k, n):
+        sys_ = DupSystem(q, k)
+        spec = CodeSpec(sys_, n)
+        total = code_size(n, sys_)
+        rng = random.Random(q * 100 + k * 10 + n)
+        js = [1, total] + [rng.randint(1, total) for _ in range(5 if n > 100 else 30)]
+        words = list(encode_codewords(js, spec))
+        assert words == [encode_codeword(j, spec) for j in js]
+        assert words == [codeword_reference(j, spec) for j in js]
+        noisy = [random_descendant(x, 6, sys_, seed)[0] for seed, x in enumerate(words)]
+        assert list(decode_codewords(noisy, spec)) == js
+        assert [decode_codeword(y, spec) for y in noisy] == js
+        assert [index_reference(y, spec) for y in noisy] == js
+
+    @pytest.mark.parametrize("bad, error, message", [
+        (w("012"), NotADescendantError, "received length 3 is shorter than the code length 4"),
+        (w("01020"), NotADescendantError, "root length 5 exceeds the code length 4"),
+        (Word((0, 1, 2, 3), 4), DomainError, "word alphabet q=4 does not match system q=3"),
+    ])
+    def test_decode_stream_stops_at_the_bad_word(self, s32, bad, error, message):
+        spec = CodeSpec(s32, 4)
+        good = [encode_codeword(j, spec) for j in (5, 39)]
+        stream = decode_codewords([*good, bad, good[0]], spec)
+        assert [next(stream), next(stream)] == [5, 39]
+        with pytest.raises(error, match=f"^{message}$"):
+            next(stream)
+        with pytest.raises(error, match=f"^{message}$"):
+            decode_codeword(bad, spec)
+
+    @pytest.mark.parametrize("j", [0, 40])
+    def test_encode_stream_stops_at_the_bad_index(self, s32, j):
+        spec = CodeSpec(s32, 4)
+        stream = encode_codewords([7, j, 8], spec)
+        assert next(stream) == encode_codeword(7, spec)
+        message = f"^message index {j} outside \\[1, 39\\]$"
+        with pytest.raises(DomainError, match=message):
+            next(stream)
+        with pytest.raises(DomainError, match=message):
+            encode_codeword(j, spec)

@@ -29,6 +29,7 @@ from tdcode import (
     kth_extension,
     unrank_irr,
 )
+from tdcode import enumeration
 from tdcode.enumeration import _dp
 
 
@@ -316,6 +317,19 @@ class TestAsymptoticRate:
     def test_kappa_q3_k2(self, s32):
         phi = (1 + math.sqrt(5)) / 2
         assert asymptotic_rate(s32).kappa == pytest.approx(3 / phi**3)
+
+    def test_rate_alone_builds_no_window_dp(self, monkeypatch):
+        # kappa needs the window DP; rate and lam do not
+        monkeypatch.setattr(enumeration, "_dps", {})
+        monkeypatch.setattr(enumeration, "_degree_tables", {})
+        sys_ = DupSystem(6, 3)
+        info = asymptotic_rate(sys_)
+        assert info.rate == pytest.approx(math.log(info.lam, 6))
+        assert enumeration._dps == {}
+        kappa = info.kappa
+        assert sys_ in enumeration._dps
+        assert kappa == min(delta_min_degree(m, sys_) / info.lam**m for m in (5, 6, 7))
+        assert info.kappa is kappa
 
     def test_rate_matches_count_growth(self, s32):
         empirical = math.log(count_irr(400, s32), 3) / 400

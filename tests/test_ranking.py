@@ -223,6 +223,7 @@ class TestUnrankRank:
     def test_plain_path_keeps_the_window_table_small(self, s42, monkeypatch):
         # plain rank/unrank count through CountTable; only the lexicographic
         # base reads the window DP, so its layer table stays at 2k rows
+        monkeypatch.setattr(ranking, "_walks", {})  # its walker holds a window DP
         monkeypatch.setattr(enumeration, "_dps", {})
         j = count_irr(4000, s42) // 3
         assert rank_irr(unrank_irr(4000, j, s42), s42) == j
@@ -232,6 +233,7 @@ class TestUnrankRank:
         # prefix classes count through a CountTable seeded from the window's
         # first 2k rows; the table grows further only for a lexicographic walk
         s63 = DupSystem(6, 3)
+        monkeypatch.setattr(ranking, "_walks", {})  # its walker holds a window DP
         monkeypatch.setattr(enumeration, "_dps", {})
         p = Word.from_string("012", 6)
         j = count_irr_prefix(p, 1000, s63) // 3

@@ -331,6 +331,13 @@ class TestRandomDescendant:
         got = random_descendant(x, t, DupSystem(q, k), seed)
         assert got == random_descendant_reference(x, t, k, seed)
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_list_reference_on_a_long_word(self, k):
+        # position ranges cross many bit lengths, so rejected draws happen often
+        x = Word(tuple(random.Random(k).choices(range(4), k=300)), 4)
+        got = random_descendant(x, 3000, DupSystem(4, k), seed=k)
+        assert got == random_descendant_reference(x, 3000, k, k)
+
 
 class TestDupSystem:
     def test_validation(self):
