@@ -407,7 +407,13 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_channel(args) -> int:
-    import hashlib
+    try:  # the interpreter's own sha256: hashlib would load OpenSSL, about 3.5 MB
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
     if args.t < 0:
         raise DomainError(f"duplication count must be >= 0, got {args.t}")
@@ -433,9 +439,7 @@ def _cmd_channel(args) -> int:
             dna = bool(_merged(hdr, "dna", int(args.dna) if args.dna else None, 0))
             _check_render(sys_.q, dna)
         word = _parse_word(line, sys_.q, dna)
-        seed = int.from_bytes(
-            hashlib.sha256(f"{args.seed}:{idx}".encode()).digest()[:8], "big"
-        )
+        seed = int.from_bytes(sha256(f"{args.seed}:{idx}".encode()).digest()[:8], "big")
         noisy, _events = random_descendant(word, args.t, sys_, seed)
         out_lines.append(_render_word(noisy, dna))
         idx += 1

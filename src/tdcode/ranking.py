@@ -18,19 +18,22 @@ chosen from outside an avoid set, then symbols copied from the input.
 Branch b has c[b-1] free symbols, c the count recursion's coefficients,
 so it holds c[b-1] * size(n - b) words of a class.  Within a branch the
 preimage is ordered recursively and the avoid-set index varies fastest,
-so ranks are computed by divmod against block sizes from the class's
+so a rank is a mixed-radix number over block sizes from the class's
 CountTable.  Words with a fixed prefix p use the same order restricted
 to p's class, with a lexicographic base up to length
 max(|p| + k - 1, 2k - 1); the plain order is the empty prefix.
 
 Ranking and unranking walk window ids, the last 2k - 1 symbols that the
-window DP carries, through two tables per system built on first use
-from the suffix maps (_WalkTables).  A level then costs a few list
-lookups and O(1) big-integer operations on top of the class sizes.
+window DP carries, through tables per system built on first use from
+the suffix maps (_WalkTables).  A level costs a few list lookups and
+big-integer multiplies, compares and adds by one-digit numbers; levels
+run in blocks whose width products fit one digit, and unrank divides
+once per block, not once per level.
 """
 
 from __future__ import annotations
 
+from sys import int_info
 from typing import Sequence
 
 from .enumeration import _coefficients, _dp, _index, _kth, count_table
@@ -183,8 +186,7 @@ def _require_prefix(p: Word, sys: DupSystem) -> None:
 class _WalkTables:
     """The recursive order as lookups on window ids, for one system, and
     the rest of what rank and unrank read, built once: the window DP, the
-    branch widths (the count coefficients), the plain class sizes and
-    whether all branches have equal width.
+    branch widths (the count coefficients) and the plain class sizes.
 
     Step code starts[b - 1] + i (0 <= i < c[b - 1]) names branch b with
     free index i + 1.  apply[sid * span + code] is the window after that
@@ -192,6 +194,8 @@ class _WalkTables:
     classify[sid * q + c] is the step code of an image ending in c whose
     other symbols end in the full window sid; filled from the length-2k
     images, it is apply's inverse (as _classify is).  Other cells hold -1.
+    The plain class's base words are windows: first[r][j] is the window id
+    of the j-th (0-indexed) length-r word and lex[sid] its position.
     """
 
     def __init__(self, sys: DupSystem):
@@ -199,17 +203,26 @@ class _WalkTables:
         self.sys = sys
         self.dp = dp = _dp(sys)
         self.plain = count_table(sys)
-        trans = dp.trans
+        trans, states = dp.trans, dp.states
         self.widths = widths = _coefficients(sys)
-        self.equal = len(set(widths)) == 1
         self.starts = starts = tuple(sum(widths[:b]) for b in range(k))
         self.span = span = sum(widths)
-        self.steps = tuple(zip(range(1, k + 1), widths, starts))  # (b, c[b - 1], starts[b - 1])
+        # (b, c[b - 1], starts[b - 1]) for the branches that hold words
+        *self.head, self.last = (s for s in zip(range(1, k + 1), widths, starts) if s[1])
+        # a block ends after `levels` levels, or once its width product passes
+        # top: up to top, that product times any width stays one digit
+        self.levels = range(int_info.bits_per_digit)
+        self.top = ((1 << int_info.bits_per_digit) - 1) // max(widths)
         self.branch = tuple(b for b, w in enumerate(widths, start=1) for _ in range(w))
         self.classify = classify = [-1] * (len(trans) * q)
         self.apply = apply = [-1] * (len(trans) * span)
+        self.first = first = [[] for _ in range(dp.width + 1)]
+        self.lex = lex = [0] * len(states)
+        for sid in sorted(range(len(states)), key=states.__getitem__):
+            lex[sid] = len(first[len(states[sid])])
+            first[len(states[sid])].append(sid)
         free_sets: dict[tuple[int, ...], list[int]] = {}
-        for sid, w in enumerate(dp.states):
+        for sid, w in enumerate(states):
             for branch in range(max(2 * k - len(w), 1), k + 1):
                 avoid, copied = _suffix_map(w, len(w), branch, k)
                 free = free_sets.get(avoid)
@@ -227,62 +240,64 @@ class _WalkTables:
 
     def class_sizes(self, p: tuple[int, ...], n: int) -> list[int]:
         # v[r]: the size of p's class at length len(p) + r, for r <= n - len(p)
-        if p:
-            dp = self.dp
-            table = dp.counts(dp.window_sid(p))
-        else:
-            table = self.plain
+        table = self.dp.counts(self.dp.window_sid(p)) if p else self.plain
         table.count(n - len(p))
         return table._values
 
     def unrank(self, p: tuple[int, ...], n: int, j: int) -> tuple[Word, int]:
         """The j-th length-n word of p's class, and the number of big-integer
-        operations spent.  j must be in range."""
-        widths, dp = self.widths, self.dp
-        v = self.class_sizes(p, n)
-        r = n - len(p)
-        k = self.sys.k
-        base = max(k - 1, 2 * k - 1 - len(p))
-        j -= 1
-        ops = 0
+        operations its levels spent.  j must be in range.  A block of levels
+        runs on y = j * scale + digits, scale the product of the widths it
+        picked; one divmod at its end gives the next j and its free indices,
+        the first pick's the least significant digit."""
+        dp, v, k = self.dp, self.class_sizes(p, n), self.sys.k
+        r, base = n - len(p), max(k - 1, 2 * k - 1 - len(p))
+        head, last, top, levels = self.head, self.last, self.top, self.levels
+        y, ops = j - 1, 0
         codes: list[int] = []
-        if self.equal:  # all of k = 2: one divmod, then compares
-            w = widths[0]
-            while r > base:
-                j, i = divmod(j, w)
-                b = 1
-                ops += 2
-                while j >= v[r - b]:  # skip the lower branches' blocks
-                    j -= v[r - b]
-                    b += 1
-                    ops += 2
-                codes.append((b - 1) * w + i)
-                r -= b
-        else:
-            steps = self.steps
-            while r > base:
-                for b, w, start in steps:
-                    block = w * v[r - b]
-                    ops += 3  # a multiply, a compare, then a subtract or a divmod
-                    if j < block:
-                        j, i = divmod(j, w)
-                        codes.append(start + i)
-                        r -= b
+        while r > base:
+            scale = 1
+            picks: list[tuple[int, int, int]] = []  # the block's steps, in pick order
+            for _ in levels:
+                if r <= base or scale > top:
+                    break
+                for step in head:
+                    b, w, _ = step
+                    block = scale * w * v[r - b]
+                    if y < block:
+                        ops += 2  # its multiply and compare
                         break
-                    j -= block
-        dp.ensure_layers(r)
-        s = list(p)
-        sid = _kth(dp, dp.window_sid(p), r, (j,), s)
+                    y -= block
+                    ops += 3  # a multiply, a compare and a subtract
+                else:  # an in-range rank is in the last branch
+                    step = last
+                picks.append(step)
+                scale *= step[1]
+                r -= step[0]
+            y, digits = divmod(y, scale)
+            ops += 1
+            for _, w, start in picks:
+                digits, i = divmod(digits, w)
+                codes.append(start + i)
+        if p:
+            dp.ensure_layers(r)
+            s = list(p)
+            sid = _kth(dp, dp.window_sid(p), r, (y,), s)
+        else:
+            sid = self.first[r][y]
+            s = list(dp.states[sid])
         apply, span, branch, states = self.apply, self.span, self.branch, dp.states
         for code in reversed(codes):
             sid = apply[sid * span + code]
             s += states[sid][-branch[code]:]
-        return Word._unchecked(tuple(s), self.sys.q), ops + r
+        return Word._unchecked(tuple(s), self.sys.q), ops
 
     def rank(self, p: tuple[int, ...], x: Word) -> tuple[int, int]:
         """Rank of x within p's class, and the number of big-integer
-        operations spent.  x must start with p; DomainError if x is
-        reducible."""
+        operations its levels spent.  x must start with p; DomainError if x
+        is reducible.  As in unrank's blocks, a level's lower blocks and free
+        index are scaled by the product of the widths above it in its block,
+        and the rank below costs one multiply per block."""
         sys, dp = self.sys, self.dp
         q, trans = sys.q, dp.trans
         s = x.symbols
@@ -293,38 +308,38 @@ class _WalkTables:
             if sid < 0:  # a square ends at c
                 raise DomainError(f"{x} is not irreducible for k = {sys.k}")
             wins.append(sid)
-        n = len(s)
+        n, r = len(s), len(s) - len(p)
+        v = self.class_sizes(p, n)
         base = max(len(p) + sys.k - 1, 2 * sys.k - 1)
-        classify, branch, starts, widths = self.classify, self.branch, self.starts, self.widths
-        codes: list[int] = []
+        classify, branch, starts, head = self.classify, self.branch, self.starts, self.head
+        widths, top, levels = self.widths, self.top, self.levels
+        ops = 0
+        blocks: list[tuple[int, int]] = []  # (width product, sum), top block first
         while n > base:
-            code = classify[wins[n - 1] * q + s[n - 1]]
-            codes.append(code)
-            n -= branch[code]
-        dp.ensure_layers(n - len(p))
-        (rank,), _ = _index(dp, wins[len(p)], n - len(p), (s[len(p):n],))
-        v = self.class_sizes(p, len(s))
-        r = ops = n - len(p)
-        if self.equal:  # as in unrank: one multiply per level
-            w = widths[0]
-            for code in reversed(codes):
-                r += 1
-                while code >= w:  # skip the lower branches' blocks
-                    code -= w
-                    rank += v[r]
-                    r += 1
-                    ops += 1
-                rank = rank * w + code
-                ops += 1
-        else:
-            for code in reversed(codes):
+            scale, low, high = 1, 0, 0
+            for _ in levels:
+                if n <= base or scale > top:
+                    break
+                code = classify[wins[n - 1] * q + s[n - 1]]
                 b = branch[code]
-                r += b
-                rank = rank * widths[b - 1] + code - starts[b - 1]
-                ops += 1
-                for lower in range(1, b):  # skip the lower branches' blocks
-                    rank += widths[lower - 1] * v[r - lower]
+                for lower, w, _ in head:  # the lower branches' blocks
+                    if lower == b:
+                        break
+                    high += scale * w * v[r - lower]
                     ops += 2
+                low += (code - starts[b - 1]) * scale
+                scale *= widths[b - 1]
+                n -= b
+                r -= b
+            blocks.append((scale, high + low))
+        if p:
+            dp.ensure_layers(r)
+            (rank,), _ = _index(dp, wins[len(p)], r, (s[len(p):n],))
+        else:
+            rank = self.lex[wins[n]]
+        for scale, add in reversed(blocks):
+            rank = rank * scale + add
+        ops += 3 * len(blocks)  # per block: its sum, a multiply and an add
         return rank + 1, ops
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -15,7 +16,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdcode import CodeSpec, DomainError, DupSystem, count_irr, encode_codeword, unrank_irr
+from tdcode import (
+    CodeSpec,
+    DomainError,
+    DupSystem,
+    count_irr,
+    encode_codeword,
+    random_descendant,
+    unrank_irr,
+)
 from tdcode.cli import (
     MAX_TABLE_LENGTH,
     MAX_WINDOWS,
@@ -284,6 +293,17 @@ class TestColdStart:
                              env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
         assert out.strip() == "[]"
 
+    def test_channel_runs_without_openssl(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        enc = tmp_path / "enc.txt"
+        enc.write_text("# tdcode mode=code q=3 k=2 n=5 chunk=5 digits=0 dna=0\n01210\n02120\n")
+        code = ("import sys; from tdcode.cli import main; "
+                f"rc = main(['channel', '-t', '3', '-i', {str(enc)!r}, '-o', {str(tmp_path / 'x')!r}]); "
+                "print(rc, '_hashlib' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+        assert out.split() == ["0", "False"]
+
     def test_every_public_name_resolves(self):
         import tdcode
 
@@ -503,6 +523,24 @@ class TestChannel:
         run(capsys, "channel", "-t", "6", "--seed", "3", "-i", str(enc), "-o", str(dst))
         lines = [ln for ln in dst.read_text().splitlines() if not ln.startswith("#")]
         assert lines[0] != lines[1]
+
+    @pytest.mark.parametrize("seed", ["0", "5", "123456789"])
+    def test_strand_seeds_are_sha256_of_seed_and_index(self, seed, tmp_path, capsys, monkeypatch):
+        seen: list[int] = []
+
+        def recording(word, t, sys_, strand_seed):
+            seen.append(strand_seed)
+            return random_descendant(word, t, sys_, strand_seed)
+
+        monkeypatch.setattr("tdcode.cli.random_descendant", recording)
+        enc = tmp_path / "enc.txt"
+        enc.write_text("# tdcode mode=code q=3 k=2 n=5 chunk=5 digits=0 dna=0\n"
+                       + "01210\n" * 4)
+        rc, _, _ = run(capsys, "channel", "-t", "3", "--seed", seed,
+                       "-i", str(enc), "-o", str(tmp_path / "noisy.txt"))
+        assert rc == 0
+        assert seen == [int.from_bytes(hashlib.sha256(f"{seed}:{idx}".encode()).digest()[:8],
+                                       "big") for idx in range(4)]
 
     def test_comments_pass_through(self, tmp_path, capsys):
         enc = tmp_path / "enc.txt"

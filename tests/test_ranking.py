@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -427,3 +428,84 @@ class TestWindowWalk:
         y = x.append(x.symbols[-1])
         with pytest.raises(DomainError, match="is not irreducible for k = 2$"):
             rank_irr(y, s42)
+
+
+# ------------------------------------------------------ blocks of levels
+
+
+BLOCK_SYSTEMS = [(q, k) for q in (3, 4, 5, 8) for k in (2, 3)]
+
+
+def _block_length(q: int) -> int:
+    # levels per block on a path of width-(q - 2) branches, the widest: the
+    # block's width product times q - 2 stays one digit, for at most
+    # bits_per_digit levels (width 1, q = 3, never grows the product)
+    bits = sys.int_info.bits_per_digit
+    w, levels = q - 2, 0
+    while levels < bits and w ** levels * w < 1 << bits:
+        levels += 1
+    return levels
+
+
+def _block_classes(sys_: DupSystem) -> list[tuple[Word, int]]:
+    # the plain class and two prefix classes, each with its lexicographic
+    # base length above the prefix
+    q, k = sys_.q, sys_.k
+    prefixes = [Word((), q), Word((0,), q), unrank_irr(2 * k, count_irr(2 * k, sys_) // 2, sys_)]
+    return [(p, max(k - 1, 2 * k - 1 - len(p))) for p in prefixes]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("q, k", BLOCK_SYSTEMS)
+    def test_level_counts_around_a_block_agree_with_the_recursion(self, q, k):
+        # L levels: L one-symbol steps for the first ranks, L k-symbol steps
+        # for the last; L = B - 1, B, B + 1 and 2B put the block's end just
+        # before, at and just after the last level, and at a second block's end
+        sys_ = DupSystem(q, k)
+        blocks = _block_length(q)
+        for p, base in _block_classes(sys_):
+            for levels in (blocks - 1, blocks, blocks + 1, 2 * blocks):
+                for n in (len(p) + base + levels, len(p) + base + k * levels):
+                    total = _size_ref(p, n, sys_)
+                    for j in sorted({j for j in (1, 2, total // 2, total - 1, total) if j >= 1}):
+                        word, _ = _unrank(p.symbols, n, j, sys_)
+                        assert word == _unrank_ref(p, n, j, sys_), (p, n, j)
+                        assert _rank(p.symbols, word, sys_)[0] == j == _rank_ref(p, word, sys_)
+
+    @pytest.mark.parametrize("q, k", BLOCK_SYSTEMS)
+    def test_op_counts_follow_the_blocks(self, q, k):
+        # rank 1 takes the first branch at every level: a multiply and a
+        # compare; the last rank takes the last branch after a multiply, a
+        # compare and a subtract per lower branch that holds words.  Unrank
+        # adds one divmod per block; rank adds the lower blocks (a multiply
+        # and an add each), and per block its sum, a multiply and an add
+        sys_ = DupSystem(q, k)
+        blocks = _block_length(q)
+        lower = sum(1 for width in _widths(sys_)[:-1] if width)
+        for p, base in _block_classes(sys_):
+            for levels in (blocks - 1, blocks, blocks + 1, 2 * blocks):
+                divmods = -(-levels // blocks)
+                n = len(p) + base + levels
+                word, ops = _unrank(p.symbols, n, 1, sys_)
+                assert ops == 2 * levels + divmods
+                assert _rank(p.symbols, word, sys_) == (1, 3 * divmods)
+                n = len(p) + base + k * levels
+                total = _size_ref(p, n, sys_)
+                word, ops = _unrank(p.symbols, n, total, sys_)
+                assert ops == 3 * lower * levels + divmods
+                assert _rank(p.symbols, word, sys_) == (total, 2 * lower * levels + 3 * divmods)
+
+    @pytest.mark.parametrize("q, k", BLOCK_SYSTEMS)
+    def test_plain_base_tables_are_the_lexicographic_walk(self, q, k):
+        sys_ = DupSystem(q, k)
+        dp, walk = enumeration._dp(sys_), _walk_tables(sys_)
+        empty = dp.window_sid(())
+        dp.ensure_layers(dp.width)
+        assert [len(row) for row in walk.first] == [dp.layers[r][empty] for r in range(dp.width + 1)]
+        for r, row in enumerate(walk.first):
+            for j, sid in enumerate(row):
+                out: list[int] = []
+                assert enumeration._kth(dp, empty, r, (j,), out) == sid
+                assert tuple(out) == dp.states[sid]
+        for sid, state in enumerate(dp.states):
+            assert enumeration._index(dp, empty, len(state), (state,)) == ([walk.lex[sid]], sid)
