@@ -22,7 +22,7 @@ from .enumeration import (
 from .errors import CorruptInputError, DomainError, TandemCodeError, show_int
 from .fse import FseCodec, _block_value, _value_block
 from .ranking import rank_irr, unrank_irr
-from .words import DupSystem, Word, random_descendant, root
+from .words import DupSystem, Word, _duplicate, random_descendant, root
 
 HEADER_PREFIX = "# tdcode"
 
@@ -30,7 +30,9 @@ HEADER_PREFIX = "# tdcode"
 # every count up to its length n, about rate * log2(q) * n**2 / 2 bits
 # (100 MB at q = 4, k = 2, n = 2**15): count -n, unrank -n, rank -w and
 # encode -n set n, and -e sets the state length m up to which
-# delta_min_degree counts.  A stream's strands bound its header.
+# delta_min_degree counts.  A stream's strands bound its header.  It
+# also caps channel -t: each duplication moves the strand's tail, so the
+# channel's time grows as t**2 (-t 32768 on a 175k-symbol strand: 0.2 s).
 MAX_TABLE_LENGTH = 1 << 15
 
 # The most full suffix windows (irreducible words of length 2k - 1) a
@@ -92,10 +94,13 @@ def _write_bytes(path: str, data: bytes) -> None:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return _sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    data = _read_bytes(path)
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise CorruptInputError(
+            f"input is not ASCII text: byte 0x{data[exc.start]:02x} at offset {exc.start}"
+        ) from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -417,10 +422,13 @@ def _cmd_channel(args) -> int:
 
     if args.t < 0:
         raise DomainError(f"duplication count must be >= 0, got {args.t}")
+    if args.t > MAX_TABLE_LENGTH:
+        raise DomainError(f"duplication count {args.t} exceeds the cap {MAX_TABLE_LENGTH}")
     out_lines: list[str] = []
     header: Optional[dict] = None
     sys_: Optional[DupSystem] = None
     dna = False
+    letters = b""
     idx = 0
     for raw in _read_text(args.input).splitlines():
         line = raw.strip()
@@ -438,10 +446,14 @@ def _cmd_channel(args) -> int:
             sys_ = DupSystem(int(q), int(k))
             dna = bool(_merged(hdr, "dna", int(args.dna) if args.dna else None, 0))
             _check_render(sys_.q, dna)
-        word = _parse_word(line, sys_.q, dna)
+            letters = b"ACGT" if dna else "0123456789"[:sys_.q].encode()
+        # duplicate the characters themselves: the draws depend only on lengths
+        buf = bytearray(line.upper() if dna else line, "ascii")
+        if buf.translate(None, letters):
+            _parse_word(line, sys_.q, dna)  # raises with the parser's message
         seed = int.from_bytes(sha256(f"{args.seed}:{idx}".encode()).digest()[:8], "big")
-        noisy, _events = random_descendant(word, args.t, sys_, seed)
-        out_lines.append(_render_word(noisy, dna))
+        _duplicate(buf, args.t, sys_.k, seed)
+        out_lines.append(buf.decode())
         idx += 1
     _write_text(args.output, "\n".join(out_lines) + ("\n" if out_lines else ""))
     return 0

@@ -218,37 +218,49 @@ def extend_zeta(x: Word, i: int) -> Word:
     return Word._unchecked(x.symbols + (x.symbols[-1],) * i, x.q)
 
 
+def _duplicate(buf, t: int, k: int, seed: int) -> list[tuple[int, int]]:
+    """Apply t random duplications to the mutable sequence buf in place.
+
+    Each step draws the block length uniformly from [1, min(k, current
+    length)] and the position uniformly over valid starts, both as
+    Random.randint draws them: getrandbits of the range's bit length,
+    drawn again while the value is out of range.  The draws depend only on
+    the seed and the lengths, so duplicating a bytearray of rendered
+    characters gives the rendering of the duplicated symbols.  Returns the
+    (position, length) draws.  buf must be non-empty when t > 0.
+    """
+    bits = random.Random(seed).getrandbits
+    draws = []
+    for _ in range(t):
+        w = min(k, len(buf))  # length - 1 is drawn below w
+        length = bits(w.bit_length())
+        while length >= w:
+            length = bits(w.bit_length())
+        length += 1
+        w = len(buf) - length + 1  # pos is drawn below w
+        pos = bits(w.bit_length())
+        while pos >= w:
+            pos = bits(w.bit_length())
+        buf[pos + length:pos + length] = buf[pos:pos + length]
+        draws.append((pos, length))
+    return draws
+
+
 def random_descendant(
     x: Word, t: int, sys: DupSystem, seed: int
 ) -> tuple[Word, list[DuplicationEvent]]:
     """Apply t random duplications and return the result with its event trace.
 
-    Each step draws the block length uniformly from [1, min(k, current
-    length)] and the position uniformly over valid starts, both as
-    Random.randint draws them: getrandbits of the range's bit length,
-    drawn again while the value is out of range.  The same seed always
-    yields the same trace.  The symbols live in a bytearray when they fit
-    a byte, so each insertion moves one byte per symbol.
+    The draws are _duplicate's, so the same seed always yields the same
+    trace.  The symbols live in a bytearray when they fit a byte, so each
+    insertion moves one byte per symbol.
     """
     _check_alphabet(x, sys)
     if t < 0:
         raise DomainError(f"duplication count must be >= 0, got {t}")
     if len(x) == 0 and t > 0:
         raise DomainError("cannot duplicate within the empty word")
-    bits = random.Random(seed).getrandbits
     syms = bytearray(x.symbols) if x.q <= 256 else list(x.symbols)
-    events: list[DuplicationEvent] = []
     event = DuplicationEvent._unchecked
-    for _ in range(t):
-        w = min(sys.k, len(syms))  # length - 1 is drawn below w
-        length = bits(w.bit_length())
-        while length >= w:
-            length = bits(w.bit_length())
-        length += 1
-        w = len(syms) - length + 1  # pos is drawn below w
-        pos = bits(w.bit_length())
-        while pos >= w:
-            pos = bits(w.bit_length())
-        syms[pos + length:pos + length] = syms[pos:pos + length]
-        events.append(event(pos, length))
+    events = [event(pos, length) for pos, length in _duplicate(syms, t, sys.k, seed)]
     return Word._unchecked(tuple(syms), x.q), events

@@ -20,6 +20,7 @@ from tdcode import (
     CodeSpec,
     DomainError,
     DupSystem,
+    Word,
     count_irr,
     encode_codeword,
     random_descendant,
@@ -126,6 +127,35 @@ class TestExitCodes:
         assert "error:" in err
 
 
+class TestNonAsciiInput:
+    @pytest.mark.parametrize("argv", [
+        ("decode",),
+        ("channel", "-t", "2"),
+        ("encode", "--mode", "fse", "-q", "3", "-k", "2", "--ell", "1", "--m", "3",
+         "--digits"),
+    ], ids=["decode", "channel", "encode-digits"])
+    @pytest.mark.parametrize("data", [
+        "# tdcode mode=fse q=3 k=2 ell=1 m=3 chunk=1 digits=1 dna=0\n01Ä2\n".encode(),
+        b"\xff012\n",
+    ], ids=["utf8", "ff"])
+    def test_is_a_corrupt_input_error(self, argv, data, tmp_path, capsys):
+        offset = next(i for i, b in enumerate(data) if b > 127)
+        src = tmp_path / "in.txt"
+        src.write_bytes(data)
+        rc, _, err = run(capsys, *argv, "-i", str(src), "-o", str(tmp_path / "out"))
+        assert rc == 1
+        byte = f"0x{data[offset]:02x}"
+        assert err == f"error: input is not ASCII text: byte {byte} at offset {offset}\n"
+
+    def test_on_stdin(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-m", "tdcode.cli", "channel", "-q", "4", "-k", "2",
+                               "-t", "1"], input="ACÄT\n".encode(), capture_output=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1
+        assert proc.stderr == b"error: input is not ASCII text: byte 0xc3 at offset 2\n"
+
+
 class TestFlagBounds:
     OVER = str(MAX_TABLE_LENGTH + 1)
 
@@ -182,6 +212,15 @@ class TestFlagBounds:
         rc, _, err = run(capsys, *argv)
         assert rc == 2
         assert f"over the window cap {MAX_WINDOWS}" in err and "Traceback" not in err
+
+    def test_duplication_count_past_the_cap_fails_before_reading(self, capsys, monkeypatch):
+        def reading(*args):
+            raise AssertionError("the input was read before -t was checked")
+
+        monkeypatch.setattr("tdcode.cli._read_text", reading)
+        rc, _, err = run(capsys, "channel", "-q", "4", "-k", "2", "-t", self.OVER)
+        assert rc == 2
+        assert f"exceeds the cap {MAX_TABLE_LENGTH}" in err and "Traceback" not in err
 
     def test_the_cap_itself_is_allowed(self):
         _check_length(MAX_TABLE_LENGTH, "length")
@@ -525,22 +564,43 @@ class TestChannel:
         assert lines[0] != lines[1]
 
     @pytest.mark.parametrize("seed", ["0", "5", "123456789"])
-    def test_strand_seeds_are_sha256_of_seed_and_index(self, seed, tmp_path, capsys, monkeypatch):
-        seen: list[int] = []
+    def test_strand_seeds_are_sha256_of_seed_and_index(self, seed, tmp_path, capsys):
+        # each noisy strand is random_descendant's at the strand's sha256 seed:
+        # DNA (lower case too) and digit streams, q 3..10 x k 2..3
+        rng = random.Random(seed)
+        systems = [(4, k, True) for k in (2, 3)]
+        systems += [(q, k, False) for q in range(3, 11) for k in (2, 3)]
+        for q, k, dna in systems:
+            alphabet = "ACGTacgt" if dna else "0123456789"[:q]
+            strands = ["".join(rng.choices(alphabet, k=rng.randint(1, 40))) for _ in range(6)]
+            enc = tmp_path / "enc.txt"
+            enc.write_text(f"# tdcode mode=code q={q} k={k} n=5 digits=0 dna={int(dna)}\n"
+                           + "\n".join(strands) + "\n")
+            noisy = tmp_path / "noisy.txt"
+            rc, _, _ = run(capsys, "channel", "-t", "5", "--seed", seed,
+                           "-i", str(enc), "-o", str(noisy))
+            assert rc == 0
+            sys_ = DupSystem(q, k)
+            for idx, (strand, got) in enumerate(zip(strands, noisy.read_text().splitlines()[1:])):
+                digest = hashlib.sha256(f"{seed}:{idx}".encode()).digest()
+                word = Word.from_dna(strand) if dna else Word.from_string(strand, q)
+                y, _ = random_descendant(word, 5, sys_, int.from_bytes(digest[:8], "big"))
+                assert got == (y.to_dna() if dna else str(y))
 
-        def recording(word, t, sys_, strand_seed):
-            seen.append(strand_seed)
-            return random_descendant(word, t, sys_, strand_seed)
-
-        monkeypatch.setattr("tdcode.cli.random_descendant", recording)
+    @pytest.mark.parametrize("header, strand, message", [
+        ("q=3 k=2 n=5 digits=0 dna=0", "0130",
+         "cannot parse strand '0130': symbol 3 outside alphabet of size 3"),
+        ("q=3 k=2 n=5 digits=0 dna=0", "01 2",
+         "cannot parse strand '01 2': not a digit string: '01 2'"),
+        ("q=4 k=3 n=5 digits=0 dna=1", "acXt",
+         "cannot parse strand 'acXt': not a DNA string: 'acXt'"),
+    ], ids=["digit-past-q", "space", "dna-letter"])
+    def test_bad_strand_message(self, header, strand, message, tmp_path, capsys):
         enc = tmp_path / "enc.txt"
-        enc.write_text("# tdcode mode=code q=3 k=2 n=5 chunk=5 digits=0 dna=0\n"
-                       + "01210\n" * 4)
-        rc, _, _ = run(capsys, "channel", "-t", "3", "--seed", seed,
-                       "-i", str(enc), "-o", str(tmp_path / "noisy.txt"))
-        assert rc == 0
-        assert seen == [int.from_bytes(hashlib.sha256(f"{seed}:{idx}".encode()).digest()[:8],
-                                       "big") for idx in range(4)]
+        enc.write_text(f"# tdcode mode=code {header}\n{strand}\n")
+        rc, _, err = run(capsys, "channel", "-t", "2", "-i", str(enc), "-o", str(tmp_path / "x"))
+        assert rc == 1
+        assert err == f"error: {message}\n"
 
     def test_comments_pass_through(self, tmp_path, capsys):
         enc = tmp_path / "enc.txt"
