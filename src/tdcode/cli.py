@@ -6,23 +6,15 @@ import argparse
 import random
 import sys as _sys
 from contextlib import contextmanager
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .codec import CodeSpec, decode_codewords, encode_codewords
-from .enumeration import (
-    FseParams,
-    _estimate,
-    asymptotic_rate,
-    choose_params,
-    code_size,
-    count_irr,
-    count_table,
-    delta_min_degree,
-)
 from .errors import CorruptInputError, DomainError, TandemCodeError, show_int
-from .fse import FseCodec, _block_value, _value_block
-from .ranking import rank_irr, unrank_irr
 from .words import DupSystem, Word, _duplicate, random_descendant, root
+
+# Each command imports the counting, ranking, codec and FSE modules it
+# runs, so a channel process loads (and compiles) none of them.
+if TYPE_CHECKING:
+    from .enumeration import FseParams
 
 HEADER_PREFIX = "# tdcode"
 
@@ -175,6 +167,8 @@ def _check_length(n: int, what: str) -> None:
 
 def _window_system(q: int, k: int) -> DupSystem:
     # for every command that builds the window DP, before it does
+    from .enumeration import count_table
+
     sys_ = DupSystem(q, k)
     windows = count_table(sys_).count(2 * k - 1)  # a closed-form base value
     if windows > MAX_WINDOWS:
@@ -185,6 +179,8 @@ def _window_system(q: int, k: int) -> DupSystem:
 
 
 def _choose_params(epsilon: float, sys_: DupSystem) -> FseParams:
+    from .enumeration import _estimate, asymptotic_rate, choose_params
+
     info = asymptotic_rate(sys_)
     if 0 < epsilon < info.rate:  # else choose_params rejects epsilon
         _check_length(_estimate(epsilon, info)[1], f"epsilon {epsilon}: state length")
@@ -193,6 +189,8 @@ def _choose_params(epsilon: float, sys_: DupSystem) -> FseParams:
 
 def _resolve_fse_params(args, sys_: DupSystem, header: dict) -> FseParams:
     # like _merged: the header's ell and m win, -e (or else --ell/--m) fills gaps
+    from .enumeration import FseParams
+
     ell, m = args.ell, args.m
     if args.epsilon is not None and not ("ell" in header and "m" in header):
         chosen = _choose_params(args.epsilon, sys_)
@@ -220,6 +218,8 @@ def _all_digits():
 def _cmd_count(args) -> int:
     import json
 
+    from .enumeration import count_irr
+
     sys_ = DupSystem(args.q, args.k)
     _check_length(args.n, "length")
     value = count_irr(args.n, sys_)
@@ -233,6 +233,8 @@ def _cmd_count(args) -> int:
 
 def _cmd_rate(args) -> int:
     import json
+
+    from .enumeration import asymptotic_rate
 
     sys_ = _window_system(args.q, args.k)
     info = asymptotic_rate(sys_)
@@ -251,6 +253,8 @@ def _cmd_rate(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    from .ranking import rank_irr
+
     sys_ = _window_system(args.q, args.k)
     _check_render(args.q, args.dna)
     word = Word.from_dna(args.word) if args.dna else Word.from_string(args.word, args.q)
@@ -261,6 +265,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_unrank(args) -> int:
+    from .ranking import unrank_irr
+
     sys_ = _window_system(args.q, args.k)
     _check_render(args.q, args.dna)
     _check_length(args.n, "length")
@@ -273,6 +279,9 @@ def _cmd_encode(args) -> int:
     dna = bool(args.dna)
     _check_render(args.q, dna)
     if args.mode == "code":
+        from .codec import CodeSpec, encode_codewords
+        from .enumeration import code_size
+
         if args.digits:
             raise DomainError("--digits applies only to --mode fse")
         if args.n is None:
@@ -291,6 +300,8 @@ def _cmd_encode(args) -> int:
             lines += [_render_word(y, dna) for y in encode_codewords(js, spec)]
         _write_text(args.output, "\n".join(lines) + "\n")
         return 0
+    from .fse import FseCodec, _block_value
+
     params = _resolve_fse_params(args, sys_, {})
     chunk = (sys_.q**params.ell).bit_length() - 1
     codec = FseCodec(params)
@@ -349,6 +360,9 @@ def _cmd_decode(args) -> int:
     digits = bool(_merged(header, "digits", int(args.digits) if args.digits else None, 0))
     _check_render(sys_.q, dna)
     if mode == "code":
+        from .codec import CodeSpec, decode_codewords
+        from .enumeration import code_size
+
         n = _merged(header, "n", args.n)
         if n is None:
             raise DomainError("code mode needs -n or a stream header")
@@ -378,6 +392,8 @@ def _cmd_decode(args) -> int:
             values.append(j - 1)
         _write_bytes(args.output, _join_chunks(values, chunk))
         return 0
+    from .fse import FseCodec, _value_block
+
     params = _resolve_fse_params(args, sys_, header)
     if not strands:
         _write_bytes(args.output, b"")
@@ -466,12 +482,14 @@ def _default_delta_lengths(sys_: DupSystem) -> tuple[int, ...]:
 def _cmd_verify(args) -> int:
     import json
 
+    from .enumeration import count_irr, delta_min_degree
     from .oracle import (
         OracleBudget,
         all_roots_bfs,
         enumerate_irr_bruteforce,
         min_outdegree_bruteforce,
     )
+    from .ranking import rank_irr, unrank_irr
 
     sys_ = _window_system(args.q, args.k)
     budget = OracleBudget(max_words=args.budget, max_depth=max(args.depth, 12))

@@ -61,8 +61,7 @@ def encode_codewords(js: Iterable[int], spec: CodeSpec) -> Iterator[Word]:
         if not 1 <= j <= total:
             raise DomainError(f"message index {show_int(j)} outside [1, {show_int(total)}]")
         i = bisect_left(cum, j, 1, n + 1)  # the first root length with cum[i] >= j
-        r, _ = unrank((), i, j - cum[i - 1])
-        yield extend_zeta(r, n - i)
+        yield extend_zeta(unrank((), i, j - cum[i - 1]), n - i)
 
 
 def decode_codewords(ys: Iterable[Word], spec: CodeSpec) -> Iterator[int]:
@@ -85,7 +84,7 @@ def decode_codewords(ys: Iterable[Word], spec: CodeSpec) -> Iterator[int]:
             raise NotADescendantError(f"root length {m} exceeds the code length {n}")
         if len(cum) < m:
             ct.cumulative(m - 1)
-        yield cum[m - 1] + rank((), r)[0]
+        yield cum[m - 1] + rank((), r)
 
 
 def encode_codeword(j: int, spec: CodeSpec) -> Word:

@@ -431,7 +431,6 @@ class FseParams:
     sys: DupSystem
     ell: int
     m: int
-    epsilon: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.ell < 1:
@@ -478,6 +477,6 @@ def choose_params(epsilon: float, sys: DupSystem) -> FseParams:
         while m > 2 * sys.k - 1 and labeled <= delta_min_degree(m - 1, sys):
             m -= 1
         if ell / m >= c - epsilon:
-            return FseParams(sys, ell, m, epsilon)
+            return FseParams(sys, ell, m)
         # m sits at its floor 2k-1 (short blocks only); ell/m -> c as ell grows
         ell += 1

@@ -10,8 +10,7 @@ shorter irreducible word:
   symbol of its input (image: last symbol equals the one two back).
 * k = 3: phi1 appends one symbol, phi2 appends two, phi3 appends three;
   their avoid sets depend on whether the input's last three symbols are
-  all distinct, and their images partition the irreducible words by a
-  suffix test (see _classify).
+  all distinct, and their images partition the irreducible words.
 
 Branch b of a suffix map always appends b symbols: a free symbol sigma
 chosen from outside an avoid set, then symbols copied from the input.
@@ -71,22 +70,14 @@ def _free_symbols(avoid: tuple[int, ...], q: int) -> list[int]:
 
 def _classify(s: Sequence[int], n: int, k: int, q: int) -> tuple[int, int]:
     """(branch, i): the suffix map that produced the irreducible word s[:n]
-    and the avoid-set index of its free symbol."""
-    if k == 2:
-        branch = 1 if s[n - 1] != s[n - 3] else 2
-    elif s[n - 1] != s[n - 4]:
-        branch = 1
-    else:
-        s6, s4 = s[n - 6], s[n - 4]
-        if (s6 == s4 and s[n - 2] == s[n - 5]) or (s6 != s4 and s[n - 2] == s6):
-            branch = 3
-        else:
-            branch = 2
-    avoid, _ = _suffix_map(s, n - branch, branch, k)
-    sigma = s[n - branch]
-    if sigma in avoid:
-        raise DomainError("word is not in the expected image class")
-    return branch, 1 + sigma - sum(1 for a in avoid if a < sigma)
+    and the avoid-set index of its free symbol: the branch whose map, applied
+    to s[:n - branch], gives s[:n]."""
+    for branch in range(1, k + 1):
+        avoid, copied = _suffix_map(s, n - branch, branch, k)
+        sigma = s[n - branch]
+        if sigma not in avoid and tuple(s[n - branch + 1:n]) == copied:
+            return branch, 1 + sigma - sum(1 for a in avoid if a < sigma)
+    raise DomainError("word is not in the expected image class")
 
 
 def _apply(x: Word, i: int, branch: int, sys: DupSystem, k: int, min_len: int) -> Word:
@@ -244,16 +235,15 @@ class _WalkTables:
         table.count(n - len(p))
         return table._values
 
-    def unrank(self, p: tuple[int, ...], n: int, j: int) -> tuple[Word, int]:
-        """The j-th length-n word of p's class, and the number of big-integer
-        operations its levels spent.  j must be in range.  A block of levels
-        runs on y = j * scale + digits, scale the product of the widths it
-        picked; one divmod at its end gives the next j and its free indices,
-        the first pick's the least significant digit."""
+    def unrank(self, p: tuple[int, ...], n: int, j: int) -> Word:
+        """The j-th length-n word of p's class; j must be in range.  A block
+        of levels runs on y = j * scale + digits, scale the product of the
+        widths it picked; one divmod at its end gives the next j and its free
+        indices, the first pick's the least significant digit."""
         dp, v, k = self.dp, self.class_sizes(p, n), self.sys.k
         r, base = n - len(p), max(k - 1, 2 * k - 1 - len(p))
         head, last, top, levels = self.head, self.last, self.top, self.levels
-        y, ops = j - 1, 0
+        y = j - 1
         codes: list[int] = []
         while r > base:
             scale = 1
@@ -265,17 +255,14 @@ class _WalkTables:
                     b, w, _ = step
                     block = scale * w * v[r - b]
                     if y < block:
-                        ops += 2  # its multiply and compare
                         break
                     y -= block
-                    ops += 3  # a multiply, a compare and a subtract
                 else:  # an in-range rank is in the last branch
                     step = last
                 picks.append(step)
                 scale *= step[1]
                 r -= step[0]
             y, digits = divmod(y, scale)
-            ops += 1
             for _, w, start in picks:
                 digits, i = divmod(digits, w)
                 codes.append(start + i)
@@ -290,11 +277,10 @@ class _WalkTables:
         for code in reversed(codes):
             sid = apply[sid * span + code]
             s += states[sid][-branch[code]:]
-        return Word._unchecked(tuple(s), self.sys.q), ops
+        return Word._unchecked(tuple(s), self.sys.q)
 
-    def rank(self, p: tuple[int, ...], x: Word) -> tuple[int, int]:
-        """Rank of x within p's class, and the number of big-integer
-        operations its levels spent.  x must start with p; DomainError if x
+    def rank(self, p: tuple[int, ...], x: Word) -> int:
+        """Rank of x within p's class; x must start with p, DomainError if x
         is reducible.  As in unrank's blocks, a level's lower blocks and free
         index are scaled by the product of the widths above it in its block,
         and the rank below costs one multiply per block."""
@@ -313,7 +299,6 @@ class _WalkTables:
         base = max(len(p) + sys.k - 1, 2 * sys.k - 1)
         classify, branch, starts, head = self.classify, self.branch, self.starts, self.head
         widths, top, levels = self.widths, self.top, self.levels
-        ops = 0
         blocks: list[tuple[int, int]] = []  # (width product, sum), top block first
         while n > base:
             scale, low, high = 1, 0, 0
@@ -326,7 +311,6 @@ class _WalkTables:
                     if lower == b:
                         break
                     high += scale * w * v[r - lower]
-                    ops += 2
                 low += (code - starts[b - 1]) * scale
                 scale *= widths[b - 1]
                 n -= b
@@ -339,8 +323,7 @@ class _WalkTables:
             rank = self.lex[wins[n]]
         for scale, add in reversed(blocks):
             rank = rank * scale + add
-        ops += 3 * len(blocks)  # per block: its sum, a multiply and an add
-        return rank + 1, ops
+        return rank + 1
 
 
 _walks: dict[DupSystem, _WalkTables] = {}
@@ -353,14 +336,6 @@ def _walk_tables(sys: DupSystem) -> _WalkTables:
     return tables
 
 
-def _unrank(p: tuple[int, ...], n: int, j: int, sys: DupSystem) -> tuple[Word, int]:
-    return _walk_tables(sys).unrank(p, n, j)
-
-
-def _rank(p: tuple[int, ...], x: Word, sys: DupSystem) -> tuple[int, int]:
-    return _walk_tables(sys).rank(p, x)
-
-
 def unrank_irr(n: int, j: int, sys: DupSystem) -> Word:
     """The j-th irreducible word of length n (1-indexed) in the recursive
     order."""
@@ -369,14 +344,14 @@ def unrank_irr(n: int, j: int, sys: DupSystem) -> Word:
     total = count_table(sys).count(n)
     if not 1 <= j <= total:
         raise DomainError(f"rank {show_int(j)} outside [1, {show_int(total)}] for length {n}")
-    return _unrank((), n, j, sys)[0]
+    return _walk_tables(sys).unrank((), n, j)
 
 
 def rank_irr(x: Word, sys: DupSystem) -> int:
     """Rank (1-indexed) of an irreducible word in the recursive order."""
     if x.q != sys.q:
         raise DomainError(f"word alphabet q={x.q} does not match system q={sys.q}")
-    return _rank((), x, sys)[0]
+    return _walk_tables(sys).rank((), x)
 
 
 def unrank_irr_prefix(p: Word, n: int, j: int, sys: DupSystem) -> Word:
@@ -389,7 +364,7 @@ def unrank_irr_prefix(p: Word, n: int, j: int, sys: DupSystem) -> Word:
     if not 1 <= j <= total:
         raise DomainError(f"rank {show_int(j)} outside [1, {show_int(total)}] "
                           f"for prefix {p}, length {n}")
-    return _unrank(p.symbols, n, j, sys)[0]
+    return _walk_tables(sys).unrank(p.symbols, n, j)
 
 
 def rank_irr_prefix(p: Word, x: Word, sys: DupSystem) -> int:
@@ -399,4 +374,4 @@ def rank_irr_prefix(p: Word, x: Word, sys: DupSystem) -> int:
         raise DomainError(f"word alphabet q={x.q} does not match system q={sys.q}")
     if x.symbols[:len(p)] != p.symbols:
         raise DomainError(f"{x} does not start with prefix {p}")
-    return _rank(p.symbols, x, sys)[0]
+    return _walk_tables(sys).rank(p.symbols, x)

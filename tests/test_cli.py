@@ -172,8 +172,9 @@ class TestFlagBounds:
         def counting(*args):
             raise AssertionError("counting started before the flag was checked")
 
-        for name in ("count_irr", "code_size", "choose_params", "rank_irr", "unrank_irr"):
-            monkeypatch.setattr(f"tdcode.cli.{name}", counting)
+        for name in ("enumeration.count_irr", "enumeration.code_size",
+                     "enumeration.choose_params", "ranking.rank_irr", "ranking.unrank_irr"):
+            monkeypatch.setattr(f"tdcode.{name}", counting)
         src = tmp_path / "in.txt"
         src.write_text("0102\n")
         if argv[0] in ("encode", "decode"):
@@ -184,7 +185,7 @@ class TestFlagBounds:
 
     def test_subnormal_epsilon_is_a_domain_error(self, capsys, monkeypatch):
         # its ell overflows a float before there is a state length to cap
-        monkeypatch.setattr("tdcode.cli.choose_params", None)
+        monkeypatch.setattr("tdcode.enumeration.choose_params", None)
         rc, _, err = run(capsys, "rate", "-q", "3", "-k", "2", "-e", "5e-324")
         assert rc == 2
         assert "is too small" in err and "Traceback" not in err
@@ -258,8 +259,8 @@ class TestHeaderBounds:
         def counting(*args):
             raise AssertionError("decoding started before the header was checked")
 
-        monkeypatch.setattr("tdcode.cli.FseCodec", counting)
-        monkeypatch.setattr("tdcode.cli.decode_codewords", counting)
+        monkeypatch.setattr("tdcode.fse.FseCodec", counting)
+        monkeypatch.setattr("tdcode.codec.decode_codewords", counting)
         rc, _, err = run(capsys, "decode", "-i", str(enc), "-o", str(tmp_path / "out"))
         assert rc == 1
         assert "error:" in err and "Traceback" not in err
@@ -277,7 +278,7 @@ class TestHeaderBounds:
         def counting(*args):
             raise AssertionError("code_size ran before the strands were checked")
 
-        monkeypatch.setattr("tdcode.cli.code_size", counting)
+        monkeypatch.setattr("tdcode.enumeration.code_size", counting)
         rc, _, err = run(capsys, "decode", "-i", str(enc), "-o", str(tmp_path / "out"))
         assert rc == rc_expected
         assert "Traceback" not in err
@@ -342,6 +343,24 @@ class TestColdStart:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
         assert out.split() == ["0", "False"]
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["channel", "-t", "3"], []),
+        (["encode", "--mode", "fse", "-q", "4", "-k", "3", "-e", "0.15"],
+         ["tdcode.enumeration", "tdcode.fse"]),
+    ], ids=["channel", "encode-fse"])
+    def test_a_command_loads_only_the_modules_it_runs(self, argv, loaded, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        enc = tmp_path / "enc.txt"
+        enc.write_text("# tdcode mode=code q=4 k=3 n=8 chunk=9 digits=0 dna=1\nACGTACGA\n")
+        argv = [*argv, "-i", str(enc), "-o", str(tmp_path / "x")]
+        code = ("import sys; from tdcode.cli import main; "
+                f"rc = main({argv!r}); "
+                "print(rc, *sorted({'tdcode.codec', 'tdcode.enumeration', 'tdcode.fse', "
+                "'tdcode.ranking'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+        assert out.split() == ["0", *loaded]
 
     def test_every_public_name_resolves(self):
         import tdcode
@@ -461,7 +480,7 @@ class TestEncodeDecodeRoundTrip:
         def no_code_size(*args):
             raise AssertionError("code_size called although the header has chunk")
 
-        monkeypatch.setattr("tdcode.cli.code_size", no_code_size)
+        monkeypatch.setattr("tdcode.enumeration.code_size", no_code_size)
         rc, _, err = run(capsys, "decode", "-i", str(enc), "-o", str(out))
         assert rc == 0, err
         assert out.read_bytes() == b"hi"

@@ -39,7 +39,7 @@ from tdcode import (
     kth_extension,
 )
 from tdcode import enumeration, ranking
-from tdcode.ranking import _classify, _rank, _unrank, _walk_tables
+from tdcode.ranking import _WalkTables, _classify, _walk_tables
 
 
 def w(text: str, q: int = 3) -> Word:
@@ -48,6 +48,63 @@ def w(text: str, q: int = 3) -> Word:
 
 def all_irr(n: int, sys_: DupSystem) -> list[Word]:
     return [unrank_irr(n, j, sys_) for j in range(1, count_irr(n, sys_) + 1)]
+
+
+# ------------------------------------- counting big-integer operations
+
+
+def _counting_int() -> type:
+    """A fresh int subclass that counts the arithmetic and compares made on
+    its values in its `ops` attribute.
+
+    A sum, difference, product or compare with a counted operand adds one,
+    and the sum, difference or product is counted again.  divmod adds one
+    and returns a counted quotient and a plain remainder, so a block's
+    mixed-radix digits (under 2**30) stay uncounted.
+    """
+
+    class Counted(int):
+        ops = 0
+
+        def __divmod__(self, other):
+            Counted.ops += 1
+            quotient, remainder = int.__divmod__(self, other)
+            return Counted(quotient), remainder
+
+        def __rdivmod__(self, other):
+            Counted.ops += 1
+            quotient, remainder = int.__rdivmod__(self, other)
+            return Counted(quotient), remainder
+
+    def counting(plain):
+        def op(self, other):
+            Counted.ops += 1
+            result = plain(self, other)
+            return result if isinstance(result, bool) else Counted(result)
+
+        return op
+
+    for name in ("add", "radd", "sub", "rsub", "mul", "rmul", "lt", "le", "gt", "ge"):
+        setattr(Counted, f"__{name}__", counting(getattr(int, f"__{name}__")))
+    return Counted
+
+
+@pytest.fixture
+def counted(monkeypatch) -> type:
+    """A counting int; every class size that rank and unrank read is one,
+    for the plain class and for prefix classes alike."""
+    counted = _counting_int()
+    sizes = _WalkTables.class_sizes
+    monkeypatch.setattr(_WalkTables, "class_sizes",
+                        lambda walk, p, n: [counted(v) for v in sizes(walk, p, n)])
+    return counted
+
+
+def _ops(counted: type, call, *args):
+    """call(*args), and the operations its counted numbers made."""
+    counted.ops = 0
+    result = call(*args)
+    return result, counted.ops
 
 
 class TestSuffixMapsK2:
@@ -210,16 +267,20 @@ class TestUnrankRank:
         with pytest.raises(DomainError):
             rank_irr(Word((0, 1), 4), s32)
 
-    @pytest.mark.parametrize("sysname", ["s32", "s33"])
-    def test_linear_arithmetic_cost(self, sysname, request):
-        sys_ = request.getfixturevalue(sysname)
-        for n in (100, 300, 500):
-            j = count_irr(n, sys_) // 2 + 1
-            word, ops_u = _unrank((), n, j, sys_)
-            j_back, ops_r = _rank((), word, sys_)
-            assert j_back == j
-            assert ops_u <= 8 * n
-            assert ops_r <= 8 * n
+    @pytest.mark.parametrize("sys_", [pytest.param(DupSystem(q, k), id=f"s{q}{k}")
+                                      for q in (3, 4, 5, 8) for k in (2, 3)])
+    def test_linear_arithmetic_cost(self, sys_, counted):
+        # O(n) big-integer operations, as the numbers themselves count them
+        walk = _walk_tables(sys_)
+        for p in (Word((), sys_.q), Word((0, 1, 2), sys_.q)):
+            for n in (100, 300, 500):
+                total = _size_ref(p, n, sys_)
+                for j in (1, total // 2 + 1, total):
+                    word, ops_u = _ops(counted, walk.unrank, p.symbols, n, counted(j))
+                    j_back, ops_r = _ops(counted, walk.rank, p.symbols, word)
+                    assert j_back == j
+                    assert ops_u <= 8 * n
+                    assert ops_r <= 8 * n
 
     def test_plain_path_keeps_the_window_table_small(self, s42, monkeypatch):
         # plain rank/unrank count through CountTable; only the lexicographic
@@ -369,20 +430,21 @@ class TestWindowWalk:
     @pytest.mark.parametrize("q, k", ENGINE_SYSTEMS)
     def test_agrees_with_the_suffix_map_recursion(self, q, k):
         sys_ = DupSystem(q, k)
+        walk = _walk_tables(sys_)
         rng = random.Random(q * 10 + k)
         for n in [0, 1, 2 * k - 1, 2 * k, 2 * k + 1] + [rng.randint(1, 200) for _ in range(3)]:
             j = rng.randint(1, count_irr(n, sys_))
-            word, _ = _unrank((), n, j, sys_)
+            word = walk.unrank((), n, j)
             assert word == _unrank_ref(Word((), q), n, j, sys_), (n, j)
-            assert _rank((), word, sys_)[0] == j == _rank_ref(Word((), q), word, sys_)
+            assert walk.rank((), word) == j == _rank_ref(Word((), q), word, sys_)
         for _ in range(4):
             length = rng.randint(1, 5)
             p = unrank_irr(length, rng.randint(1, count_irr(length, sys_)), sys_)
             n = rng.randint(length, 200)
             j = rng.randint(1, count_irr_prefix(p, n, sys_))
-            word, _ = _unrank(p.symbols, n, j, sys_)
+            word = walk.unrank(p.symbols, n, j)
             assert word == _unrank_ref(p, n, j, sys_), (p, n, j)
-            assert _rank(p.symbols, word, sys_)[0] == j == _rank_ref(p, word, sys_)
+            assert walk.rank(p.symbols, word) == j == _rank_ref(p, word, sys_)
 
     @pytest.mark.parametrize("q, k", ENGINE_SYSTEMS)
     def test_classify_table_is_the_classifier(self, q, k):
@@ -462,38 +524,54 @@ class TestBlocks:
         # for the last; L = B - 1, B, B + 1 and 2B put the block's end just
         # before, at and just after the last level, and at a second block's end
         sys_ = DupSystem(q, k)
+        walk = _walk_tables(sys_)
         blocks = _block_length(q)
         for p, base in _block_classes(sys_):
             for levels in (blocks - 1, blocks, blocks + 1, 2 * blocks):
                 for n in (len(p) + base + levels, len(p) + base + k * levels):
                     total = _size_ref(p, n, sys_)
                     for j in sorted({j for j in (1, 2, total // 2, total - 1, total) if j >= 1}):
-                        word, _ = _unrank(p.symbols, n, j, sys_)
+                        word = walk.unrank(p.symbols, n, j)
                         assert word == _unrank_ref(p, n, j, sys_), (p, n, j)
-                        assert _rank(p.symbols, word, sys_)[0] == j == _rank_ref(p, word, sys_)
+                        assert walk.rank(p.symbols, word) == j == _rank_ref(p, word, sys_)
 
     @pytest.mark.parametrize("q, k", BLOCK_SYSTEMS)
-    def test_op_counts_follow_the_blocks(self, q, k):
-        # rank 1 takes the first branch at every level: a multiply and a
-        # compare; the last rank takes the last branch after a multiply, a
-        # compare and a subtract per lower branch that holds words.  Unrank
-        # adds one divmod per block; rank adds the lower blocks (a multiply
-        # and an add each), and per block its sum, a multiply and an add
+    def test_op_counts_follow_the_blocks(self, q, k, counted):
+        # Unrank subtracts one from j, then per level: rank 1 takes the first
+        # branch after a multiply and a compare; the last rank takes the last
+        # branch after a multiply, a compare and a subtract per lower branch
+        # that holds words.  Each block adds its divmod.  A prefix class's
+        # lexicographic base walk compares at each successor window it takes
+        # or passes, and subtracts at each one it passes: rank 1 takes the
+        # first, the last rank passes all but the last.  Ranking the first
+        # word takes no lower branch, so all its numbers stay plain ints;
+        # ranking the last adds per level the lower blocks (a multiply and
+        # an add each), per block its sum, a multiply (none for the bottom
+        # block) and an add, and one add for the final + 1
         sys_ = DupSystem(q, k)
+        walk, dp = _walk_tables(sys_), enumeration._dp(sys_)
         blocks = _block_length(q)
         lower = sum(1 for width in _widths(sys_)[:-1] if width)
         for p, base in _block_classes(sys_):
+            first_walk = last_walk = 0
+            if len(p):
+                sid = dp.window_sid(p.symbols)
+                first_walk = base
+                for _ in range(base):
+                    last_walk += 2 * len(dp.succ[sid]) - 1
+                    sid = dp.succ[sid][-1]
             for levels in (blocks - 1, blocks, blocks + 1, 2 * blocks):
                 divmods = -(-levels // blocks)
                 n = len(p) + base + levels
-                word, ops = _unrank(p.symbols, n, 1, sys_)
-                assert ops == 2 * levels + divmods
-                assert _rank(p.symbols, word, sys_) == (1, 3 * divmods)
+                word, ops = _ops(counted, walk.unrank, p.symbols, n, counted(1))
+                assert ops == 1 + 2 * levels + divmods + first_walk
+                assert _ops(counted, walk.rank, p.symbols, word) == (1, 0)
                 n = len(p) + base + k * levels
                 total = _size_ref(p, n, sys_)
-                word, ops = _unrank(p.symbols, n, total, sys_)
-                assert ops == 3 * lower * levels + divmods
-                assert _rank(p.symbols, word, sys_) == (total, 2 * lower * levels + 3 * divmods)
+                word, ops = _ops(counted, walk.unrank, p.symbols, n, counted(total))
+                assert ops == 1 + 3 * lower * levels + divmods + last_walk
+                ranked = _ops(counted, walk.rank, p.symbols, word)
+                assert ranked == (total, 2 * lower * levels + 3 * divmods)
 
     @pytest.mark.parametrize("q, k", BLOCK_SYSTEMS)
     def test_plain_base_tables_are_the_lexicographic_walk(self, q, k):
