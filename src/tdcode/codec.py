@@ -5,8 +5,8 @@ A codeword of length n is an irreducible word of some length i <= n
 padded with n - i copies of its last symbol.  Distinct messages map to
 words with distinct irreducible roots, and duplication never changes the
 root, so the decoder recovers the message from any descendant: strip
-duplications back to the root, rank it, and add the size of all shorter
-root classes.
+duplications back to the root and rank it, in one window walk of the
+received word, and add the size of all shorter root classes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .enumeration import code_size, count_table
 from .errors import DomainError, NotADescendantError, show_int
 from .ranking import _walk_tables
-from .words import DupSystem, Word, extend_zeta, root
+from .words import DupSystem, Word, extend_zeta
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def decode_codewords(ys: Iterable[Word], spec: CodeSpec) -> Iterator[int]:
     sys, n = spec.sys, spec.n
     ct = count_table(sys)
     cum = ct._cumulative
-    rank = _walk_tables(sys).rank
+    reduce, rank = _walk_tables(sys).reduce, _walk_tables(sys).rank_cells
     for y in ys:
         if y.q != sys.q:
             raise DomainError(f"word alphabet q={y.q} does not match system q={sys.q}")
@@ -78,13 +78,13 @@ def decode_codewords(ys: Iterable[Word], spec: CodeSpec) -> Iterator[int]:
             raise NotADescendantError(
                 f"received length {len(y)} is shorter than the code length {n}"
             )
-        r = root(y, sys)
-        m = len(r.symbols)
+        cells = reduce(y.symbols)  # the root's, one cell per symbol
+        m = len(cells)
         if m > n:
             raise NotADescendantError(f"root length {m} exceeds the code length {n}")
         if len(cum) < m:
             ct.cumulative(m - 1)
-        yield cum[m - 1] + rank((), r)
+        yield cum[m - 1] + rank((), cells)
 
 
 def encode_codeword(j: int, spec: CodeSpec) -> Word:

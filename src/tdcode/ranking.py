@@ -27,7 +27,8 @@ window DP carries, through tables per system built on first use from
 the suffix maps (_WalkTables).  A level costs a few list lookups and
 big-integer multiplies, compares and adds by one-digit numbers; levels
 run in blocks whose width products fit one digit, and unrank divides
-once per block, not once per level.
+once per block, not once per level.  Rank's window pass reduces squares
+as words.root does, so decoding finds a root and ranks it in one walk.
 """
 
 from __future__ import annotations
@@ -185,6 +186,8 @@ class _WalkTables:
     classify[sid * q + c] is the step code of an image ending in c whose
     other symbols end in the full window sid; filled from the length-2k
     images, it is apply's inverse (as _classify is).  Other cells hold -1.
+    step[sid * q + c] is q times the window after c, or -t where c closes a
+    square (one at most, of half-length t: the last earlier c is t back).
     The plain class's base words are windows: first[r][j] is the window id
     of the j-th (0-indexed) length-r word and lex[sid] its position.
     """
@@ -205,6 +208,8 @@ class _WalkTables:
         self.levels = range(int_info.bits_per_digit)
         self.top = ((1 << int_info.bits_per_digit) - 1) // max(widths)
         self.branch = tuple(b for b, w in enumerate(widths, start=1) for _ in range(w))
+        self.step = [nxt * q if nxt >= 0 else -1 - w[::-1].index(c)
+                     for w, nxts in zip(states, trans) for c, nxt in enumerate(nxts)]
         self.classify = classify = [-1] * (len(trans) * q)
         self.apply = apply = [-1] * (len(trans) * span)
         self.first = first = [[] for _ in range(dp.width + 1)]
@@ -279,24 +284,35 @@ class _WalkTables:
             s += states[sid][-branch[code]:]
         return Word._unchecked(tuple(s), self.sys.q)
 
-    def rank(self, p: tuple[int, ...], x: Word) -> int:
-        """Rank of x within p's class; x must start with p, DomainError if x
-        is reducible.  As in unrank's blocks, a level's lower blocks and free
-        index are scaled by the product of the widths above it in its block,
-        and the rank below costs one multiply per block."""
-        sys, dp = self.sys, self.dp
-        q, trans = sys.q, dp.trans
-        s = x.symbols
-        sid = dp.window_sid(())
-        wins = [sid]  # wins[m]: window id of s[:m]
+    def reduce(self, s: Sequence[int]) -> list[int]:
+        """The cells sid * q + c of s's root, c after window sid, by root's stack rule."""
+        step, row, cells = self.step, 0, []  # window 0 is the empty window
         for c in s:
-            sid = trans[sid][c]
-            if sid < 0:  # a square ends at c
-                raise DomainError(f"{x} is not irreducible for k = {sys.k}")
-            wins.append(sid)
-        n, r = len(s), len(s) - len(p)
+            nxt = step[row + c]
+            if nxt >= 0:
+                cells.append(row + c)
+                row = nxt
+            elif nxt < -1:
+                del cells[nxt + 1:]
+                row = step[cells[-1]]
+        return cells
+
+    def rank(self, p: tuple[int, ...], x: Word) -> int:
+        """Rank of x within p's class; DomainError if x is reducible."""
+        cells = self.reduce(x.symbols)
+        if len(cells) < len(x.symbols):  # the walk dropped a square
+            raise DomainError(f"{x} is not irreducible for k = {self.sys.k}")
+        return self.rank_cells(p, cells)
+
+    def rank_cells(self, p: tuple[int, ...], cells: list[int]) -> int:
+        """Rank within p's class of the word with these cells (reduce's).  As
+        in unrank's blocks, a level's lower blocks and free index are scaled
+        by the product of the widths above it in its block, and the rank
+        below costs one multiply per block."""
+        q, k, dp, step = self.sys.q, self.sys.k, self.dp, self.step
+        n, r = len(cells), len(cells) - len(p)
         v = self.class_sizes(p, n)
-        base = max(len(p) + sys.k - 1, 2 * sys.k - 1)
+        base = max(len(p) + k - 1, 2 * k - 1)
         classify, branch, starts, head = self.classify, self.branch, self.starts, self.head
         widths, top, levels = self.widths, self.top, self.levels
         blocks: list[tuple[int, int]] = []  # (width product, sum), top block first
@@ -305,7 +321,7 @@ class _WalkTables:
             for _ in levels:
                 if n <= base or scale > top:
                     break
-                code = classify[wins[n - 1] * q + s[n - 1]]
+                code = classify[cells[n - 1]]
                 b = branch[code]
                 for lower, w, _ in head:  # the lower branches' blocks
                     if lower == b:
@@ -318,9 +334,9 @@ class _WalkTables:
             blocks.append((scale, high + low))
         if p:
             dp.ensure_layers(r)
-            (rank,), _ = _index(dp, wins[len(p)], r, (s[len(p):n],))
-        else:
-            rank = self.lex[wins[n]]
+            (rank,), _ = _index(dp, dp.window_sid(p), r, ([c % q for c in cells[len(p):n]],))
+        else:  # the window after the first n cells
+            rank = self.lex[step[cells[n - 1]] // q if n else 0]
         for scale, add in reversed(blocks):
             rank = rank * scale + add
         return rank + 1

@@ -189,24 +189,26 @@ def root(y: Word, sys: DupSystem) -> Word:
     skip the push).  What remains is a prefix of an irreducible stack,
     hence irreducible again, and every step is a deduplication of the
     whole word.  For k in {2, 3} the root is unique (Jain, Farnoud,
-    Schwartz and Bruck, IEEE T-IT 2017), so this order reaches it.
+    Schwartz and Bruck, IEEE T-IT 2017), so this order reaches it.  x1..x3
+    copy the stack's top three; five sentinels below it spare length tests.
     """
     _check_alphabet(y, sys)
-    st = bytearray() if y.q <= 256 else []
+    st = bytearray(range(251, 256)) if y.q <= 251 else list(range(-5, 0))
     push, pop = st.append, st.pop
-    k3 = sys.k == 3
+    x3, x2, x1 = st[-3:]
     for c in y.symbols:
-        n = len(st)
-        if n and st[-1] == c:
+        if c == x1:
             continue
-        if n >= 3 and st[-2] == c and st[-3] == st[-1]:
+        if c == x2 and x3 == x1:
             pop()
-        elif k3 and n >= 5 and st[-3] == c and st[-4] == st[-1] and st[-5] == st[-2]:
-            pop()
-            pop()
+            x1, x2, x3 = x2, x3, st[-3]
+        elif c == x3 and sys.k == 3 and st[-4] == x1 and st[-5] == x2:
+            del st[-2:]
+            x1, x2, x3 = x3, x1, x2
         else:
             push(c)
-    return Word._unchecked(tuple(st), y.q)
+            x1, x2, x3 = c, x1, x2
+    return Word._unchecked(tuple(st[5:]), y.q)
 
 
 def extend_zeta(x: Word, i: int) -> Word:

@@ -123,15 +123,18 @@ class TestDecodeCodeword:
             assert decode_codeword(y, spec) == j
 
     def test_root_is_ranked_without_a_re_check(self, s43, monkeypatch):
-        # root() already returns an irreducible word; decoding must not re-scan it
+        # decoding reduces and ranks in one window walk per strand: it neither
+        # calls root() first nor re-scans the root for irreducibility
         spec = CodeSpec(s43, 32)
         j = code_size(32, s43) // 3
         y, _events = random_descendant(encode_codeword(j, spec), 8, s43, seed=5)
 
-        def refuse(x, k):
-            raise AssertionError("is_irreducible called while decoding")
+        def refuse(*args):
+            raise AssertionError("root or is_irreducible called while decoding")
 
         monkeypatch.setattr("tdcode.ranking.is_irreducible", refuse)
+        monkeypatch.setattr("tdcode.words.root", refuse)
+        monkeypatch.setattr("tdcode.codec.root", refuse, raising=False)
         assert decode_codeword(y, spec) == j
 
     def test_rejects_short_word(self, s32):

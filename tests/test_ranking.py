@@ -25,6 +25,7 @@ from tdcode import (
     is_irreducible,
     rank_irr,
     rank_irr_prefix,
+    root,
     unrank_irr,
     unrank_irr_prefix,
 )
@@ -462,6 +463,33 @@ class TestWindowWalk:
                 branch, i = _classify(state + (c,), len(state) + 1, k, q)
                 assert walk.branch[code] == branch
                 assert code - walk.starts[branch - 1] == i - 1
+
+    @pytest.mark.parametrize("q, k", ENGINE_SYSTEMS)
+    def test_step_table_is_the_stack_rule(self, q, k):
+        sys_ = DupSystem(q, k)
+        dp, walk = enumeration._dp(sys_), _walk_tables(sys_)
+        assert len(walk.step) == len(dp.trans) * q
+        assert dp.window_sid(()) == 0  # reduce starts from window 0
+        for sid, state in enumerate(dp.states):
+            for c, nxt in enumerate(dp.trans[sid]):
+                # the stack rule drops c and t - 1 symbols of an irreducible state
+                dropped = len(state) + 1 - len(root(Word(state + (c,), q), sys_))
+                if nxt >= 0:
+                    assert dropped == 0 and walk.step[sid * q + c] == nxt * q
+                else:
+                    assert dropped >= 1 and walk.step[sid * q + c] == -dropped
+
+    @pytest.mark.parametrize("q, k", ENGINE_SYSTEMS)
+    def test_reduce_walks_to_the_root(self, q, k):
+        sys_, rng = DupSystem(q, k), random.Random(q * 10 + k)
+        walk = _walk_tables(sys_)
+        for n in range(40):
+            y = Word(tuple(rng.randrange(q) for _ in range(n)), q)
+            cells = walk.reduce(y.symbols)
+            assert tuple(c % q for c in cells) == root(y, sys_).symbols
+            # each cell's row is the window after the cells before it
+            rows = [0, *(walk.step[c] for c in cells)][:len(cells)]
+            assert [c - c % q for c in cells] == rows
 
     def test_counting_and_the_fse_never_build_the_tables(self, s43, monkeypatch):
         def refuse(sys_):
