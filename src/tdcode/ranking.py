@@ -298,7 +298,7 @@ class _WalkTables:
         return cells
 
     def rank(self, p: tuple[int, ...], x: Word) -> int:
-        """Rank of x within p's class; DomainError if x is reducible."""
+        """Rank of x, which starts with p, in p's class; DomainError if x is reducible."""
         cells = self.reduce(x.symbols)
         if len(cells) < len(x.symbols):  # the walk dropped a square
             raise DomainError(f"{x} is not irreducible for k = {self.sys.k}")
