@@ -58,6 +58,12 @@ def parse_header(line: str) -> Optional[dict[str, object]]:
     return fields
 
 
+def _stream_header(line: str, header: Optional[dict]) -> Optional[dict]:
+    """The stream's header once the non-strand line `line` is read: the
+    first `# tdcode` line is the header, and later `#` lines are comments."""
+    return parse_header(line) if header is None else header
+
+
 def _render_word(w: Word, dna: bool) -> str:
     return w.to_dna() if dna else str(w)
 
@@ -338,9 +344,7 @@ def _read_stream(path: str) -> tuple[dict, list[str]]:
         if not line:
             continue
         if line.startswith("#"):
-            got = parse_header(line)
-            if got is not None and header is None:
-                header = got
+            header = _stream_header(line, header)
             continue
         strands.append(line)
     return header or {}, strands
@@ -449,8 +453,7 @@ def _cmd_channel(args) -> int:
     for raw in _read_text(args.input).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
-            if line.startswith("#") and header is None:
-                header = parse_header(line)
+            header = _stream_header(line, header)
             out_lines.append(raw)
             continue
         if sys_ is None:

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .enumeration import code_size, count_table
 from .errors import DomainError, NotADescendantError, show_int
 from .ranking import _walk_tables
-from .words import DupSystem, Word, extend_zeta
+from .words import DupSystem, Word, _check_alphabet, extend_zeta
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,7 @@ def decode_codewords(ys: Iterable[Word], spec: CodeSpec) -> Iterator[int]:
     cum = ct._cumulative
     reduce, rank = _walk_tables(sys).reduce, _walk_tables(sys).rank_cells
     for y in ys:
-        if y.q != sys.q:
-            raise DomainError(f"word alphabet q={y.q} does not match system q={sys.q}")
+        _check_alphabet(y, sys)
         if len(y.symbols) < n:
             raise NotADescendantError(
                 f"received length {len(y)} is shorter than the code length {n}"

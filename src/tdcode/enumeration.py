@@ -8,21 +8,23 @@ The workhorse is a suffix-window dynamic program: a square that ends at
 a freshly appended symbol spans at most the last 2k symbols, so the
 number of valid length-r extensions of a word depends only on its last
 min(len, 2k-1) symbols.  States are the irreducible words of length at
-most 2k-1; their table of extension counts is the data of the
-lexicographic walks.  Class sizes come from CountTable's recursion,
-seeded so that counting never grows that table past 2k rows.
+most 2k-1, listed length by length in lexicographic order; their one
+transition table and their table of extension counts are the data of
+the lexicographic walks and of ranking.  Class sizes come from
+CountTable's recursion, seeded so that counting never grows that table
+past 2k rows.  Each per-system table is built once, on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DomainError, show_int
-from .words import DupSystem, Word, is_irreducible
+from .words import DupSystem, Word, _check_alphabet, is_irreducible
 
 # ------------------------------------------------------------------ totals
 
@@ -83,14 +85,7 @@ class CountTable:
         return c[n] if n >= 0 else 0
 
 
-_count_tables: dict[DupSystem, CountTable] = {}
-
-
-def count_table(sys: DupSystem) -> CountTable:
-    table = _count_tables.get(sys)
-    if table is None:
-        table = _count_tables[sys] = CountTable(sys)
-    return table
+count_table = cache(CountTable)
 
 
 def count_irr(n: int, sys: DupSystem) -> int:
@@ -119,42 +114,45 @@ def _append_ok(w: tuple[int, ...], c: int, k: int) -> bool:
 
 
 class _WindowDP:
-    """Extension-count table over suffix windows for one system."""
+    """Extension-count table over suffix windows for one system.
+
+    The windows are listed length by length, each length in lexicographic
+    order; offsets[r] is the id of the first length-r window, so window 0
+    is the empty window.  step[sid * q + c] is q times the window after
+    appending c to window sid, or -t where c closes a square: at most one
+    square ends at c, of half-length t, and the last earlier c is t back.
+    """
 
     def __init__(self, sys: DupSystem):
         self.sys = sys
         self.width = width = 2 * sys.k - 1
         q, k = sys.q, sys.k
-        states: list[tuple[int, ...]] = []
-        index: dict[tuple[int, ...], int] = {}
-        stack: list[tuple[int, ...]] = [()]
-        while stack:
-            w = stack.pop()
-            if w in index:
-                continue
-            index[w] = len(states)
-            states.append(w)
-            if len(w) < width:
-                for c in range(q):
-                    if _append_ok(w, c, k):
-                        stack.append(w + (c,))
+        # the length-r windows, in order, each extended by every symbol in
+        # turn: the next length's windows, in lexicographic order again
+        states: list[tuple[int, ...]] = [()]
+        self.offsets = offsets = [0]
+        for r in range(width):
+            offsets.append(len(states))
+            states += [w + (c,) for w in states[offsets[r]:]
+                       for c in range(q) if _append_ok(w, c, k)]
         self.states = states
-        self.index = index
-        # trans[sid][c]: the window after appending c, -1 if c closes a
-        # square; succ[sid]: the valid ones in symbol order, each ending in
-        # the symbol that reached it (last).  A square of half-length < k
-        # ends at c iff the next window is not irreducible (not in index);
-        # after a full window w, half-length k is w + (c,) itself
-        trans: list[list[int]] = []
+        self.index = index = {w: sid for sid, w in enumerate(states)}
+        # succ[sid]: the valid successors in symbol order, each ending in the
+        # symbol that reached it (last).  A square of half-length < k ends at
+        # c iff the next window is not irreducible (not in index); after a
+        # full window w, half-length k is w + (c,) itself, so c is w[k - 1]
+        step: list[int] = []
         succ: list[tuple[int, ...]] = []
+        last: list[int] = []
         for w in states:
-            head = w[:k] if len(w) == width else None
-            row = [-1 if head == (w + (c,))[k:] else index.get((w + (c,))[-width:], -1)
-                   for c in range(q)]
-            trans.append(row)
-            succ.append(tuple([t for t in row if t >= 0]))
-        self.trans, self.succ = trans, succ
-        self.last = [w[-1] if w else -1 for w in states]
+            full = len(w) == width
+            keep = w[1:] if full else w
+            square = w[k - 1] if full and w[:k - 1] == w[k:] else -1
+            row = [-1 if c == square else index.get(keep + (c,), -1) for c in range(q)]
+            step += [nxt * q if nxt >= 0 else -1 - w[::-1].index(c) for c, nxt in enumerate(row)]
+            succ.append(tuple([nxt for nxt in row if nxt >= 0]))
+            last.append(w[-1] if w else -1)
+        self.step, self.succ, self.last = step, succ, last
         self.layers: list[list[int]] = [[1] * len(states)]
         self._counts: dict[int, CountTable] = {}
 
@@ -184,14 +182,7 @@ class _WindowDP:
         return table
 
 
-_dps: dict[DupSystem, _WindowDP] = {}
-
-
-def _dp(sys: DupSystem) -> _WindowDP:
-    dp = _dps.get(sys)
-    if dp is None:
-        dp = _dps[sys] = _WindowDP(sys)
-    return dp
+_dp = cache(_WindowDP)
 
 
 def count_extensions(x: Word, r: int, sys: DupSystem) -> int:
@@ -200,8 +191,7 @@ def count_extensions(x: Word, r: int, sys: DupSystem) -> int:
     For irreducible x this is exactly the number of irreducible words of
     length len(x) + r that extend x.  Every such y is itself irreducible.
     """
-    if x.q != sys.q:
-        raise DomainError(f"word alphabet q={x.q} does not match system q={sys.q}")
+    _check_alphabet(x, sys)
     if r < 0:
         raise DomainError(f"extension length must be >= 0, got {r}")
     dp = _dp(sys)
@@ -266,8 +256,7 @@ def kth_extension(x: Word, r: int, j: int, sys: DupSystem) -> Word:
 
 def extension_index(x: Word, y: Word, sys: DupSystem) -> int:
     """Position of y (1-indexed) in the lex order of valid extensions of x."""
-    if y.q != sys.q:
-        raise DomainError(f"word alphabet q={y.q} does not match system q={sys.q}")
+    _check_alphabet(y, sys)
     dp = _dp(sys)
     sid = dp.window_sid(x.symbols)
     dp.ensure_layers(len(y))
@@ -308,8 +297,16 @@ def count_irr_prefix(p: Word, n: int, sys: DupSystem) -> int:
 # ------------------------------------------------------- minimum out-degree
 
 
-# delta_min_degree(2k-1 + i) at index i, per system
-_degree_tables: dict[DupSystem, CountTable] = {}
+@cache
+def _degree_table(sys: DupSystem) -> CountTable:
+    # delta_min_degree(2k-1 + i) at index i: minima over the full windows,
+    # one throwaway table each, not kept like dp.counts
+    dp = _dp(sys)
+    full = [CountTable._seeded(sys, dp.seed(sid))
+            for sid in range(dp.offsets[dp.width], len(dp.states))]
+    return CountTable._seeded(
+        sys, [min(t.count(b) for t in full) for b in range(dp.width, 3 * sys.k - 1)]
+    )
 
 
 def delta_min_degree(m: int, sys: DupSystem) -> int:
@@ -323,16 +320,7 @@ def delta_min_degree(m: int, sys: DupSystem) -> int:
     width = 2 * sys.k - 1
     if m < width:
         raise DomainError(f"state length must be >= {width}, got {m}")
-    table = _degree_tables.get(sys)
-    if table is None:
-        dp = _dp(sys)
-        # one throwaway table per full window, not kept like dp.counts
-        full = [CountTable._seeded(sys, dp.seed(sid))
-                for sid, w in enumerate(dp.states) if len(w) == width]
-        table = _degree_tables[sys] = CountTable._seeded(
-            sys, [min(t.count(b) for t in full) for b in range(width, 3 * sys.k - 1)]
-        )
-    return table.count(m - width)
+    return _degree_table(sys).count(m - width)
 
 
 def delta_closed_form(m: int, sys: DupSystem) -> Optional[int]:

@@ -29,14 +29,11 @@ from .enumeration import (
     kth_extension,
 )
 from .errors import CorruptInputError, DomainError, NotAnEdgeError, UnlabeledEdgeError, show_int
-from .words import Word, is_irreducible
+from .words import Word, _check_alphabet, is_irreducible
 
 
 def _require_state(x: Word, params: FseParams) -> None:
-    if x.q != params.sys.q:
-        raise DomainError(
-            f"word alphabet q={x.q} does not match system q={params.sys.q}"
-        )
+    _check_alphabet(x, params.sys)
     if len(x) != params.m:
         raise DomainError(f"state must have length m={params.m}, got {len(x)}")
     if not is_irreducible(x, params.sys.k):
@@ -137,8 +134,7 @@ class FseCodec:
         CorruptInputError on damaged input."""
         params = self.params
         q, ell, m = params.sys.q, params.ell, params.m
-        if x.q != q:
-            raise DomainError(f"word alphabet q={x.q} does not match system q={q}")
+        _check_alphabet(x, params.sys)
         s = x.symbols
         if len(s) % m != 0:
             raise CorruptInputError(

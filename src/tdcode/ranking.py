@@ -24,21 +24,25 @@ max(|p| + k - 1, 2k - 1); the plain order is the empty prefix.
 
 Ranking and unranking walk window ids, the last 2k - 1 symbols that the
 window DP carries, through tables per system built on first use from
-the suffix maps (_WalkTables).  A level costs a few list lookups and
-big-integer multiplies, compares and adds by one-digit numbers; levels
-run in blocks whose width products fit one digit, and unrank divides
-once per block, not once per level.  Rank's window pass reduces squares
-as words.root does, so decoding finds a root and ranks it in one walk.
+the suffix maps and the DP's transition table (_WalkTables).  The DP
+lists each length's windows in lexicographic order, so the plain base
+rank of a short word is its window id less the length's first id.  A
+level costs a few list lookups and big-integer multiplies, compares and
+adds by one-digit numbers; levels run in blocks whose width products fit
+one digit, and unrank divides once per block, not once per level.
+Rank's window pass reduces squares as words.root does, so decoding finds
+a root and ranks it in one walk.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from sys import int_info
 from typing import Sequence
 
 from .enumeration import _coefficients, _dp, _index, _kth, count_table
 from .errors import DomainError, show_int
-from .words import DupSystem, Word, is_irreducible
+from .words import DupSystem, Word, _check_alphabet, is_irreducible
 
 # --------------------------------------------------------- the suffix maps
 
@@ -159,8 +163,7 @@ def invert_phi123(y: Word, sys: DupSystem) -> tuple[Word, int, int]:
 def _require_system(x: Word, sys: DupSystem, k: int) -> None:
     if sys.k != k:
         raise DomainError(f"this map belongs to k = {k}, system has k = {sys.k}")
-    if x.q != sys.q:
-        raise DomainError(f"word alphabet q={x.q} does not match system q={sys.q}")
+    _check_alphabet(x, sys)
 
 
 def _require_prefix(p: Word, sys: DupSystem) -> None:
@@ -186,10 +189,11 @@ class _WalkTables:
     classify[sid * q + c] is the step code of an image ending in c whose
     other symbols end in the full window sid; filled from the length-2k
     images, it is apply's inverse (as _classify is).  Other cells hold -1.
-    step[sid * q + c] is q times the window after c, or -t where c closes a
-    square (one at most, of half-length t: the last earlier c is t back).
-    The plain class's base words are windows: first[r][j] is the window id
-    of the j-th (0-indexed) length-r word and lex[sid] its position.
+    Both are built from, and the walks move on, the window DP's one
+    transition table dp.step, which shares classify's cell index.  The
+    plain class's base words are windows, listed in lexicographic order
+    within each length: the j-th (0-indexed) length-r word is window
+    dp.offsets[r] + j.
     """
 
     def __init__(self, sys: DupSystem):
@@ -197,7 +201,7 @@ class _WalkTables:
         self.sys = sys
         self.dp = dp = _dp(sys)
         self.plain = count_table(sys)
-        trans, states = dp.trans, dp.states
+        step, states = dp.step, dp.states
         self.widths = widths = _coefficients(sys)
         self.starts = starts = tuple(sum(widths[:b]) for b in range(k))
         self.span = span = sum(widths)
@@ -208,31 +212,25 @@ class _WalkTables:
         self.levels = range(int_info.bits_per_digit)
         self.top = ((1 << int_info.bits_per_digit) - 1) // max(widths)
         self.branch = tuple(b for b, w in enumerate(widths, start=1) for _ in range(w))
-        self.step = [nxt * q if nxt >= 0 else -1 - w[::-1].index(c)
-                     for w, nxts in zip(states, trans) for c, nxt in enumerate(nxts)]
-        self.classify = classify = [-1] * (len(trans) * q)
-        self.apply = apply = [-1] * (len(trans) * span)
-        self.first = first = [[] for _ in range(dp.width + 1)]
-        self.lex = lex = [0] * len(states)
-        for sid in sorted(range(len(states)), key=states.__getitem__):
-            lex[sid] = len(first[len(states[sid])])
-            first[len(states[sid])].append(sid)
+        self.classify = classify = [-1] * len(step)
+        self.apply = apply = [-1] * (len(states) * span)
         free_sets: dict[tuple[int, ...], list[int]] = {}
+        ids = list(range(len(states)))  # apply shares these ints, not one new int a cell
         for sid, w in enumerate(states):
             for branch in range(max(2 * k - len(w), 1), k + 1):
                 avoid, copied = _suffix_map(w, len(w), branch, k)
                 free = free_sets.get(avoid)
                 if free is None:
                     free = free_sets[avoid] = _free_symbols(avoid, q)
-                # image i's last symbol, last[i], follows the window before[i]
-                before, last = [sid] * len(free), free
+                # cells[i]: the step cell of image i's last symbol
+                cells = [sid * q + a for a in free]
                 for c in copied:
-                    before, last = [trans[t][a] for t, a in zip(before, last)], [c] * len(free)
+                    cells = [step[cell] + c for cell in cells]
                 at = sid * span + starts[branch - 1]
-                apply[at:at + len(free)] = [trans[t][a] for t, a in zip(before, last)]
+                apply[at:at + len(free)] = [ids[step[cell] // q] for cell in cells]
                 if len(w) + branch == 2 * k:  # the length-2k images: each cell once
-                    for code, (t, a) in enumerate(zip(before, last), start=starts[branch - 1]):
-                        classify[t * q + a] = code
+                    for code, cell in enumerate(cells, start=starts[branch - 1]):
+                        classify[cell] = code
 
     def class_sizes(self, p: tuple[int, ...], n: int) -> list[int]:
         # v[r]: the size of p's class at length len(p) + r, for r <= n - len(p)
@@ -276,7 +274,7 @@ class _WalkTables:
             s = list(p)
             sid = _kth(dp, dp.window_sid(p), r, (y,), s)
         else:
-            sid = self.first[r][y]
+            sid = dp.offsets[r] + y
             s = list(dp.states[sid])
         apply, span, branch, states = self.apply, self.span, self.branch, dp.states
         for code in reversed(codes):
@@ -286,7 +284,7 @@ class _WalkTables:
 
     def reduce(self, s: Sequence[int]) -> list[int]:
         """The cells sid * q + c of s's root, c after window sid, by root's stack rule."""
-        step, row, cells = self.step, 0, []  # window 0 is the empty window
+        step, row, cells = self.dp.step, 0, []  # window 0 is the empty window
         for c in s:
             nxt = step[row + c]
             if nxt >= 0:
@@ -309,7 +307,7 @@ class _WalkTables:
         in unrank's blocks, a level's lower blocks and free index are scaled
         by the product of the widths above it in its block, and the rank
         below costs one multiply per block."""
-        q, k, dp, step = self.sys.q, self.sys.k, self.dp, self.step
+        q, k, dp = self.sys.q, self.sys.k, self.dp
         n, r = len(cells), len(cells) - len(p)
         v = self.class_sizes(p, n)
         base = max(len(p) + k - 1, 2 * k - 1)
@@ -335,21 +333,14 @@ class _WalkTables:
         if p:
             dp.ensure_layers(r)
             (rank,), _ = _index(dp, dp.window_sid(p), r, ([c % q for c in cells[len(p):n]],))
-        else:  # the window after the first n cells
-            rank = self.lex[step[cells[n - 1]] // q if n else 0]
+        else:  # the window after the first n cells, among the length-n windows
+            rank = (dp.step[cells[n - 1]] // q if n else 0) - dp.offsets[n]
         for scale, add in reversed(blocks):
             rank = rank * scale + add
         return rank + 1
 
 
-_walks: dict[DupSystem, _WalkTables] = {}
-
-
-def _walk_tables(sys: DupSystem) -> _WalkTables:
-    tables = _walks.get(sys)
-    if tables is None:
-        tables = _walks[sys] = _WalkTables(sys)
-    return tables
+_walk_tables = cache(_WalkTables)
 
 
 def unrank_irr(n: int, j: int, sys: DupSystem) -> Word:
@@ -365,8 +356,7 @@ def unrank_irr(n: int, j: int, sys: DupSystem) -> Word:
 
 def rank_irr(x: Word, sys: DupSystem) -> int:
     """Rank (1-indexed) of an irreducible word in the recursive order."""
-    if x.q != sys.q:
-        raise DomainError(f"word alphabet q={x.q} does not match system q={sys.q}")
+    _check_alphabet(x, sys)
     return _walk_tables(sys).rank((), x)
 
 
@@ -386,8 +376,7 @@ def unrank_irr_prefix(p: Word, n: int, j: int, sys: DupSystem) -> Word:
 def rank_irr_prefix(p: Word, x: Word, sys: DupSystem) -> int:
     """Rank of x within the irreducible words sharing the prefix p."""
     _require_prefix(p, sys)
-    if x.q != sys.q:
-        raise DomainError(f"word alphabet q={x.q} does not match system q={sys.q}")
+    _check_alphabet(x, sys)
     if x.symbols[:len(p)] != p.symbols:
         raise DomainError(f"{x} does not start with prefix {p}")
     return _walk_tables(sys).rank(p.symbols, x)

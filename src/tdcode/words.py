@@ -49,6 +49,8 @@ class Word:
         """Parse a digit string; each character is one symbol (needs q <= 10)."""
         if q > 10:
             raise DomainError("digit strings only cover alphabets up to q = 10")
+        if not text.isascii():  # int() also reads Arabic-Indic and fullwidth digits
+            raise DomainError(f"not a digit string: {text!r}")
         try:
             syms = tuple(int(ch) for ch in text.strip())
         except ValueError:

@@ -46,6 +46,15 @@ def s43() -> DupSystem:
     return DupSystem(q=4, k=3)
 
 
+@pytest.fixture
+def fresh_tables() -> None:
+    """Empty the per-system table caches, so a test sees what it builds."""
+    from tdcode import enumeration, ranking
+
+    for build in (ranking._walk_tables, enumeration._dp, enumeration._degree_table):
+        build.cache_clear()
+
+
 class ValidationCounter:
     """Counts the per-symbol checks Word.__post_init__ runs."""
 

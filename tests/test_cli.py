@@ -94,6 +94,13 @@ class TestExitCodes:
         rc, _, err = run(capsys, "rank", "-w", "0010", "-q", "3", "-k", "2")
         assert rc == 2
 
+    @pytest.mark.parametrize("word", ["\u0660\u0661\u0662", "\uff10\uff11\uff12"],
+                             ids=["arabic-indic", "fullwidth"])
+    def test_non_ascii_digits_are_exit_two(self, word, capsys):
+        rc, out, err = run(capsys, "rank", "-q", "4", "-k", "2", "-w", word)
+        assert (rc, out) == (2, "")
+        assert err == f"error: not a digit string: {word!r}\n"
+
     def test_usage_error_is_exit_two(self, capsys):
         rc, _, _ = run(capsys, "count", "-n", "5")
         assert rc == 2
@@ -683,3 +690,48 @@ class TestHeaderParsing:
         from tdcode import CorruptInputError
         with pytest.raises(CorruptInputError):
             parse_header("# tdcode mode=code q=banana")
+
+
+class TestStreamHeaderRule:
+    """channel and decode read one header: the first `# tdcode` line; later
+    `#` lines are comments, even when they look like a malformed header."""
+
+    LATER = "# tdcode mode=code q=x"
+
+    def _encoded(self, tmp_path, capsys) -> tuple[bytes, Path]:
+        payload = b"header rule"
+        src, enc = tmp_path / "src.bin", tmp_path / "enc.txt"
+        src.write_bytes(payload)
+        run(capsys, "encode", "--mode", "code", "-q", "3", "-k", "2", "-n", "16",
+            "-i", str(src), "-o", str(enc))
+        header, *strands = enc.read_text().splitlines()
+        enc.write_text("\n".join([header, self.LATER, *strands]) + "\n")
+        return payload, enc
+
+    def test_both_commands_accept_a_later_tdcode_comment(self, tmp_path, capsys):
+        payload, enc = self._encoded(tmp_path, capsys)
+        noisy, out = tmp_path / "noisy.txt", tmp_path / "out.bin"
+        rc, _, err = run(capsys, "channel", "-t", "0", "-i", str(enc), "-o", str(noisy))
+        assert (rc, err) == (0, "")
+        assert noisy.read_text() == enc.read_text()
+        rc, _, err = run(capsys, "decode", "-i", str(enc), "-o", str(out))
+        assert (rc, err) == (0, "")
+        assert out.read_bytes() == payload
+
+    def test_channel_then_decode_round_trip(self, tmp_path, capsys):
+        payload, enc = self._encoded(tmp_path, capsys)
+        noisy, out = tmp_path / "noisy.txt", tmp_path / "out.bin"
+        rc, _, _ = run(capsys, "channel", "-t", "7", "--seed", "4",
+                       "-i", str(enc), "-o", str(noisy))
+        assert rc == 0 and noisy.read_text().splitlines()[1] == self.LATER
+        rc, _, err = run(capsys, "decode", "-i", str(noisy), "-o", str(out))
+        assert (rc, err) == (0, "")
+        assert out.read_bytes() == payload
+
+    @pytest.mark.parametrize("command", [("channel", "-t", "2"), ("decode",)])
+    def test_malformed_first_header_fails_both(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("# plain comment\n" + self.LATER + "\n# tdcode mode=code q=3 k=2 n=5\n01210\n")
+        rc, _, err = run(capsys, *command, "-i", str(bad), "-o", str(tmp_path / "x"))
+        assert rc == 1
+        assert err == "error: malformed header token 'q=x'\n"

@@ -318,16 +318,14 @@ class TestAsymptoticRate:
         phi = (1 + math.sqrt(5)) / 2
         assert asymptotic_rate(s32).kappa == pytest.approx(3 / phi**3)
 
-    def test_rate_alone_builds_no_window_dp(self, monkeypatch):
+    def test_rate_alone_builds_no_window_dp(self, fresh_tables):
         # kappa needs the window DP; rate and lam do not
-        monkeypatch.setattr(enumeration, "_dps", {})
-        monkeypatch.setattr(enumeration, "_degree_tables", {})
         sys_ = DupSystem(6, 3)
         info = asymptotic_rate(sys_)
         assert info.rate == pytest.approx(math.log(info.lam, 6))
-        assert enumeration._dps == {}
+        assert enumeration._dp.cache_info().misses == 0
         kappa = info.kappa
-        assert sys_ in enumeration._dps
+        assert enumeration._dp.cache_info().misses == 1
         assert kappa == min(delta_min_degree(m, sys_) / info.lam**m for m in (5, 6, 7))
         assert info.kappa is kappa
 

@@ -283,24 +283,22 @@ class TestUnrankRank:
                     assert ops_u <= 8 * n
                     assert ops_r <= 8 * n
 
-    def test_plain_path_keeps_the_window_table_small(self, s42, monkeypatch):
+    def test_plain_path_keeps_the_window_table_small(self, s42, fresh_tables):
         # plain rank/unrank count through CountTable; only the lexicographic
         # base reads the window DP, so its layer table stays at 2k rows
-        monkeypatch.setattr(ranking, "_walks", {})  # its walker holds a window DP
-        monkeypatch.setattr(enumeration, "_dps", {})
         j = count_irr(4000, s42) // 3
         assert rank_irr(unrank_irr(4000, j, s42), s42) == j
+        assert enumeration._dp.cache_info().misses == 1  # the walker's, shared
         assert len(enumeration._dp(s42).layers) <= 2 * s42.k
 
-    def test_prefix_path_keeps_the_window_table_small(self, monkeypatch):
+    def test_prefix_path_keeps_the_window_table_small(self, fresh_tables):
         # prefix classes count through a CountTable seeded from the window's
         # first 2k rows; the table grows further only for a lexicographic walk
         s63 = DupSystem(6, 3)
-        monkeypatch.setattr(ranking, "_walks", {})  # its walker holds a window DP
-        monkeypatch.setattr(enumeration, "_dps", {})
         p = Word.from_string("012", 6)
         j = count_irr_prefix(p, 1000, s63) // 3
         assert rank_irr_prefix(p, unrank_irr_prefix(p, 1000, j, s63), s63) == j
+        assert enumeration._dp.cache_info().misses == 1  # the walker's, shared
         assert len(enumeration._dp(s63).layers) <= 2 * s63.k
 
     @given(data=st.data())
@@ -451,33 +449,33 @@ class TestWindowWalk:
     def test_classify_table_is_the_classifier(self, q, k):
         sys_ = DupSystem(q, k)
         dp, walk = enumeration._dp(sys_), _walk_tables(sys_)
-        assert len(walk.classify) == len(dp.trans) * q
-        assert len(walk.apply) == len(dp.trans) * walk.span
+        assert len(walk.classify) == len(dp.step) == len(dp.states) * q
+        assert len(walk.apply) == len(dp.states) * walk.span
         assert all(-1 <= t < len(dp.states) for t in walk.apply)
-        for sid, state in enumerate(dp.states):
-            for c, nxt in enumerate(dp.trans[sid]):
-                code = walk.classify[sid * q + c]
-                if len(state) < dp.width or nxt < 0:
-                    assert code == -1
-                    continue
-                branch, i = _classify(state + (c,), len(state) + 1, k, q)
-                assert walk.branch[code] == branch
-                assert code - walk.starts[branch - 1] == i - 1
+        for cell, nxt in enumerate(dp.step):
+            state, c = dp.states[cell // q], cell % q
+            code = walk.classify[cell]
+            if len(state) < dp.width or nxt < 0:
+                assert code == -1
+                continue
+            branch, i = _classify(state + (c,), len(state) + 1, k, q)
+            assert walk.branch[code] == branch
+            assert code - walk.starts[branch - 1] == i - 1
 
     @pytest.mark.parametrize("q, k", ENGINE_SYSTEMS)
     def test_step_table_is_the_stack_rule(self, q, k):
         sys_ = DupSystem(q, k)
-        dp, walk = enumeration._dp(sys_), _walk_tables(sys_)
-        assert len(walk.step) == len(dp.trans) * q
+        dp = enumeration._dp(sys_)
+        assert len(dp.step) == len(dp.states) * q
         assert dp.window_sid(()) == 0  # reduce starts from window 0
-        for sid, state in enumerate(dp.states):
-            for c, nxt in enumerate(dp.trans[sid]):
-                # the stack rule drops c and t - 1 symbols of an irreducible state
-                dropped = len(state) + 1 - len(root(Word(state + (c,), q), sys_))
-                if nxt >= 0:
-                    assert dropped == 0 and walk.step[sid * q + c] == nxt * q
-                else:
-                    assert dropped >= 1 and walk.step[sid * q + c] == -dropped
+        for cell, nxt in enumerate(dp.step):
+            state, c = dp.states[cell // q], cell % q
+            # the stack rule drops c and t - 1 symbols of an irreducible state
+            dropped = len(state) + 1 - len(root(Word(state + (c,), q), sys_))
+            if dropped == 0:
+                assert nxt == dp.window_sid(state + (c,)) * q
+            else:
+                assert nxt == -dropped
 
     @pytest.mark.parametrize("q, k", ENGINE_SYSTEMS)
     def test_reduce_walks_to_the_root(self, q, k):
@@ -488,21 +486,16 @@ class TestWindowWalk:
             cells = walk.reduce(y.symbols)
             assert tuple(c % q for c in cells) == root(y, sys_).symbols
             # each cell's row is the window after the cells before it
-            rows = [0, *(walk.step[c] for c in cells)][:len(cells)]
+            rows = [0, *(walk.dp.step[c] for c in cells)][:len(cells)]
             assert [c - c % q for c in cells] == rows
 
-    def test_counting_and_the_fse_never_build_the_tables(self, s43, monkeypatch):
-        def refuse(sys_):
-            raise AssertionError("ranking tables built")
-
-        monkeypatch.setattr(ranking, "_walks", {})
-        monkeypatch.setattr(ranking, "_WalkTables", refuse)
-        monkeypatch.setattr(enumeration, "_dps", {})
+    def test_counting_and_the_fse_never_build_the_tables(self, s43, fresh_tables):
         assert code_size(500, s43) > 0
         codec = FseCodec(FseParams(s43, 13, 19))
         assert codec.decode_values(codec.encode_values([0, 5, 4**13 - 1])) == [0, 5, 4**13 - 1]
-        with pytest.raises(AssertionError, match="ranking tables built"):
-            decode_codeword(encode_codeword(7, CodeSpec(s43, 12)), CodeSpec(s43, 12))
+        assert ranking._walk_tables.cache_info().misses == 0
+        assert decode_codeword(encode_codeword(7, CodeSpec(s43, 12)), CodeSpec(s43, 12)) == 7
+        assert ranking._walk_tables.cache_info().misses == 1
 
     @pytest.mark.parametrize("word, k", [("0010", 2), ("0121010", 2), ("012012", 3)])
     def test_reducible_word_message(self, word, k):
@@ -571,7 +564,9 @@ class TestBlocks:
         # that holds words.  Each block adds its divmod.  A prefix class's
         # lexicographic base walk compares at each successor window it takes
         # or passes, and subtracts at each one it passes: rank 1 takes the
-        # first, the last rank passes all but the last.  Ranking the first
+        # first, the last rank passes all but the last.  The plain class's
+        # base adds its rank to its length's first window id, and the first
+        # apply lookup multiplies and adds that counted id.  Ranking the first
         # word takes no lower branch, so all its numbers stay plain ints;
         # ranking the last adds per level the lower blocks (a multiply and
         # an add each), per block its sum, a multiply (none for the bottom
@@ -581,10 +576,10 @@ class TestBlocks:
         blocks = _block_length(q)
         lower = sum(1 for width in _widths(sys_)[:-1] if width)
         for p, base in _block_classes(sys_):
-            first_walk = last_walk = 0
+            first_walk = last_walk = 3  # dp.offsets[r] + y, then sid * span + code
             if len(p):
                 sid = dp.window_sid(p.symbols)
-                first_walk = base
+                first_walk, last_walk = base, 0
                 for _ in range(base):
                     last_walk += 2 * len(dp.succ[sid]) - 1
                     sid = dp.succ[sid][-1]
@@ -604,14 +599,18 @@ class TestBlocks:
     @pytest.mark.parametrize("q, k", BLOCK_SYSTEMS)
     def test_plain_base_tables_are_the_lexicographic_walk(self, q, k):
         sys_ = DupSystem(q, k)
-        dp, walk = enumeration._dp(sys_), _walk_tables(sys_)
+        # the j-th length-r word of the plain base is window dp.offsets[r] + j
+        dp = enumeration._dp(sys_)
         empty = dp.window_sid(())
         dp.ensure_layers(dp.width)
-        assert [len(row) for row in walk.first] == [dp.layers[r][empty] for r in range(dp.width + 1)]
-        for r, row in enumerate(walk.first):
-            for j, sid in enumerate(row):
+        ends = [*dp.offsets, len(dp.states)]
+        assert len(dp.offsets) == dp.width + 1 and ends == sorted(ends) and ends[0] == 0
+        for r in range(dp.width + 1):
+            row = dp.states[ends[r]:ends[r + 1]]
+            assert {len(state) for state in row} == {r}
+            assert row == sorted(row) and len(row) == dp.layers[r][empty]
+            for j, state in enumerate(row):
                 out: list[int] = []
-                assert enumeration._kth(dp, empty, r, (j,), out) == sid
-                assert tuple(out) == dp.states[sid]
-        for sid, state in enumerate(dp.states):
-            assert enumeration._index(dp, empty, len(state), (state,)) == ([walk.lex[sid]], sid)
+                assert enumeration._kth(dp, empty, r, (j,), out) == ends[r] + j
+                assert tuple(out) == state
+                assert enumeration._index(dp, empty, r, (state,)) == ([j], ends[r] + j)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tdcode
 from tdcode import (
     DomainError,
     DupSystem,
@@ -74,6 +75,13 @@ class TestWord:
     def test_from_string_rejects_foreign_digits(self):
         with pytest.raises(DomainError):
             Word.from_string("013", 3)
+
+    @pytest.mark.parametrize("text", ["\u0660\u0661\u0662", "\uff10\uff11\uff12", "01\u0663"],
+                             ids=["arabic-indic", "fullwidth", "one-arabic-indic"])
+    def test_from_string_rejects_non_ascii_digits(self, text):
+        # int() reads these as 0, 1, 2 and 3; a digit string is ASCII
+        with pytest.raises(DomainError, match=f"^not a digit string: {text!r}$"):
+            Word.from_string(text, 4)
 
     def test_dna_round_trip(self):
         word = Word.from_dna("ACGT")
@@ -355,3 +363,30 @@ class TestDupSystem:
 
     def test_hashable(self):
         assert len({DupSystem(3, 2), DupSystem(3, 2), DupSystem(3, 3)}) == 2
+
+
+class TestAlphabetCheck:
+    """Every entry point that takes a word and a system rejects a word over
+    another alphabet with the one message of words._check_alphabet."""
+
+    S4 = DupSystem(4, 2)
+    X5 = Word((0, 1, 0), 5)
+    X4 = Word((0, 1, 0), 4)
+
+    @pytest.mark.parametrize("call", [
+        lambda x: tdcode.root(x, TestAlphabetCheck.S4),
+        lambda x: tdcode.random_descendant(x, 1, TestAlphabetCheck.S4, 0),
+        lambda x: tdcode.decode_codeword(x, tdcode.CodeSpec(TestAlphabetCheck.S4, 2)),
+        lambda x: tdcode.count_extensions(x, 1, TestAlphabetCheck.S4),
+        lambda x: tdcode.extension_index(TestAlphabetCheck.X4, x, TestAlphabetCheck.S4),
+        lambda x: tdcode.neighbors(x, tdcode.FseParams(TestAlphabetCheck.S4, 1, 3)),
+        lambda x: tdcode.FseCodec(tdcode.FseParams(TestAlphabetCheck.S4, 1, 3)).decode_values(x),
+        lambda x: tdcode.apply_phi(x, 1, TestAlphabetCheck.S4),
+        lambda x: tdcode.rank_irr(x, TestAlphabetCheck.S4),
+        lambda x: tdcode.rank_irr_prefix(Word((0,), 4), x, TestAlphabetCheck.S4),
+    ], ids=["root", "random_descendant", "decode_codeword", "count_extensions",
+            "extension_index", "fse_state", "fse_decode_values", "suffix_map", "rank_irr",
+            "rank_irr_prefix"])
+    def test_one_message(self, call):
+        with pytest.raises(DomainError, match="^word alphabet q=5 does not match system q=4$"):
+            call(self.X5)
