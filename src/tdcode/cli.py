@@ -27,6 +27,10 @@ HEADER_PREFIX = "# tdcode"
 # channel's time grows as t**2 (-t 32768 on a 175k-symbol strand: 0.2 s).
 MAX_TABLE_LENGTH = 1 << 15
 
+# The longest FSE state a flag, -e or a header may ask for.  FseCodec counts to m per window
+# pattern (at most 21) and for delta_min_degree: at the cap, 0.1 s and 43 MB RSS (q = 8, k = 3).
+MAX_STATE_LENGTH = 1 << 11
+
 # The most full suffix windows (irreducible words of length 2k - 1) a
 # command may build the window DP over; the DP's time and memory grow with
 # them (q = 8, k = 3: 18480 windows, `rate` in under a second at 40 MB).
@@ -166,9 +170,9 @@ def _check_render(q: int, dna: bool) -> None:
         raise DomainError("digit rendering requires q <= 10; use --dna for q=4")
 
 
-def _check_length(n: int, what: str) -> None:
-    if n > MAX_TABLE_LENGTH:
-        raise DomainError(f"{what} {n} exceeds the counting cap {MAX_TABLE_LENGTH}")
+def _check_length(n: int, what: str, cap: int = MAX_TABLE_LENGTH, error=DomainError) -> None:
+    if n > cap:
+        raise error(f"{what} {n} exceeds the counting cap {cap}")
 
 
 def _window_system(q: int, k: int) -> DupSystem:
@@ -184,26 +188,29 @@ def _window_system(q: int, k: int) -> DupSystem:
     return sys_
 
 
-def _choose_params(epsilon: float, sys_: DupSystem) -> FseParams:
+def _choose_params(epsilon: float, sys_: DupSystem, cap: int = MAX_TABLE_LENGTH) -> FseParams:
     from .enumeration import _estimate, asymptotic_rate, choose_params
 
     info = asymptotic_rate(sys_)
     if 0 < epsilon < info.rate:  # else choose_params rejects epsilon
-        _check_length(_estimate(epsilon, info)[1], f"epsilon {epsilon}: state length")
+        _check_length(_estimate(epsilon, info)[1], f"epsilon {epsilon}: state length", cap)
     return choose_params(epsilon, sys_)
 
 
 def _resolve_fse_params(args, sys_: DupSystem, header: dict) -> FseParams:
-    # like _merged: the header's ell and m win, -e (or else --ell/--m) fills gaps
+    # like _merged: the header's ell and m win, -e (or else --ell/--m) fills gaps;
+    # each m is capped before any counting, -e's as the estimate choose_params starts at
     from .enumeration import FseParams
 
     ell, m = args.ell, args.m
     if args.epsilon is not None and not ("ell" in header and "m" in header):
-        chosen = _choose_params(args.epsilon, sys_)
+        chosen = _choose_params(args.epsilon, sys_, MAX_STATE_LENGTH)
         ell, m = chosen.ell, chosen.m
     ell, m = _merged(header, "ell", ell), _merged(header, "m", m)
     if ell is None or m is None:
         raise DomainError("fse mode needs -e, or both --ell and --m")
+    _check_length(int(m), "state length", MAX_STATE_LENGTH,
+                  CorruptInputError if "m" in header else DomainError)
     return FseParams(sys_, int(ell), int(m))
 
 
@@ -405,8 +412,7 @@ def _cmd_decode(args) -> int:
     if len(strands) != 1:
         raise CorruptInputError(f"fse mode expects one strand, found {len(strands)}")
     received = _parse_word(strands[0], sys_.q, dna)
-    # q**ell <= delta_min_degree(m) < q**m, and the strand holds a state:
-    # this rejects nothing encode writes and bounds all counting below
+    # q**ell <= delta_min_degree(m) < q**m, and the strand holds a state
     if not params.ell < params.m <= len(received):
         raise CorruptInputError(
             f"ell={params.ell}, m={params.m} do not satisfy ell < m <= "

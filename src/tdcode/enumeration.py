@@ -9,10 +9,10 @@ a freshly appended symbol spans at most the last 2k symbols, so the
 number of valid length-r extensions of a word depends only on its last
 min(len, 2k-1) symbols.  States are the irreducible words of length at
 most 2k-1, listed length by length in lexicographic order; their one
-transition table and their table of extension counts are the data of
-the lexicographic walks and of ranking.  Class sizes come from
-CountTable's recursion, seeded so that counting never grows that table
-past 2k rows.  Each per-system table is built once, on first use.
+transition table is the data of the lexicographic walks and of ranking.
+Their extension counts, which those walks, the prefix classes and the
+minimum out-degree read, are kept once per equality pattern (at most 21
+for any q).  Each per-system table is built once, on first use.
 """
 
 from __future__ import annotations
@@ -121,6 +121,9 @@ class _WindowDP:
     is the empty window.  step[sid * q + c] is q times the window after
     appending c to window sid, or -t where c closes a square: at most one
     square ends at c, of half-length t, and the last earlier c is t back.
+    Renaming symbols maps squares to squares, so a window's extension counts
+    are its equality pattern's: tables[pat[sid]], the count recursion from
+    a DP of the patterns' first 2k rows.
     """
 
     def __init__(self, sys: DupSystem):
@@ -141,26 +144,30 @@ class _WindowDP:
         # symbol that reached it (last).  A square of half-length < k ends at
         # c iff the next window is not irreducible (not in index); after a
         # full window w, half-length k is w + (c,) itself, so c is w[k - 1]
+        qids = list(range(0, len(states) * q, q))  # q times each id: the step cells share these
         step: list[int] = []
         succ: list[tuple[int, ...]] = []
         last: list[int] = []
+        pat: list[int] = []
+        patterns: dict[tuple[int, ...], int] = {}
         for w in states:
             full = len(w) == width
             keep = w[1:] if full else w
             square = w[k - 1] if full and w[:k - 1] == w[k:] else -1
             row = [-1 if c == square else index.get(keep + (c,), -1) for c in range(q)]
-            step += [nxt * q if nxt >= 0 else -1 - w[::-1].index(c) for c, nxt in enumerate(row)]
+            step += [qids[nxt] if nxt >= 0 else -1 - w[::-1].index(c) for c, nxt in enumerate(row)]
             succ.append(tuple([nxt for nxt in row if nxt >= 0]))
             last.append(w[-1] if w else -1)
-        self.step, self.succ, self.last = step, succ, last
-        self.layers: list[list[int]] = [[1] * len(states)]
-        self._counts: dict[int, CountTable] = {}
-
-    def ensure_layers(self, r: int) -> None:
-        layers = self.layers
-        while len(layers) <= r:
-            prev = layers[-1]
-            layers.append([sum(map(prev.__getitem__, row)) for row in self.succ])
+            # the equality pattern: each symbol's first position in w
+            pat.append(patterns.setdefault(tuple(map(w.index, w)), len(patterns)))
+        self.step, self.succ, self.last, self.pat = step, succ, last, pat
+        # rows 0 .. 2k - 1 of the DP over the patterns, one window of each
+        seeds, reps = [[1] * len(patterns)], [pat.index(p) for p in range(len(patterns))]
+        for _ in range(width):
+            prev = seeds[-1]
+            seeds.append([sum([prev[pat[nxt]] for nxt in succ[sid]]) for sid in reps])
+        self.tables = [CountTable._seeded(sys, col) for col in zip(*seeds)]
+        self.rows: list[tuple[int, ...]] = []  # rows[r][p]: the tables' counts at r
 
     def window_sid(self, symbols: tuple[int, ...]) -> int:
         w = symbols if len(symbols) <= self.width else symbols[-self.width:]
@@ -169,17 +176,16 @@ class _WindowDP:
             raise DomainError(f"suffix {w} is not irreducible")
         return sid
 
-    def seed(self, sid: int) -> list[int]:
-        # window sid's extension counts obey the count recursion beyond row 2k-1
-        self.ensure_layers(self.width)
-        return [layer[sid] for layer in self.layers[:self.width + 1]]
-
     def counts(self, sid: int) -> CountTable:
         """Window sid's extension counts, kept like count_table(sys)."""
-        table = self._counts.get(sid)
-        if table is None:
-            table = self._counts[sid] = CountTable._seeded(self.sys, self.seed(sid))
-        return table
+        return self.tables[self.pat[sid]]
+
+    def level_rows(self, r: int) -> list[tuple[int, ...]]:
+        """The rows a walk of r symbols reads, its first symbol's first:
+        level_rows(r)[i][p] is pattern p's count of length r - 1 - i."""
+        rows = self.rows
+        rows += [tuple([table.count(i) for table in self.tables]) for i in range(len(rows), r)]
+        return rows[:r][::-1]
 
 
 _dp = cache(_WindowDP)
@@ -201,13 +207,13 @@ def count_extensions(x: Word, r: int, sys: DupSystem) -> int:
 def _kth(dp: _WindowDP, sid: int, r: int, js: Iterable[int], out: list[int]) -> int:
     """For each j in js, append the j-th (0-indexed) valid length-r extension
     of the current window to out and move on to its final window; return
-    the last window id.  Needs dp.layers up to r and valid js."""
-    succ, last = dp.succ, dp.last
-    view = dp.layers[:r][::-1]
+    the last window id.  Needs valid js."""
+    succ, last, pat = dp.succ, dp.last, dp.pat
+    view = dp.level_rows(r)
     for j in js:
-        for layer in view:
+        for row in view:
             for nxt in succ[sid]:
-                cnt = layer[nxt]
+                cnt = row[pat[nxt]]
                 if j < cnt:
                     break
                 j -= cnt
@@ -221,20 +227,19 @@ def _index(
 ) -> tuple[list[int], int]:
     """The 0-indexed positions of consecutive length-r extensions, starting
     at window sid, and the final window id.  If a symbol closes a square the
-    id is -1 and the list ends with that symbol's offset in its step.
-    Needs dp.layers up to r."""
-    succ, last = dp.succ, dp.last
-    view = dp.layers[:r][::-1]
+    id is -1 and the list ends with that symbol's offset in its step."""
+    succ, last, pat = dp.succ, dp.last, dp.pat
+    view = dp.level_rows(r)
     out: list[int] = []
     for ys in steps:
         idx = 0
-        for layer, c in zip(view, ys):
+        for row, c in zip(view, ys):
             for nxt in succ[sid]:
                 if last[nxt] == c:
                     break
-                idx += layer[nxt]
-            else:  # c closes a square; its offset is its layer's position
-                out.append([v is layer for v in view].index(True))
+                idx += row[pat[nxt]]
+            else:  # c closes a square; its offset is its row's position
+                out.append([v is row for v in view].index(True))
                 return out, -1
             sid = nxt
         out.append(idx)
@@ -245,8 +250,7 @@ def kth_extension(x: Word, r: int, j: int, sys: DupSystem) -> Word:
     """The j-th (1-indexed, lexicographic) valid length-r extension of x."""
     dp = _dp(sys)
     sid = dp.window_sid(x.symbols)
-    dp.ensure_layers(r)
-    total = dp.layers[r][sid]
+    total = dp.counts(sid).count(r)
     if not 1 <= j <= total:
         raise DomainError(f"extension index {show_int(j)} outside [1, {show_int(total)}]")
     out: list[int] = []
@@ -259,7 +263,6 @@ def extension_index(x: Word, y: Word, sys: DupSystem) -> int:
     _check_alphabet(y, sys)
     dp = _dp(sys)
     sid = dp.window_sid(x.symbols)
-    dp.ensure_layers(len(y))
     (idx,), sid = _index(dp, sid, len(y), (y.symbols,))
     if sid < 0:
         raise DomainError(
@@ -270,13 +273,8 @@ def extension_index(x: Word, y: Word, sys: DupSystem) -> int:
 
 def iter_extensions(x: Word, r: int, sys: DupSystem) -> Iterator[Word]:
     """Yield all valid length-r extensions of x in lexicographic order."""
-    dp = _dp(sys)
-    sid = dp.window_sid(x.symbols)
-    dp.ensure_layers(r)
-    for j in range(dp.layers[r][sid]):
-        out: list[int] = []
-        _kth(dp, sid, r, (j,), out)
-        yield Word._unchecked(tuple(out), sys.q)
+    for j in range(1, count_extensions(x, r, sys) + 1):
+        yield kth_extension(x, r, j, sys)
 
 
 # -------------------------------------------------------- prefix counting
@@ -299,11 +297,9 @@ def count_irr_prefix(p: Word, n: int, sys: DupSystem) -> int:
 
 @cache
 def _degree_table(sys: DupSystem) -> CountTable:
-    # delta_min_degree(2k-1 + i) at index i: minima over the full windows,
-    # one throwaway table each, not kept like dp.counts
+    # delta_min_degree(2k-1 + i) at index i: minima over the full windows' patterns
     dp = _dp(sys)
-    full = [CountTable._seeded(sys, dp.seed(sid))
-            for sid in range(dp.offsets[dp.width], len(dp.states))]
+    full = [dp.tables[p] for p in set(dp.pat[dp.offsets[dp.width]:])]
     return CountTable._seeded(
         sys, [min(t.count(b) for t in full) for b in range(dp.width, 3 * sys.k - 1)]
     )

@@ -111,7 +111,6 @@ class FseCodec:
             raise DomainError(f"q**ell = {sys.q}**{ell} exceeds the minimum out-degree "
                               f"{show_int(degree)} at m = {m}; no labeling exists")
         self.params = params
-        # this walk grows the window table to the m rows every step reads
         self.start_state = kth_extension(Word((), sys.q), m, 1, sys)
         self._start_sid = _dp(sys).window_sid(self.start_state.symbols)
 

@@ -270,7 +270,6 @@ class _WalkTables:
                 digits, i = divmod(digits, w)
                 codes.append(start + i)
         if p:
-            dp.ensure_layers(r)
             s = list(p)
             sid = _kth(dp, dp.window_sid(p), r, (y,), s)
         else:
@@ -331,7 +330,6 @@ class _WalkTables:
                 r -= b
             blocks.append((scale, high + low))
         if p:
-            dp.ensure_layers(r)
             (rank,), _ = _index(dp, dp.window_sid(p), r, ([c % q for c in cells[len(p):n]],))
         else:  # the window after the first n cells, among the length-n windows
             rank = (dp.step[cells[n - 1]] // q if n else 0) - dp.offsets[n]

@@ -55,6 +55,17 @@ def fresh_tables() -> None:
         build.cache_clear()
 
 
+def window_dp(dp, rows: int) -> list[list[int]]:
+    """The direct suffix-window DP, the tests' reference for every window
+    count: row r holds each window's number of valid length-r extensions,
+    the sum of row r - 1 over its successors in dp.succ."""
+    layers = [[1] * len(dp.states)]
+    while len(layers) <= rows:
+        prev = layers[-1]
+        layers.append([sum(prev[nxt] for nxt in row) for row in dp.succ])
+    return layers
+
+
 class ValidationCounter:
     """Counts the per-symbol checks Word.__post_init__ runs."""
 

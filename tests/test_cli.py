@@ -27,6 +27,7 @@ from tdcode import (
     unrank_irr,
 )
 from tdcode.cli import (
+    MAX_STATE_LENGTH,
     MAX_TABLE_LENGTH,
     MAX_WINDOWS,
     _check_length,
@@ -290,6 +291,40 @@ class TestHeaderBounds:
         assert rc == rc_expected
         assert "Traceback" not in err
         assert ("error:" in err) == (rc_expected == 1)
+
+
+class TestStateCap:
+    # the FSE's state length m, from --m, -e or a header, is checked against
+    # MAX_STATE_LENGTH before FseCodec is built or anything counts
+    HEADER = "# tdcode mode=fse q=10 k=2 ell=1 m=4000 chunk=3 digits=0 dna=0\n"
+
+    @pytest.mark.parametrize("argv, rc_expected", [
+        (("encode", "--mode", "fse", "-q", "4", "-k", "3", "--ell", "1", "--m", "40000"), 2),
+        (("encode", "--mode", "fse", "-q", "4", "-k", "3", "-e", "1e-4"), 2),
+        (("decode",), 1),
+    ], ids=["m-flag", "epsilon", "header"])
+    def test_state_length_past_the_cap_fails_before_counting(
+        self, argv, rc_expected, tmp_path, capsys, monkeypatch
+    ):
+        def counting(*args):
+            raise AssertionError("counting started before m was checked")
+
+        for name in ("fse.FseCodec", "enumeration.choose_params"):
+            monkeypatch.setattr(f"tdcode.{name}", counting)
+        src = tmp_path / "in.txt"
+        src.write_text(self.HEADER + "0" * 4000 + "\n")
+        rc, _, err = run(capsys, *argv, "-i", str(src), "-o", str(tmp_path / "out"))
+        assert rc == rc_expected
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"exceeds the counting cap {MAX_STATE_LENGTH}" in err
+
+    def test_the_cap_itself_is_allowed(self, tmp_path, capsys):
+        src = tmp_path / "in.bin"
+        src.write_bytes(b"")
+        rc, out, _ = run(capsys, "encode", "--mode", "fse", "-q", "3", "-k", "2", "--ell", "1",
+                         "--m", str(MAX_STATE_LENGTH), "-i", str(src))
+        assert rc == 0
+        assert f"m={MAX_STATE_LENGTH} " in out
 
 
 class TestCodeStreamErrors:

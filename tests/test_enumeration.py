@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import window_dp
 from tdcode import (
     CountTable,
     DomainError,
@@ -238,26 +239,25 @@ class TestRecursionAgainstWindowDP:
         dp = _dp(sys_)
         width = 2 * k - 1
         full = [sid for sid, w in enumerate(dp.states) if len(w) == width]
-        dp.ensure_layers(60)
+        layers = window_dp(dp, 60)
         for m in range(width, 61):
-            assert delta_min_degree(m, sys_) == min(dp.layers[m][sid] for sid in full)
+            assert delta_min_degree(m, sys_) == min(layers[m][sid] for sid in full)
 
     @pytest.mark.parametrize("q, k", GUARD_SYSTEMS)
     def test_counts_are_the_dp_from_the_empty_window(self, q, k):
         sys_ = DupSystem(q, k)
         dp = _dp(sys_)
         empty = dp.window_sid(())
-        dp.ensure_layers(60)
+        layers = window_dp(dp, 60)
         for n in range(61):
-            assert count_irr(n, sys_) == dp.layers[n][empty]
+            assert count_irr(n, sys_) == layers[n][empty]
 
     @pytest.mark.parametrize("q, k", GUARD_SYSTEMS)
     def test_every_window_follows_the_count_recursion(self, q, k):
         # written out here, independently of the package's coefficients
         coeffs = (q - 2, q - 2) if k == 2 else (q - 2, q - 3, q - 2)
         dp = _dp(DupSystem(q, k))
-        dp.ensure_layers(40)
-        layers = dp.layers
+        layers = window_dp(dp, 40)
         for r in range(2 * k, 41):
             for sid in range(len(dp.states)):
                 assert layers[r][sid] == sum(
@@ -269,6 +269,16 @@ class TestRecursionAgainstWindowDP:
             assert [count_extensions(x, r, dp.sys) for r in range(41)] == [
                 layers[r][sid] for r in range(41)
             ], state
+
+    @pytest.mark.parametrize("q, k", [(q, k) for q in range(3, 9) for k in (2, 3)])
+    def test_every_window_counts_through_its_pattern(self, q, k):
+        # the one store of window counts is per equality pattern: each
+        # window's table, read through its pattern, is its direct DP column
+        dp = _dp(DupSystem(q, k))
+        layers = window_dp(dp, 40)
+        for sid, state in enumerate(dp.states):
+            table = dp.counts(sid)
+            assert [table.count(r) for r in range(41)] == [row[sid] for row in layers], state
 
 
 # four-decimal reference values; some truncate the last digit (e.g.

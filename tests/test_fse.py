@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import functools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from tdcode import (
     NotAnEdgeError,
     UnlabeledEdgeError,
     Word,
+    choose_params,
     count_extensions,
     count_irr,
     delta_min_degree,
@@ -145,6 +147,19 @@ class TestFseCodec:
         # so the message must not print it
         with pytest.raises(DomainError, match=r"3\*\*12000"):
             FseCodec(FseParams(s32, ell=12000, m=12001))
+
+    def test_encoder_memory_stays_small(self, fresh_tables):
+        # the walk reads one count table per window pattern, not a row per
+        # window per state symbol: those rows traced 60 MB here at m = 196
+        tracemalloc.start()
+        try:
+            codec = FseCodec(choose_params(0.005, DupSystem(6, 3)))
+            assert codec.decode_values(codec.encode_values([0])) == [0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert codec.params.m == 196
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("q, k, ell, m", ORACLE_SYSTEMS)
     def test_steps_match_bruteforce_neighbors(self, q, k, ell, m):

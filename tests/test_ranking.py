@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import window_dp
 from tdcode import (
     DomainError,
     DupSystem,
@@ -284,22 +285,24 @@ class TestUnrankRank:
                     assert ops_r <= 8 * n
 
     def test_plain_path_keeps_the_window_table_small(self, s42, fresh_tables):
-        # plain rank/unrank count through CountTable; only the lexicographic
-        # base reads the window DP, so its layer table stays at 2k rows
+        # plain rank/unrank count through count_table(sys); the window DP's
+        # pattern tables stay at their 2k seed rows
         j = count_irr(4000, s42) // 3
         assert rank_irr(unrank_irr(4000, j, s42), s42) == j
         assert enumeration._dp.cache_info().misses == 1  # the walker's, shared
-        assert len(enumeration._dp(s42).layers) <= 2 * s42.k
+        assert all(len(t._values) <= 2 * s42.k for t in enumeration._dp(s42).tables)
 
     def test_prefix_path_keeps_the_window_table_small(self, fresh_tables):
-        # prefix classes count through a CountTable seeded from the window's
-        # first 2k rows; the table grows further only for a lexicographic walk
+        # prefix classes count through the table of the prefix's pattern; the
+        # lexicographic base walk grows no other table past its 2k seed rows
         s63 = DupSystem(6, 3)
         p = Word.from_string("012", 6)
         j = count_irr_prefix(p, 1000, s63) // 3
         assert rank_irr_prefix(p, unrank_irr_prefix(p, 1000, j, s63), s63) == j
         assert enumeration._dp.cache_info().misses == 1  # the walker's, shared
-        assert len(enumeration._dp(s63).layers) <= 2 * s63.k
+        dp = enumeration._dp(s63)
+        own = dp.counts(dp.window_sid(p.symbols))
+        assert all(len(t._values) <= 2 * s63.k for t in dp.tables if t is not own)
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -602,13 +605,13 @@ class TestBlocks:
         # the j-th length-r word of the plain base is window dp.offsets[r] + j
         dp = enumeration._dp(sys_)
         empty = dp.window_sid(())
-        dp.ensure_layers(dp.width)
+        layers = window_dp(dp, dp.width)
         ends = [*dp.offsets, len(dp.states)]
         assert len(dp.offsets) == dp.width + 1 and ends == sorted(ends) and ends[0] == 0
         for r in range(dp.width + 1):
             row = dp.states[ends[r]:ends[r + 1]]
             assert {len(state) for state in row} == {r}
-            assert row == sorted(row) and len(row) == dp.layers[r][empty]
+            assert row == sorted(row) and len(row) == layers[r][empty]
             for j, state in enumerate(row):
                 out: list[int] = []
                 assert enumeration._kth(dp, empty, r, (j,), out) == ends[r] + j
