@@ -1,13 +1,15 @@
 """Error-correcting codes for channels that insert short tandem duplications.
 
-The package enumerates, ranks, and unranks irreducible words (words
+The package counts, ranks, and unranks irreducible words (words
 containing no tandem repeat of length up to k), runs a finite-state
 encoder whose outputs stay irreducible across block boundaries, and
-wraps both in a codec that corrects any number of duplications of
-length at most k for k in {2, 3}.
+wraps the ranking in a codec that corrects any number of duplications
+of length at most k for k in {2, 3}.
 
-The names below load their module on first use (PEP 562), so importing
-one module, as the command line does, does not import the others.
+The names below are the public API; the brute-force oracle among them
+is the reference the fast paths are checked against.  They load their
+module on first use (PEP 562), so importing one module, as the command
+line does, does not import the others.
 """
 
 from importlib import import_module as _import_module
@@ -15,18 +17,15 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "codec": "CodeSpec MessageCapacity decode_codeword encode_codeword message_capacity",
+    "codec": "CodeSpec decode_codeword encode_codeword",
     "enumeration": "CountTable FseParams RateInfo asymptotic_rate choose_params code_size "
-                   "count_extensions count_irr count_irr_prefix delta_closed_form "
-                   "delta_closed_form_report delta_min_degree extension_index "
-                   "iter_extensions kth_extension",
+                   "count_irr delta_min_degree",
     "errors": "BudgetExceededError CorruptInputError DomainError NotADescendantError "
-              "NotAnEdgeError TandemCodeError UnlabeledEdgeError",
-    "fse": "FseCodec neighbor_index neighbors nth_neighbor",
+              "TandemCodeError",
+    "fse": "FseCodec",
     "oracle": "OracleBudget RootOracle all_descendants all_roots_bfs "
               "enumerate_irr_bruteforce min_outdegree_bruteforce",
-    "ranking": "apply_phi apply_phi123 apply_psi invert_phi invert_phi123 invert_psi "
-               "rank_irr rank_irr_prefix unrank_irr unrank_irr_prefix",
+    "ranking": "rank_irr rank_irr_prefix unrank_irr unrank_irr_prefix",
     "words": "DNA_ALPHABET DuplicationEvent DupSystem Word extend_zeta find_tandem_repeat "
              "is_irreducible random_descendant root tandem_duplicate",
 }

@@ -316,6 +316,8 @@ def _cmd_encode(args) -> int:
     from .fse import FseCodec, _block_value
 
     params = _resolve_fse_params(args, sys_, {})
+    if params.ell >= params.m:  # before q**ell is formed: q**ell <= delta_min_degree(m) < q**m
+        raise DomainError(f"ell={params.ell} must be below m={params.m}; no labeling exists")
     chunk = (sys_.q**params.ell).bit_length() - 1
     codec = FseCodec(params)
     header = format_header({
@@ -390,6 +392,8 @@ def _cmd_decode(args) -> int:
         # duplications only lengthen strands; check before code_size(n) costs O(n**2) bits
         if spec.n > min(map(len, strands)):
             raise CorruptInputError(f"code length n={spec.n} exceeds the shortest strand")
+        _check_length(spec.n, "code length",
+                      error=CorruptInputError if "n" in header else DomainError)
         if chunk is None:
             chunk = code_size(spec.n, sys_).bit_length() - 1
         # parsed one strand at a time, so the first bad strand is the one reported
@@ -501,7 +505,14 @@ def _cmd_verify(args) -> int:
     from .ranking import rank_irr, unrank_irr
 
     sys_ = _window_system(args.q, args.k)
-    budget = OracleBudget(max_words=args.budget, max_depth=max(args.depth, 12))
+    if args.n < 1:
+        raise DomainError(f"maximum word length must be >= 1, got {args.n}")
+    _check_length(args.n, "maximum word length")
+    budget = OracleBudget(max_words=args.budget)
+    if not 0 <= args.depth <= budget.max_depth:
+        raise DomainError(
+            f"depth {args.depth} outside [0, {budget.max_depth}], the oracle's search depth"
+        )
     checks: list[dict] = []
 
     def record(name: str, ok: bool, detail: str) -> None:

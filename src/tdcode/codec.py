@@ -11,12 +11,11 @@ received word, and add the size of all shorter root classes.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
-from .enumeration import code_size, count_table
+from .enumeration import count_table
 from .errors import DomainError, NotADescendantError, show_int
 from .ranking import _walk_tables
 from .words import DupSystem, Word, _check_alphabet, extend_zeta
@@ -32,17 +31,6 @@ class CodeSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise DomainError(f"codeword length must be >= 1, got {self.n}")
-
-
-class MessageCapacity(NamedTuple):
-    bits: float
-    symbols: int
-
-
-def message_capacity(spec: CodeSpec) -> MessageCapacity:
-    """How many distinct messages fit one codeword, and the same in bits."""
-    symbols = code_size(spec.n, spec.sys)
-    return MessageCapacity(math.log2(symbols), symbols)
 
 
 def encode_codewords(js: Iterable[int], spec: CodeSpec) -> Iterator[Word]:

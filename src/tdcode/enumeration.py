@@ -1,8 +1,9 @@
 """Exact enumeration for irreducible words.
 
-Provides arbitrary-precision counts of irreducible words (total and
-prefix-constrained), minimum out-degrees of the irreducible-word overlap
-graph, asymptotic growth rates, and encoder parameter selection.
+Provides arbitrary-precision counts of irreducible words, the extension
+counts that rank, unrank and the encoder walk on, minimum out-degrees of
+the irreducible-word overlap graph, asymptotic growth rates, and encoder
+parameter selection.
 
 The workhorse is a suffix-window dynamic program: a square that ends at
 a freshly appended symbol spans at most the last 2k symbols, so the
@@ -21,10 +22,10 @@ import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .errors import DomainError, show_int
-from .words import DupSystem, Word, _check_alphabet, is_irreducible
+from .errors import DomainError
+from .words import DupSystem
 
 # ------------------------------------------------------------------ totals
 
@@ -191,19 +192,6 @@ class _WindowDP:
 _dp = cache(_WindowDP)
 
 
-def count_extensions(x: Word, r: int, sys: DupSystem) -> int:
-    """Number of length-r words y such that x..y has no square ending in y.
-
-    For irreducible x this is exactly the number of irreducible words of
-    length len(x) + r that extend x.  Every such y is itself irreducible.
-    """
-    _check_alphabet(x, sys)
-    if r < 0:
-        raise DomainError(f"extension length must be >= 0, got {r}")
-    dp = _dp(sys)
-    return dp.counts(dp.window_sid(x.symbols)).count(r)
-
-
 def _kth(dp: _WindowDP, sid: int, r: int, js: Iterable[int], out: list[int]) -> int:
     """For each j in js, append the j-th (0-indexed) valid length-r extension
     of the current window to out and move on to its final window; return
@@ -246,52 +234,6 @@ def _index(
     return out, sid
 
 
-def kth_extension(x: Word, r: int, j: int, sys: DupSystem) -> Word:
-    """The j-th (1-indexed, lexicographic) valid length-r extension of x."""
-    dp = _dp(sys)
-    sid = dp.window_sid(x.symbols)
-    total = dp.counts(sid).count(r)
-    if not 1 <= j <= total:
-        raise DomainError(f"extension index {show_int(j)} outside [1, {show_int(total)}]")
-    out: list[int] = []
-    _kth(dp, sid, r, (j - 1,), out)
-    return Word._unchecked(tuple(out), sys.q)
-
-
-def extension_index(x: Word, y: Word, sys: DupSystem) -> int:
-    """Position of y (1-indexed) in the lex order of valid extensions of x."""
-    _check_alphabet(y, sys)
-    dp = _dp(sys)
-    sid = dp.window_sid(x.symbols)
-    (idx,), sid = _index(dp, sid, len(y), (y.symbols,))
-    if sid < 0:
-        raise DomainError(
-            f"{y} is not a valid extension of {x}: square ends at offset {idx}"
-        )
-    return idx + 1
-
-
-def iter_extensions(x: Word, r: int, sys: DupSystem) -> Iterator[Word]:
-    """Yield all valid length-r extensions of x in lexicographic order."""
-    for j in range(1, count_extensions(x, r, sys) + 1):
-        yield kth_extension(x, r, j, sys)
-
-
-# -------------------------------------------------------- prefix counting
-
-
-def count_irr_prefix(p: Word, n: int, sys: DupSystem) -> int:
-    """Number of irreducible length-n words that start with p (0 if p is not
-    irreducible)."""
-    if len(p) < 1:
-        raise DomainError("prefix must be nonempty")
-    if n < len(p):
-        raise DomainError(f"target length {n} shorter than the prefix ({len(p)})")
-    if not is_irreducible(p, sys.k):  # count_extensions checks p.q
-        return 0
-    return count_extensions(p, n - len(p), sys)
-
-
 # ------------------------------------------------------- minimum out-degree
 
 
@@ -317,46 +259,6 @@ def delta_min_degree(m: int, sys: DupSystem) -> int:
     if m < width:
         raise DomainError(f"state length must be >= {width}, got {m}")
     return _degree_table(sys).count(m - width)
-
-
-def delta_closed_form(m: int, sys: DupSystem) -> Optional[int]:
-    """Closed-form expressions for the base out-degree values, where known.
-
-    Returns None when no closed form covers (m, k).  The k = 3, m = 7
-    expression is known to disagree with exhaustive counting; see
-    delta_closed_form_report.
-    """
-    q = sys.q
-    if sys.k == 2:
-        if m == 3:
-            return q * (q - 2) ** 2
-        if m == 4:
-            return (q - 2) ** 2 * (q * q - q - 1)
-    else:
-        if m == 5:
-            return (q - 2) * (q * q - 2 * q - 1) ** 2
-        if m == 6:
-            return (q - 1) * (q**5 - 6 * q**4 + 9 * q**3 + 4 * q**2 - 8 * q - 9)
-        if m == 7:
-            return (q - 2) * (q**6 - 6 * q**4 + 9 * q**3 + 4 * q**2 - 8 * q - 10 * q + 3)
-    return None
-
-
-def delta_closed_form_report(sys: DupSystem) -> list[dict]:
-    """Compare computed base out-degrees against their closed forms."""
-    report = []
-    for m in range(2 * sys.k - 1, 3 * sys.k - 1):
-        computed = delta_min_degree(m, sys)
-        stated = delta_closed_form(m, sys)
-        report.append(
-            {
-                "m": m,
-                "computed": computed,
-                "closed_form": stated,
-                "agrees": stated == computed,
-            }
-        )
-    return report
 
 
 # -------------------------------------------------------- rates and params

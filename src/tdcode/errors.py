@@ -13,14 +13,6 @@ class BudgetExceededError(TandemCodeError):
     """A brute-force computation exceeded its search budget."""
 
 
-class NotAnEdgeError(TandemCodeError, ValueError):
-    """The given state pair is not an edge of the encoder graph."""
-
-
-class UnlabeledEdgeError(TandemCodeError, ValueError):
-    """The edge exists but its index exceeds the labeled range q**ell."""
-
-
 class CorruptInputError(TandemCodeError, ValueError):
     """Input data does not decode: framing, block, or format damage."""
 

@@ -16,62 +16,11 @@ window id on to the next state (O(m) big-int operations per step).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .enumeration import (
-    FseParams,
-    _dp,
-    _index,
-    _kth,
-    delta_min_degree,
-    extension_index,
-    iter_extensions,
-    kth_extension,
-)
-from .errors import CorruptInputError, DomainError, NotAnEdgeError, UnlabeledEdgeError, show_int
-from .words import Word, _check_alphabet, is_irreducible
-
-
-def _require_state(x: Word, params: FseParams) -> None:
-    _check_alphabet(x, params.sys)
-    if len(x) != params.m:
-        raise DomainError(f"state must have length m={params.m}, got {len(x)}")
-    if not is_irreducible(x, params.sys.k):
-        raise DomainError(f"state {x} is not irreducible for k = {params.sys.k}")
-
-
-def neighbors(x: Word, params: FseParams) -> list[Word]:
-    """All states x' with x..x' irreducible, in lexicographic order."""
-    _require_state(x, params)
-    return list(iter_extensions(x, params.m, params.sys))
-
-
-def nth_neighbor(x: Word, j: int, params: FseParams) -> Word:
-    """The j-th neighbor of x (1-indexed, lexicographic) without
-    materializing the list: symbols are chosen digit by digit, counting
-    completions through the boundary window."""
-    _require_state(x, params)
-    return kth_extension(x, params.m, j, params.sys)
-
-
-def neighbor_index(x: Word, x_next: Word, params: FseParams) -> int:
-    """Position of x_next among x's neighbors; the inverse of nth_neighbor.
-
-    Raises NotAnEdgeError when x..x_next is reducible and
-    UnlabeledEdgeError when the edge exists but its position exceeds
-    q**ell (such edges carry no message block).
-    """
-    _require_state(x, params)
-    _require_state(x_next, params)
-    try:
-        idx = extension_index(x, x_next, params.sys)
-    except DomainError as e:
-        raise NotAnEdgeError(str(e)) from None
-    if idx > params.sys.q**params.ell:
-        raise UnlabeledEdgeError(
-            f"edge index {idx} exceeds the labeled range {params.sys.q}**{params.ell}"
-        )
-    return idx
+from .enumeration import FseParams, _dp, _index, _kth, delta_min_degree
+from .errors import CorruptInputError, DomainError, show_int
+from .words import Word, _check_alphabet
 
 
 def _block_value(block: Word, params: FseParams) -> int:
@@ -111,8 +60,9 @@ class FseCodec:
             raise DomainError(f"q**ell = {sys.q}**{ell} exceeds the minimum out-degree "
                               f"{show_int(degree)} at m = {m}; no labeling exists")
         self.params = params
-        self.start_state = kth_extension(Word((), sys.q), m, 1, sys)
-        self._start_sid = _dp(sys).window_sid(self.start_state.symbols)
+        out: list[int] = []  # the first length-m extension of the empty window 0
+        self._start_sid = _kth(_dp(sys), 0, m, (0,), out)
+        self.start_state = Word._unchecked(tuple(out), sys.q)
 
     def encode_values(self, values: Iterable[int]) -> Word:
         """Concatenate the states visited while consuming block values in
@@ -152,11 +102,3 @@ class FseCodec:
                 f"state {len(values)}: not an edge, a square ends at offset {values[-1]}"
             )
         return values
-
-    def encode(self, blocks: Sequence[Word]) -> Word:
-        """Concatenate the states visited while consuming the blocks."""
-        return self.encode_values([_block_value(b, self.params) for b in blocks])
-
-    def decode(self, x: Word) -> list[Word]:
-        """Invert encode; raises CorruptInputError on damaged input."""
-        return [_value_block(v, self.params) for v in self.decode_values(x)]

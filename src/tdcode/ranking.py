@@ -67,103 +67,7 @@ def _suffix_map(
     return (a, b), ((a, b) if branch == 3 else ())
 
 
-def _free_symbols(avoid: tuple[int, ...], q: int) -> list[int]:
-    """The symbols outside avoid in increasing order; free index i picks
-    the i-th of them (1-indexed)."""
-    return [c for c in range(q) if c not in avoid]
-
-
-def _classify(s: Sequence[int], n: int, k: int, q: int) -> tuple[int, int]:
-    """(branch, i): the suffix map that produced the irreducible word s[:n]
-    and the avoid-set index of its free symbol: the branch whose map, applied
-    to s[:n - branch], gives s[:n]."""
-    for branch in range(1, k + 1):
-        avoid, copied = _suffix_map(s, n - branch, branch, k)
-        sigma = s[n - branch]
-        if sigma not in avoid and tuple(s[n - branch + 1:n]) == copied:
-            return branch, 1 + sigma - sum(1 for a in avoid if a < sigma)
-    raise DomainError("word is not in the expected image class")
-
-
-def _apply(x: Word, i: int, branch: int, sys: DupSystem, k: int, min_len: int) -> Word:
-    _require_system(x, sys, k)
-    if len(x) < min_len:
-        raise DomainError(f"map input needs length >= {min_len}, got {len(x)}")
-    if not is_irreducible(x, k):
-        raise DomainError("map input must be irreducible")
-    s = x.symbols
-    avoid, copied = _suffix_map(s, len(s), branch, sys.k)
-    free = _free_symbols(avoid, sys.q)
-    if not 1 <= i <= len(free):
-        raise DomainError(f"avoid-set index {i} outside [1, {len(free)}]")
-    return Word(s + (free[i - 1],) + copied, sys.q)
-
-
-def _invert(y: Word, sys: DupSystem, k: int, min_len: int) -> tuple[Word, int, int]:
-    _require_system(y, sys, k)
-    if len(y) < min_len:
-        raise DomainError(f"map image needs length >= {min_len}, got {len(y)}")
-    if not is_irreducible(y, k):
-        raise DomainError("map image must be irreducible")
-    s = y.symbols
-    branch, i = _classify(s, len(s), k, sys.q)
-    return Word(s[:len(s) - branch], sys.q), i, branch
-
-
-def apply_phi(x: Word, i: int, sys: DupSystem) -> Word:
-    """Append one symbol differing from the last two; the image ends in
-    three distinct symbols."""
-    return _apply(x, i, 1, sys, 2, min_len=3)
-
-
-def invert_phi(y: Word, sys: DupSystem) -> tuple[Word, int]:
-    """Inverse of apply_phi; requires the last three symbols distinct."""
-    x, i, branch = _invert(y, sys, 2, min_len=4)
-    if branch != 1:
-        raise DomainError("word does not end in three distinct symbols")
-    return x, i
-
-
-def apply_psi(x: Word, i: int, sys: DupSystem) -> Word:
-    """Append a symbol differing from the last two, then repeat the last
-    symbol of x; the image's last symbol equals the one two back."""
-    return _apply(x, i, 2, sys, 2, min_len=2)
-
-
-def invert_psi(y: Word, sys: DupSystem) -> tuple[Word, int]:
-    """Inverse of apply_psi; requires y[-1] == y[-3]."""
-    x, i, branch = _invert(y, sys, 2, min_len=4)
-    if branch != 2:
-        raise DomainError("last symbol does not repeat the one two back")
-    return x, i
-
-
-def apply_phi123(x: Word, i: int, branch: int, sys: DupSystem) -> Word:
-    """Apply the k = 3 suffix map for the given branch (1, 2, or 3).
-
-    Branch 1 appends one symbol, branch 2 two, branch 3 three.  Branch 2
-    has avoid sets of size three, so it is empty at q = 3.
-    """
-    if branch not in (1, 2, 3):
-        raise DomainError(f"branch must be 1, 2, or 3, got {branch}")
-    if branch == 2 and sys.q == 3:
-        raise DomainError("branch 2 is empty at q = 3")
-    return _apply(x, i, branch, sys, 3, min_len=4 if branch == 2 else 3)
-
-
-def invert_phi123(y: Word, sys: DupSystem) -> tuple[Word, int, int]:
-    """Classify y's suffix, strip the appended symbols, and recover the
-    avoid-set index.  Returns (preimage, i, branch)."""
-    return _invert(y, sys, 3, min_len=6)
-
-
 # ------------------------------------------------------------ validation
-
-
-def _require_system(x: Word, sys: DupSystem, k: int) -> None:
-    if sys.k != k:
-        raise DomainError(f"this map belongs to k = {k}, system has k = {sys.k}")
-    _check_alphabet(x, sys)
 
 
 def _require_prefix(p: Word, sys: DupSystem) -> None:
@@ -188,7 +92,7 @@ class _WalkTables:
     step from window sid, wherever the image is longer than a window.
     classify[sid * q + c] is the step code of an image ending in c whose
     other symbols end in the full window sid; filled from the length-2k
-    images, it is apply's inverse (as _classify is).  Other cells hold -1.
+    images, it is apply's inverse.  Other cells hold -1.
     Both are built from, and the walks move on, the window DP's one
     transition table dp.step, which shares classify's cell index.  The
     plain class's base words are windows, listed in lexicographic order
@@ -220,8 +124,8 @@ class _WalkTables:
             for branch in range(max(2 * k - len(w), 1), k + 1):
                 avoid, copied = _suffix_map(w, len(w), branch, k)
                 free = free_sets.get(avoid)
-                if free is None:
-                    free = free_sets[avoid] = _free_symbols(avoid, q)
+                if free is None:  # free index i + 1 picks free[i]
+                    free = free_sets[avoid] = [c for c in range(q) if c not in avoid]
                 # cells[i]: the step cell of image i's last symbol
                 cells = [sid * q + a for a in free]
                 for c in copied:

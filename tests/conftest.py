@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from tdcode import DupSystem, Word
+from tdcode.enumeration import _dp, _kth
 
 CRITERION_RESULTS: list[tuple[int, str, bool, float, str]] = []
 
@@ -64,6 +65,20 @@ def window_dp(dp, rows: int) -> list[list[int]]:
         prev = layers[-1]
         layers.append([sum(prev[nxt] for nxt in row) for row in dp.succ])
     return layers
+
+
+def walk_extensions(x: Word, r: int, sys_: DupSystem) -> list[Word]:
+    """x's valid length-r extensions as the window walk lists them: the
+    j-th from x's window for every j its count allows.  For a state x of
+    length r these are its out-neighbors in the encoder graph."""
+    dp = _dp(sys_)
+    sid = dp.window_sid(x.symbols)
+    found = []
+    for j in range(dp.counts(sid).count(r)):
+        out: list[int] = []
+        _kth(dp, sid, r, (j,), out)
+        found.append(Word(tuple(out), sys_.q))
+    return found
 
 
 class ValidationCounter:

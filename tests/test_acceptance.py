@@ -13,7 +13,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import record_criterion
+import reference as ref
+from conftest import record_criterion, walk_extensions
 from tdcode import (
     CodeSpec,
     DupSystem,
@@ -26,13 +27,10 @@ from tdcode import (
     code_size,
     count_irr,
     decode_codeword,
-    delta_closed_form,
-    delta_closed_form_report,
     delta_min_degree,
     encode_codeword,
     enumerate_irr_bruteforce,
     min_outdegree_bruteforce,
-    neighbors,
     rank_irr,
     random_descendant,
     root,
@@ -119,16 +117,17 @@ def test_criterion_04_fse_worked_example():
         states = [unrank_irr(3, j, S32) for j in range(1, count_irr(3, S32) + 1)]
         assert len(states) == len(expected_rows) == 12
         for state in states:
-            row = [str(x) for x in neighbors(state, params)]
+            # the rows by brute force, and as the encoder's walk lists them
+            row = [str(x) for x in ref.extensions(state, 3, S32)]
             assert row == expected_rows[str(state)], state
+            assert [str(x) for x in walk_extensions(state, 3, S32)] == row, state
             assert len(row) in (3, 5)
         assert delta_min_degree(3, S32) == 3
         codec = FseCodec(params)
         assert str(codec.start_state) == "010"
-        blocks = [Word.from_string(d, 3) for d in "012"]
-        strand = codec.encode(blocks)
+        strand = codec.encode_values([0, 1, 2])
         assert str(strand) == "201021021"
-        assert codec.decode(strand) == blocks
+        assert codec.decode_values(strand) == [0, 1, 2]
 
 
 def test_criterion_05_oracle_equivalence():
@@ -182,13 +181,14 @@ def test_criterion_06_min_degree_vs_bruteforce():
             sys_ = DupSystem(q, k)
             assert delta_min_degree(m, sys_) == min_outdegree_bruteforce(m, sys_), (k, q, m)
         # the recorded closed form for the longest k=3 window disagrees with
-        # the exhaustive count; the report must flag it, exhaustive wins
+        # the exhaustive count; exhaustive wins
         for q in (3, 4):
             sys_ = DupSystem(q, 3)
-            report = {entry["m"]: entry for entry in delta_closed_form_report(sys_)}
-            assert not report[7]["agrees"]
-            assert report[7]["computed"] == delta_min_degree(7, sys_)
-            assert delta_closed_form(7, sys_) != delta_min_degree(7, sys_)
+            for m in (5, 6):
+                assert ref.delta_closed_form(m, sys_) == delta_min_degree(m, sys_), (q, m)
+            assert ref.delta_closed_form(7, sys_) != delta_min_degree(7, sys_), q
+        assert delta_min_degree(7, S33) == min_outdegree_bruteforce(7, S33) == 9
+        assert ref.delta_closed_form(7, S33) == 471
 
 
 def test_criterion_07_root_uniqueness_and_channel_robustness():

@@ -26,6 +26,7 @@ from tdcode import (
     random_descendant,
     unrank_irr,
 )
+from tdcode import OracleBudget
 from tdcode.cli import (
     MAX_STATE_LENGTH,
     MAX_TABLE_LENGTH,
@@ -293,6 +294,28 @@ class TestHeaderBounds:
         assert ("error:" in err) == (rc_expected == 1)
 
 
+    @pytest.mark.parametrize("source, rc_expected", [("header", 1), ("flag", 2)])
+    def test_code_length_past_the_cap_fails_before_counting(
+        self, source, rc_expected, tmp_path, capsys, monkeypatch
+    ):
+        # a strand as long as n gets past the shortest-strand check
+        n = MAX_TABLE_LENGTH + 1
+        strand = "".join(random.Random(1).choices("0123456789", k=n))
+        enc = tmp_path / "enc.txt"
+        header = f"# tdcode mode=code q=10 k=2 n={n}\n" if source == "header" else ""
+        enc.write_text(header + strand + "\n")
+
+        def counting(*args):
+            raise AssertionError("counting started before n was checked")
+
+        monkeypatch.setattr("tdcode.enumeration.code_size", counting)
+        monkeypatch.setattr("tdcode.codec.decode_codewords", counting)
+        flags = () if header else ("--mode", "code", "-q", "10", "-k", "2", "-n", str(n))
+        rc, _, err = run(capsys, "decode", *flags, "-i", str(enc), "-o", str(tmp_path / "out"))
+        assert rc == rc_expected
+        assert err == f"error: code length {n} exceeds the counting cap {MAX_TABLE_LENGTH}\n"
+
+
 class TestStateCap:
     # the FSE's state length m, from --m, -e or a header, is checked against
     # MAX_STATE_LENGTH before FseCodec is built or anything counts
@@ -325,6 +348,20 @@ class TestStateCap:
                          "--m", str(MAX_STATE_LENGTH), "-i", str(src))
         assert rc == 0
         assert f"m={MAX_STATE_LENGTH} " in out
+
+    @pytest.mark.parametrize("ell", ["5", "1000000000"])
+    def test_ell_not_below_m_fails_before_any_power(self, ell, tmp_path, capsys, monkeypatch):
+        # q**ell <= delta_min_degree(m) < q**m, so ell < m; checked before q**ell is formed
+        def building(*args):
+            raise AssertionError("FseCodec was built before ell was checked")
+
+        monkeypatch.setattr("tdcode.fse.FseCodec", building)
+        src = tmp_path / "in.bin"
+        src.write_bytes(b"hello")
+        rc, _, err = run(capsys, "encode", "--mode", "fse", "-q", "4", "-k", "3",
+                         "--ell", ell, "--m", "5", "-i", str(src))
+        assert rc == 2
+        assert err == f"error: ell={ell} must be below m=5; no labeling exists\n"
 
 
 class TestCodeStreamErrors:
@@ -703,6 +740,34 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert len(payload["checks"]) == 5
+
+    DEPTH = OracleBudget().max_depth
+
+    @pytest.mark.parametrize("flags, message", [
+        (("-k", "2", "-n", "0"), "maximum word length must be >= 1, got 0"),
+        (("-k", "2", "-n", "-5"), "maximum word length must be >= 1, got -5"),
+        (("-k", "2", "-n", "200000", "--scope", "roots", "--samples", "1"),
+         f"maximum word length 200000 exceeds the counting cap {MAX_TABLE_LENGTH}"),
+        (("-k", "3", "--depth", "3000"), f"depth 3000 outside [0, {DEPTH}], the oracle's search depth"),
+        (("-k", "3", "--depth", "20"), f"depth 20 outside [0, {DEPTH}], the oracle's search depth"),
+        (("-k", "3", "--depth", "-1"), f"depth -1 outside [0, {DEPTH}], the oracle's search depth"),
+    ], ids=["n-0", "n-negative", "n-past-the-cap", "depth-3000", "depth-20", "depth-negative"])
+    def test_bad_flags_fail_before_any_check(self, flags, message, capsys, monkeypatch):
+        def checking(*args):
+            raise AssertionError("a check ran before the flags were checked")
+
+        for name in ("oracle.enumerate_irr_bruteforce", "oracle.min_outdegree_bruteforce",
+                     "oracle.all_roots_bfs", "ranking.unrank_irr"):
+            monkeypatch.setattr(f"tdcode.{name}", checking)
+        rc, out, err = run(capsys, "verify", "-q", "3", *flags)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_the_depth_cap_itself_is_allowed(self, capsys):
+        rc, out, _ = run(capsys, "verify", "--scope", "roots", "-q", "3", "-k", "2", "-n", "4",
+                         "--depth", str(self.DEPTH), "--samples", "3")
+        assert rc == 0
+        assert f"3 samples at depth {self.DEPTH}" in out
 
     def test_budget_skips_are_reported(self, capsys):
         rc, out, _ = run(capsys, "verify", "--scope", "delta", "-q", "3", "-k", "2",

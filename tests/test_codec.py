@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
@@ -23,7 +22,6 @@ from tdcode import (
     rank_irr,
     unrank_irr,
     is_irreducible,
-    message_capacity,
     random_descendant,
     root,
     tandem_duplicate,
@@ -38,13 +36,16 @@ def w(text: str, q: int = 3) -> Word:
 
 class TestCodeSpec:
     def test_capacity(self, s32):
-        cap = message_capacity(CodeSpec(s32, 4))
-        assert cap.symbols == 39
-        assert cap.bits == pytest.approx(math.log2(39))
+        # 39 messages fit a length-4 codeword: the indices 1..39
+        spec = CodeSpec(s32, 4)
+        assert code_size(4, s32) == 39
+        assert decode_codeword(encode_codeword(39, spec), spec) == 39
+        with pytest.raises(DomainError):
+            encode_codeword(40, spec)
 
     def test_single_symbol_code(self, s32):
         spec = CodeSpec(s32, 1)
-        assert message_capacity(spec).symbols == 3
+        assert code_size(1, s32) == 3
         assert encode_codeword(1, spec) == w("0")
         assert decode_codeword(w("0"), spec) == 1
 

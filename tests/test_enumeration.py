@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import window_dp
+import reference as ref
+from conftest import walk_extensions, window_dp
 from tdcode import (
     CountTable,
     DomainError,
@@ -18,24 +19,25 @@ from tdcode import (
     asymptotic_rate,
     choose_params,
     code_size,
-    count_extensions,
     count_irr,
-    count_irr_prefix,
-    delta_closed_form,
-    delta_closed_form_report,
     delta_min_degree,
-    extension_index,
     is_irreducible,
-    iter_extensions,
-    kth_extension,
+    min_outdegree_bruteforce,
     unrank_irr,
+    unrank_irr_prefix,
 )
 from tdcode import enumeration
-from tdcode.enumeration import _dp
+from tdcode.enumeration import _dp, _index
 
 
 def w(text: str, q: int = 3) -> Word:
     return Word.from_string(text, q)
+
+
+def extension_count(x: Word, r: int, sys_: DupSystem) -> int:
+    """The window DP's number of valid length-r extensions of x."""
+    dp = _dp(sys_)
+    return dp.counts(dp.window_sid(x.symbols)).count(r)
 
 
 COUNTS_32 = [3, 6, 12, 18, 30, 48, 78, 126, 204, 330]
@@ -124,36 +126,42 @@ class TestExtensions:
     def test_iter_matches_count_and_is_lexicographic(self, prefix, r, sysname, request):
         sys_ = request.getfixturevalue(sysname)
         word = Word.from_string(prefix, sys_.q)
-        ext = list(iter_extensions(word, r, sys_))
-        assert len(ext) == count_extensions(word, r, sys_)
+        ext = walk_extensions(word, r, sys_)
+        assert len(ext) == extension_count(word, r, sys_)
+        assert ext == ref.extensions(word, r, sys_)
         assert ext == sorted(ext, key=lambda e: e.symbols)
         assert all(is_irreducible(word.concat(e), sys_.k) for e in ext)
         assert all(len(e) == r for e in ext)
 
     def test_kth_extension_and_index_invert(self, s33):
         word = w("01210")
-        total = count_extensions(word, 4, s33)
-        for j in range(1, total + 1):
-            ext = kth_extension(word, 4, j, s33)
-            assert extension_index(word, ext, s33) == j
-
-    def test_kth_extension_out_of_range(self, s32):
-        total = count_extensions(w("010"), 2, s32)
-        with pytest.raises(DomainError):
-            kth_extension(w("010"), 2, total + 1, s32)
+        dp = _dp(s33)
+        sid = dp.window_sid(word.symbols)
+        for j, ext in enumerate(walk_extensions(word, 4, s33)):
+            end = dp.window_sid(word.symbols + ext.symbols)
+            assert _index(dp, sid, 4, (ext.symbols,)) == ([j], end)
 
     def test_extension_index_rejects_square(self, s32):
-        # appending 10 to 010 creates the square 1010
-        with pytest.raises(DomainError):
-            extension_index(w("010"), w("10"), s32)
+        # appending 10 to 010 creates the square 0101 at its first symbol,
+        # offset 0; appending 22 creates 22 at offset 1
+        dp = _dp(s32)
+        sid = dp.window_sid((0, 1, 0))
+        assert _index(dp, sid, 2, ((1, 0),)) == ([0], -1)
+        assert _index(dp, sid, 2, ((2, 2),)) == ([1], -1)
 
     def test_counts_from_empty_word(self, s32, s33):
-        assert count_extensions(Word((), 3), 5, s32) == count_irr(5, s32)
-        assert count_extensions(Word((), 3), 5, s33) == count_irr(5, s33)
+        assert extension_count(Word((), 3), 5, s32) == count_irr(5, s32)
+        assert extension_count(Word((), 3), 5, s33) == count_irr(5, s33)
 
     def test_reducible_stem_rejected(self, s32):
         with pytest.raises(DomainError):
-            count_extensions(w("00"), 2, s32)
+            extension_count(w("00"), 2, s32)
+
+
+def prefix_count(p: Word, n: int, sys_: DupSystem) -> int:
+    """The window DP's size of p's class at length n, as the prefix
+    bijection reads it."""
+    return extension_count(p, n - len(p), sys_)
 
 
 class TestCountIrrPrefix:
@@ -164,20 +172,18 @@ class TestCountIrrPrefix:
         ("0", 1, 1),
     ])
     def test_known_values(self, prefix, n, expected, s32):
-        assert count_irr_prefix(w(prefix), n, s32) == expected
-
-    def test_reducible_prefix_counts_zero(self, s32):
-        assert count_irr_prefix(w("00"), 4, s32) == 0
+        assert prefix_count(w(prefix), n, s32) == expected
+        assert ref.size(w(prefix), n, s32) == expected
 
     def test_requires_prefix_fits(self, s32):
-        with pytest.raises(DomainError):
-            count_irr_prefix(w("010"), 2, s32)
+        with pytest.raises(DomainError, match="shorter than the prefix"):
+            unrank_irr_prefix(w("010"), 2, 1, s32)
 
     @pytest.mark.parametrize("sysname, n", [("s32", 7), ("s33", 8), ("s43", 6)])
     def test_prefix_classes_partition_all_words(self, sysname, n, request):
         sys_ = request.getfixturevalue(sysname)
         stems = [unrank_irr(3, j, sys_) for j in range(1, count_irr(3, sys_) + 1)]
-        assert sum(count_irr_prefix(p, n, sys_) for p in stems) == count_irr(n, sys_)
+        assert sum(prefix_count(p, n, sys_) for p in stems) == count_irr(n, sys_)
 
 
 DELTA_32 = {m: v for m, v in zip(range(3, 16),
@@ -213,17 +219,16 @@ class TestDeltaMinDegree:
 
     def test_closed_form_agreement_k2(self, s32, s42):
         for sys_ in (s32, s42):
-            report = delta_closed_form_report(sys_)
-            assert all(entry["agrees"] for entry in report)
+            for m in (3, 4):
+                assert ref.delta_closed_form(m, sys_) == delta_min_degree(m, sys_), (sys_, m)
 
     def test_closed_form_m7_disagrees_k3(self, s33):
         # the recorded degree polynomial for the longest k=3 base window is
-        # wrong; the exhaustive value wins and the report must flag it
-        report = {entry["m"]: entry for entry in delta_closed_form_report(s33)}
-        assert report[5]["agrees"] and report[6]["agrees"]
-        assert not report[7]["agrees"]
-        assert report[7]["computed"] == 9
-        assert delta_closed_form(7, s33) != delta_min_degree(7, s33)
+        # wrong; the exhaustive value wins
+        for m in (5, 6):
+            assert ref.delta_closed_form(m, s33) == delta_min_degree(m, s33)
+        assert delta_min_degree(7, s33) == min_outdegree_bruteforce(7, s33) == 9
+        assert ref.delta_closed_form(7, s33) == 471
 
 
 GUARD_SYSTEMS = [(q, k) for q in range(3, 7) for k in (2, 3)]
@@ -263,10 +268,10 @@ class TestRecursionAgainstWindowDP:
                 assert layers[r][sid] == sum(
                     c * layers[r - 1 - i][sid] for i, c in enumerate(coeffs)
                 ), (r, dp.states[sid])
-        # count_extensions runs that recursion from the first 2k rows
+        # the window tables run that recursion from the first 2k rows
         for sid, state in enumerate(dp.states):
             x = Word(state, q)
-            assert [count_extensions(x, r, dp.sys) for r in range(41)] == [
+            assert [extension_count(x, r, dp.sys) for r in range(41)] == [
                 layers[r][sid] for r in range(41)
             ], state
 

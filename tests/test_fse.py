@@ -11,29 +11,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
+from conftest import walk_extensions
 from tdcode import (
     CorruptInputError,
     DomainError,
     DupSystem,
     FseCodec,
     FseParams,
-    NotAnEdgeError,
-    UnlabeledEdgeError,
     Word,
     choose_params,
-    count_extensions,
     count_irr,
     delta_min_degree,
     enumerate_irr_bruteforce,
     is_irreducible,
-    neighbor_index,
-    neighbors,
-    nth_neighbor,
     unrank_irr,
 )
 from tdcode import oracle
-from tdcode.enumeration import _dp, _index, _kth, extension_index, kth_extension
-from tdcode.fse import _value_block
+from tdcode.enumeration import _dp, _index, _kth
+from tdcode.fse import _block_value, _value_block
 
 
 def w(text: str, q: int = 3) -> Word:
@@ -75,69 +71,82 @@ def p313() -> FseParams:
     return FseParams(DupSystem(3, 2), ell=1, m=3)
 
 
+def codec_at(x: Word, params: FseParams) -> FseCodec:
+    """The codec with its walk started at state x."""
+    at_x = copy.copy(codec_for(params.sys.q, params.sys.k, params.ell, params.m))
+    at_x._start_sid = _dp(params.sys).window_sid(x.symbols)
+    return at_x
+
+
 class TestNeighbors:
-    def test_worked_neighbor_table(self, p313):
+    def test_worked_neighbor_table(self, p313, s32):
         for state, expected in EXAMPLE_TABLE.items():
-            got = [str(x) for x in neighbors(w(state), p313)]
-            assert got == expected
+            assert [str(x) for x in ref.extensions(w(state), 3, s32)] == expected
+            assert [str(x) for x in walk_extensions(w(state), 3, p313.sys)] == expected
 
     def test_counts_match_extension_counts(self, p313, s32):
+        dp = _dp(s32)
         for state in EXAMPLE_TABLE:
-            assert len(neighbors(w(state), p313)) == count_extensions(w(state), 3, s32)
+            count = dp.counts(dp.window_sid(w(state).symbols)).count(3)
+            assert len(ref.extensions(w(state), 3, s32)) == count
 
     def test_minimum_degree_realized(self, p313, s32):
-        degrees = [len(neighbors(w(s), p313)) for s in EXAMPLE_TABLE]
+        degrees = [len(ref.extensions(w(s), 3, s32)) for s in EXAMPLE_TABLE]
         assert min(degrees) == delta_min_degree(3, s32) == 3
         assert sorted(set(degrees)) == [3, 5]
 
     def test_concatenations_stay_irreducible(self, s33):
-        params = FseParams(DupSystem(3, 3), ell=1, m=5)
         for j in range(1, count_irr(5, s33) + 1):
             state = unrank_irr(5, j, s33)
-            for nxt in neighbors(state, params):
+            nbrs = walk_extensions(state, 5, s33)
+            assert nbrs == ref.extensions(state, 5, s33)
+            for nxt in nbrs:
                 assert is_irreducible(state.concat(nxt), 3)
 
     def test_nth_neighbor_inverts_neighbor_index(self, p313):
         x = w("021")
-        for j, nxt in enumerate(neighbors(x, p313), start=1):
-            assert nth_neighbor(x, j, p313) == nxt
-            if j <= 3:  # labeled range is q**ell
-                assert neighbor_index(x, nxt, p313) == j
+        dp = _dp(p313.sys)
+        sid = dp.window_sid(x.symbols)
+        for j, nxt in enumerate(ref.extensions(x, 3, p313.sys)):
+            assert _index(dp, sid, 3, (nxt.symbols,)) == ([j], dp.window_sid(nxt.symbols))
+            if j < 3:  # labeled range is q**ell
+                assert codec_at(x, p313).encode_values([j]) == nxt
+                assert codec_at(x, p313).decode_values(nxt) == [j]
 
     def test_worked_edge_labels(self, p313):
-        assert neighbor_index(w("010"), w("212"), p313) == 3
-        with pytest.raises(UnlabeledEdgeError):
-            neighbor_index(w("012"), w("101"), p313)
+        assert codec_at(w("010"), p313).decode_values(w("212")) == [2]
+        with pytest.raises(CorruptInputError, match="edge index exceeds the labeled range"):
+            codec_at(w("012"), p313).decode_values(w("101"))
 
     def test_non_edge_rejected(self, p313):
-        with pytest.raises(NotAnEdgeError):
-            neighbor_index(w("010"), w("010"), p313)
+        with pytest.raises(CorruptInputError, match="not an edge"):
+            codec_at(w("010"), p313).decode_values(w("010"))
 
     def test_nth_neighbor_out_of_range(self, p313):
+        # 010 has exactly 3 = q**ell neighbors
+        assert len(walk_extensions(w("010"), 3, p313.sys)) == 3
         with pytest.raises(DomainError):
-            nth_neighbor(w("010"), 4, p313)
+            codec_at(w("010"), p313).encode_values([3])
 
     def test_state_must_be_irreducible(self, p313):
         with pytest.raises(DomainError):
-            neighbors(w("000"), p313)
-
-    def test_state_must_have_length_m(self, p313):
-        with pytest.raises(DomainError):
-            neighbors(w("0102"), p313)
+            _dp(p313.sys).window_sid((0, 0, 0))
 
 
 class TestFseCodec:
     def test_worked_stream(self, p313):
         codec = FseCodec(p313)
         assert str(codec.start_state) == "010"
-        blocks = [w("0"), w("1"), w("2")]
-        strand = codec.encode(blocks)
+        strand = codec.encode_values([0, 1, 2])
         assert str(strand) == "201021021"
-        assert codec.decode(strand) == blocks
+        assert codec.decode_values(strand) == [0, 1, 2]
 
     def test_start_state_is_first_in_class(self):
         params = FseParams(DupSystem(3, 2), ell=1, m=5)
         assert str(FseCodec(params).start_state) == "01020"
+        for q, k, ell, m in STREAM_SYSTEMS:
+            sys_ = DupSystem(q, k)
+            assert codec_for(q, k, ell, m).start_state == enumerate_irr_bruteforce(m, sys_)[0]
 
     def test_rejects_overloaded_label_space(self, s32):
         # q**ell must fit under the minimum out-degree
@@ -185,38 +194,38 @@ class TestFseCodec:
 
     def test_empty_stream(self, p313):
         codec = FseCodec(p313)
-        assert codec.encode([]) == Word((), 3)
-        assert codec.decode(Word((), 3)) == []
+        assert codec.encode_values([]) == Word((), 3)
+        assert codec.decode_values(Word((), 3)) == []
 
     def test_output_always_irreducible(self, s33):
         params = FseParams(DupSystem(3, 3), ell=1, m=5)
         codec = FseCodec(params)
-        blocks = [w(d) for d in "0211200102"]
-        strand = codec.encode(blocks)
-        assert len(strand) == 5 * len(blocks)
+        values = [int(d) for d in "0211200102"]
+        strand = codec.encode_values(values)
+        assert len(strand) == 5 * len(values)
         assert is_irreducible(strand, 3)
 
     def test_block_alphabet_validated(self, p313):
         with pytest.raises(DomainError):
-            FseCodec(p313).encode([Word((0,), 4)])
+            _block_value(Word((0,), 4), p313)
 
     def test_block_length_validated(self, p313):
         with pytest.raises(DomainError):
-            FseCodec(p313).encode([w("01")])
+            _block_value(w("01"), p313)
 
     def test_decode_rejects_ragged_length(self, p313):
         with pytest.raises(CorruptInputError):
-            FseCodec(p313).decode(w("0102"))
+            FseCodec(p313).decode_values(w("0102"))
 
     def test_decode_rejects_non_edge_step(self, p313):
         # 010 -> 020 is not an edge: the concatenation holds the square 00
         with pytest.raises(CorruptInputError):
-            FseCodec(p313).decode(w("020102"))
+            FseCodec(p313).decode_values(w("020102"))
 
     def test_decode_rejects_unlabeled_edge(self, p313):
         # 201 -> 202 is the 4th neighbor of 201, beyond the q**ell labels
         with pytest.raises(CorruptInputError):
-            FseCodec(p313).decode(w("201202"))
+            FseCodec(p313).decode_values(w("201202"))
 
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
@@ -232,24 +241,29 @@ class TestFseCodec:
                 v, r = divmod(v, q)
                 digits.append(r)
             blocks.append(Word(tuple(reversed(digits)), q))
-        strand = codec.encode(blocks)
+        strand = codec.encode_values([_block_value(b, params) for b in blocks])
         assert len(strand) == m * len(blocks)
         assert is_irreducible(strand, k)
-        assert codec.decode(strand) == blocks
+        assert [_value_block(v, params) for v in codec.decode_values(strand)] == blocks
 
 
 class TestValueEngine:
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_values_agree_with_blocks(self, data):
+        # each state is the brute-force neighbor that its block value names
         q, k, ell, m = data.draw(st.sampled_from(STREAM_SYSTEMS))
         codec = codec_for(q, k, ell, m)
         values = data.draw(st.lists(st.integers(0, q**ell - 1), max_size=12))
         blocks = [_value_block(v, codec.params) for v in values]
+        assert [_block_value(b, codec.params) for b in blocks] == values
         strand = codec.encode_values(values)
-        assert strand == codec.encode(blocks)
+        state = codec.start_state
+        for b, v in zip(range(0, len(strand), m), values):
+            nxt = Word(strand.symbols[b:b + m], q)
+            assert nxt == ref.extensions(state, m, codec.params.sys)[v]
+            state = nxt
         assert codec.decode_values(strand) == values
-        assert codec.decode(strand) == blocks
 
     @pytest.mark.parametrize("strand, message", [
         ("0102", "length 4 is not a multiple of the state length 3"),
@@ -275,9 +289,9 @@ class TestValueEngine:
     @pytest.mark.parametrize("q", [3, 4, 5, 6])
     @pytest.mark.parametrize("k", [2, 3])
     def test_stream_walk_is_the_per_step_walk(self, q, k):
-        # one _kth / _index call per stream against one kth_extension /
-        # extension_index call per step, from every full window; steps of
-        # 2k - 1 and 2k symbols, so windows also shift inside a step
+        # one _kth / _index call per stream against one call per step, from
+        # every full window; steps of 2k - 1 and 2k symbols, so windows also
+        # shift inside a step
         sys_ = DupSystem(q, k)
         dp = _dp(sys_)
         rng = random.Random(10 * q + k)
@@ -285,21 +299,22 @@ class TestValueEngine:
             if len(window) != 2 * k - 1:
                 continue
             r = len(window) + start % 2
-            x, js, expected = Word(window, q), [], []
+            sid, js, expected = start, [], []
             for _ in range(3):
-                js.append(rng.randrange(count_extensions(x, r, sys_)))
-                x = kth_extension(x, r, js[-1] + 1, sys_)
-                expected += x.symbols
+                js.append(rng.randrange(dp.counts(sid).count(r)))
+                step: list[int] = []
+                sid = _kth(dp, sid, r, js[-1:], step)
+                expected += step
             out: list[int] = []
             end = _kth(dp, start, r, js, out)
             assert out == expected
-            assert end == dp.window_sid(tuple(out))
+            assert end == sid == dp.window_sid(tuple(out))
             steps = [out[b:b + r] for b in range(0, len(out), r)]
             assert _index(dp, start, r, steps) == (js, end)
-            prev = Word(window, q)
+            sid = start
             for j, step in zip(js, steps):
-                assert extension_index(prev, Word(tuple(step), q), sys_) == j + 1
-                prev = Word(tuple(step), q)
+                assert _index(dp, sid, r, (step,)) == ([j], dp.window_sid(tuple(step)))
+                sid = dp.window_sid(tuple(step))
 
     def test_validations_do_not_grow_with_the_stream(self, word_validations):
         codec = codec_for(4, 3, 2, 5)

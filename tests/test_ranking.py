@@ -10,19 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from conftest import window_dp
 from tdcode import (
     DomainError,
     DupSystem,
     Word,
-    apply_phi,
-    apply_phi123,
-    apply_psi,
     count_irr,
-    count_irr_prefix,
-    invert_phi,
-    invert_phi123,
-    invert_psi,
+    enumerate_irr_bruteforce,
     is_irreducible,
     rank_irr,
     rank_irr_prefix,
@@ -37,11 +32,9 @@ from tdcode import (
     code_size,
     decode_codeword,
     encode_codeword,
-    extension_index,
-    kth_extension,
 )
 from tdcode import enumeration, ranking
-from tdcode.ranking import _WalkTables, _classify, _walk_tables
+from tdcode.ranking import _WalkTables, _walk_tables
 
 
 def w(text: str, q: int = 3) -> Word:
@@ -109,6 +102,23 @@ def _ops(counted: type, call, *args):
     return result, counted.ops
 
 
+def _walk_image(x: Word, i: int, branch: int, sys_: DupSystem) -> Word:
+    """image(x, i, branch) as the walker's apply table gives it; x is at
+    least 2k - branch long."""
+    walk = _walk_tables(sys_)
+    sid = walk.dp.window_sid(x.symbols)
+    nxt = walk.apply[sid * walk.span + walk.starts[branch - 1] + i - 1]
+    return Word(x.symbols + walk.dp.states[nxt][-branch:], sys_.q)
+
+
+def _walk_preimage(y: Word, sys_: DupSystem) -> tuple[Word, int, int]:
+    """preimage(y) as the walker's classify table gives it; len(y) >= 2k."""
+    walk = _walk_tables(sys_)
+    code = walk.classify[walk.dp.window_sid(y.symbols[:-1]) * sys_.q + y.symbols[-1]]
+    branch = walk.branch[code]
+    return Word(y.symbols[:-branch], sys_.q), code - walk.starts[branch - 1] + 1, branch
+
+
 class TestSuffixMapsK2:
     @pytest.mark.parametrize("x, i, expected", [
         ("202", 1, "2021"),
@@ -117,7 +127,7 @@ class TestSuffixMapsK2:
         ("0102", 1, "01021"),
     ])
     def test_apply_phi(self, x, i, expected, s32):
-        assert apply_phi(w(x), i, s32) == w(expected)
+        assert ref.image(w(x), i, 1, s32) == _walk_image(w(x), i, 1, s32) == w(expected)
 
     @pytest.mark.parametrize("x, i, expected", [
         ("01", 1, "0121"),
@@ -125,44 +135,46 @@ class TestSuffixMapsK2:
         ("202", 1, "20212"),
     ])
     def test_apply_psi(self, x, i, expected, s32):
-        assert apply_psi(w(x), i, s32) == w(expected)
+        assert ref.image(w(x), i, 2, s32) == _walk_image(w(x), i, 2, s32) == w(expected)
 
     def test_invert_phi(self, s32):
-        assert invert_phi(w("0102"), s32) == (w("010"), 1)
-        assert invert_phi(w("2021"), s32) == (w("202"), 1)
+        for y, x in (("0102", "010"), ("2021", "202")):
+            assert ref.preimage(w(y), s32) == _walk_preimage(w(y), s32) == (w(x), 1, 1)
 
     def test_invert_psi(self, s32):
-        assert invert_psi(w("0121"), s32) == (w("01"), 1)
+        assert ref.preimage(w("0121"), s32) == _walk_preimage(w("0121"), s32) == (w("01"), 1, 2)
 
     def test_image_classes_disjoint(self, s32):
         # a two-distinct suffix is never a phi image, and vice versa
-        with pytest.raises(DomainError):
-            invert_phi(w("0121"), s32)
-        with pytest.raises(DomainError):
-            invert_psi(w("0102"), s32)
+        assert ref.preimages(w("0121"), s32) == [(w("01"), 1, 2)]
+        assert ref.preimages(w("0102"), s32) == [(w("010"), 1, 1)]
 
-    def test_index_out_of_width(self, s32):
-        with pytest.raises(DomainError):
-            apply_phi(w("010"), 2, s32)  # width is q-2 = 1
-        with pytest.raises(DomainError):
-            apply_phi(w("010"), 0, s32)
+    @pytest.mark.parametrize("sysname", ["s32", "s42"])
+    def test_branch_widths(self, sysname, request):
+        # every branch has q - 2 free symbols, so at q = 3 index 1 is the only one
+        sys_ = request.getfixturevalue(sysname)
+        for n in (2, 3, 4, 5):
+            for x in enumerate_irr_bruteforce(n, sys_):
+                for branch in (1, 2):
+                    assert len(ref.free_symbols(x.symbols, branch, sys_)) == sys_.q - 2
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_round_trip_partitions_whole_class(self, n, s32):
         seen = set()
-        for x in all_irr(n - 1, s32):
-            y = apply_phi(x, 1, s32)
-            assert invert_phi(y, s32) == (x, 1)
+        for x in enumerate_irr_bruteforce(n - 1, s32):
+            y = ref.image(x, 1, 1, s32)
+            assert ref.preimage(y, s32) == (x, 1, 1)
             seen.add(y)
-        for x in all_irr(n - 2, s32):
-            y = apply_psi(x, 1, s32)
-            assert invert_psi(y, s32) == (x, 1)
+        for x in enumerate_irr_bruteforce(n - 2, s32):
+            y = ref.image(x, 1, 2, s32)
+            assert ref.preimage(y, s32) == (x, 1, 2)
             seen.add(y)
-        assert seen == set(all_irr(n, s32))
+        assert seen == set(enumerate_irr_bruteforce(n, s32))
 
     def test_q4_width_two(self, s42):
         x = Word((0, 1, 0), 4)
-        images = {apply_phi(x, i, s42) for i in (1, 2)}
+        images = {ref.image(x, i, 1, s42) for i in (1, 2)}
+        assert images == {_walk_image(x, i, 1, s42) for i in (1, 2)}
         assert images == {Word((0, 1, 0, 2), 4), Word((0, 1, 0, 3), 4)}
 
 
@@ -170,31 +182,38 @@ class TestSuffixMapsK3:
     @pytest.mark.parametrize("sysname, n", [("s33", 6), ("s33", 7), ("s33", 8),
                                             ("s43", 6), ("s43", 7)])
     def test_branches_partition_whole_class(self, sysname, n, request):
+        # each irreducible word is the image of exactly one (x, i, branch)
         sys_ = request.getfixturevalue(sysname)
         seen = set()
-        for y in all_irr(n, sys_):
-            x, i, branch = invert_phi123(y, sys_)
-            assert apply_phi123(x, i, branch, sys_) == y
+        for y in enumerate_irr_bruteforce(n, sys_):
+            x, i, branch = ref.preimage(y, sys_)
+            assert ref.image(x, i, branch, sys_) == y
             assert len(x) == {1: n - 1, 2: n - 2, 3: n - 3}[branch]
+            assert is_irreducible(x, 3)
             seen.add(y)
         assert len(seen) == count_irr(n, sys_)
 
     def test_branch_two_empty_at_q3(self, s33):
-        with pytest.raises(DomainError):
-            apply_phi123(w("0102"), 1, 2, s33)
+        # branch 2 has q - 3 free symbols
+        for n in (4, 5, 6):
+            for x in enumerate_irr_bruteforce(n, s33):
+                assert ref.free_symbols(x.symbols, 2, s33) == []
 
     def test_branch_shapes_q4(self, s43):
-        x = Word((0, 1, 2, 0), 4)
-        y1 = apply_phi123(x, 1, 1, s43)
-        y2 = apply_phi123(x, 1, 2, s43)
-        y3 = apply_phi123(x, 1, 3, s43)
-        assert len(y1) == 5 and len(y2) == 6 and len(y3) == 7
-        for y in (y1, y2, y3):
+        x = Word((0, 1, 2, 0, 3), 4)
+        y1 = ref.image(x, 1, 1, s43)
+        y2 = ref.image(x, 1, 2, s43)
+        y3 = ref.image(x, 1, 3, s43)
+        assert len(y1) == 6 and len(y2) == 7 and len(y3) == 8
+        for branch, y in enumerate((y1, y2, y3), start=1):
             assert is_irreducible(y, 3)
+            assert y == _walk_image(x, 1, branch, s43)
 
-    def test_invalid_branch(self, s33):
-        with pytest.raises(DomainError):
-            apply_phi123(w("0102"), 1, 4, s33)
+    @pytest.mark.parametrize("q", [3, 4, 5])
+    def test_step_codes_name_branches_one_to_k(self, q):
+        # branch b holds c[b - 1] step codes, in branch order
+        walk = _walk_tables(DupSystem(q, 3))
+        assert walk.branch == (1,) * (q - 2) + (2,) * (q - 3) + (3,) * (q - 2)
 
 
 class TestUnrankRank:
@@ -276,7 +295,7 @@ class TestUnrankRank:
         walk = _walk_tables(sys_)
         for p in (Word((), sys_.q), Word((0, 1, 2), sys_.q)):
             for n in (100, 300, 500):
-                total = _size_ref(p, n, sys_)
+                total = ref.size(p, n, sys_)
                 for j in (1, total // 2 + 1, total):
                     word, ops_u = _ops(counted, walk.unrank, p.symbols, n, counted(j))
                     j_back, ops_r = _ops(counted, walk.rank, p.symbols, word)
@@ -297,7 +316,7 @@ class TestUnrankRank:
         # lexicographic base walk grows no other table past its 2k seed rows
         s63 = DupSystem(6, 3)
         p = Word.from_string("012", 6)
-        j = count_irr_prefix(p, 1000, s63) // 3
+        j = ref.size(p, 1000, s63) // 3
         assert rank_irr_prefix(p, unrank_irr_prefix(p, 1000, j, s63), s63) == j
         assert enumeration._dp.cache_info().misses == 1  # the walker's, shared
         dp = enumeration._dp(s63)
@@ -336,7 +355,7 @@ class TestPrefixUnrankRank:
         stems = all_irr(3, sys_)
         for prefix in stems:
             for n in range(3, nmax + 1):
-                total = count_irr_prefix(prefix, n, sys_)
+                total = ref.size(prefix, n, sys_)
                 for j in range(1, total + 1):
                     word = unrank_irr_prefix(prefix, n, j, sys_)
                     assert word.symbols[:3] == prefix.symbols
@@ -350,15 +369,22 @@ class TestPrefixUnrankRank:
         sys_ = DupSystem(q, k)
         for length in range(1, k + 1):
             for p in all_irr(length, sys_):
-                total = count_irr_prefix(p, n, sys_)
+                total = ref.size(p, n, sys_)
                 ranks = [rank_irr(unrank_irr_prefix(p, n, j, sys_), sys_)
                          for j in range(1, total + 1)]
                 assert ranks == sorted(set(ranks))
 
     def test_prefix_classes_tile_the_rank_space(self, s32):
-        # ranks within a class are dense in 1..N_p for every stem
-        n = 7
-        total = sum(count_irr_prefix(p, n, s32) for p in all_irr(2, s32))
+        # ranks within a class are dense in 1..N_p for every stem, N_p the
+        # class's brute-force size
+        n, total = 7, 0
+        words = enumerate_irr_bruteforce(n, s32)
+        for p in enumerate_irr_bruteforce(2, s32):
+            size = sum(1 for x in words if x.symbols[:2] == p.symbols)
+            assert unrank_irr_prefix(p, n, size, s32).symbols[:2] == p.symbols
+            with pytest.raises(DomainError):
+                unrank_irr_prefix(p, n, size + 1, s32)
+            total += size
         assert total == count_irr(n, s32)
 
     def test_rejects_foreign_word(self, s32):
@@ -370,59 +396,13 @@ class TestPrefixUnrankRank:
             unrank_irr_prefix(w("00"), 4, 1, s32)
 
     def test_rejects_out_of_range(self, s32):
-        total = count_irr_prefix(w("102"), 5, s32)
+        total = ref.size(w("102"), 5, s32)
+        assert total == 3
         with pytest.raises(DomainError):
             unrank_irr_prefix(w("102"), 5, total + 1, s32)
 
 
 # ------------------------------------------- the window walk vs the maps
-
-
-def _widths(sys_: DupSystem) -> tuple[int, ...]:
-    # written out here, independently of the package's coefficients
-    q = sys_.q
-    return (q - 2, q - 2) if sys_.k == 2 else (q - 2, q - 3, q - 2)
-
-
-def _apply_ref(x: Word, i: int, branch: int, sys_: DupSystem) -> Word:
-    if sys_.k == 3:
-        return apply_phi123(x, i, branch, sys_)
-    return (apply_phi if branch == 1 else apply_psi)(x, i, sys_)
-
-
-def _invert_ref(y: Word, sys_: DupSystem) -> tuple[Word, int, int]:
-    if sys_.k == 3:
-        return invert_phi123(y, sys_)
-    if y.symbols[-1] != y.symbols[-3]:
-        return (*invert_phi(y, sys_), 1)
-    return (*invert_psi(y, sys_), 2)
-
-
-def _size_ref(p: Word, n: int, sys_: DupSystem) -> int:
-    return count_irr_prefix(p, n, sys_) if len(p) else count_irr(n, sys_)
-
-
-def _unrank_ref(p: Word, n: int, j: int, sys_: DupSystem) -> Word:
-    """The recursive order spelled out with the public suffix maps."""
-    if n <= max(len(p) + sys_.k - 1, 2 * sys_.k - 1):
-        return p.concat(kth_extension(p, n - len(p), j, sys_))
-    for branch, width in enumerate(_widths(sys_), start=1):
-        block = width * _size_ref(p, n - branch, sys_)
-        if j <= block:
-            x = _unrank_ref(p, n - branch, (j - 1) // width + 1, sys_)
-            return _apply_ref(x, (j - 1) % width + 1, branch, sys_)
-        j -= block
-    raise AssertionError("rank past the class")
-
-
-def _rank_ref(p: Word, y: Word, sys_: DupSystem) -> int:
-    n = len(y)
-    if n <= max(len(p) + sys_.k - 1, 2 * sys_.k - 1):
-        return extension_index(p, Word(y.symbols[len(p):], sys_.q), sys_)
-    x, i, branch = _invert_ref(y, sys_)
-    widths = _widths(sys_)
-    lower = sum(widths[b - 1] * _size_ref(p, n - b, sys_) for b in range(1, branch))
-    return (_rank_ref(p, x, sys_) - 1) * widths[branch - 1] + i + lower
 
 
 ENGINE_SYSTEMS = [(q, k) for q in range(3, 7) for k in (2, 3)]
@@ -437,33 +417,48 @@ class TestWindowWalk:
         for n in [0, 1, 2 * k - 1, 2 * k, 2 * k + 1] + [rng.randint(1, 200) for _ in range(3)]:
             j = rng.randint(1, count_irr(n, sys_))
             word = walk.unrank((), n, j)
-            assert word == _unrank_ref(Word((), q), n, j, sys_), (n, j)
-            assert walk.rank((), word) == j == _rank_ref(Word((), q), word, sys_)
+            assert word == ref.unrank(Word((), q), n, j, sys_), (n, j)
+            assert walk.rank((), word) == j == ref.rank(Word((), q), word, sys_)
         for _ in range(4):
             length = rng.randint(1, 5)
             p = unrank_irr(length, rng.randint(1, count_irr(length, sys_)), sys_)
             n = rng.randint(length, 200)
-            j = rng.randint(1, count_irr_prefix(p, n, sys_))
+            j = rng.randint(1, ref.size(p, n, sys_))
             word = walk.unrank(p.symbols, n, j)
-            assert word == _unrank_ref(p, n, j, sys_), (p, n, j)
-            assert walk.rank(p.symbols, word) == j == _rank_ref(p, word, sys_)
+            assert word == ref.unrank(p, n, j, sys_), (p, n, j)
+            assert walk.rank(p.symbols, word) == j == ref.rank(p, word, sys_)
 
     @pytest.mark.parametrize("q, k", ENGINE_SYSTEMS)
     def test_classify_table_is_the_classifier(self, q, k):
         sys_ = DupSystem(q, k)
         dp, walk = enumeration._dp(sys_), _walk_tables(sys_)
         assert len(walk.classify) == len(dp.step) == len(dp.states) * q
-        assert len(walk.apply) == len(dp.states) * walk.span
-        assert all(-1 <= t < len(dp.states) for t in walk.apply)
         for cell, nxt in enumerate(dp.step):
             state, c = dp.states[cell // q], cell % q
             code = walk.classify[cell]
             if len(state) < dp.width or nxt < 0:
                 assert code == -1
                 continue
-            branch, i = _classify(state + (c,), len(state) + 1, k, q)
+            _, i, branch = ref.preimage(Word(state + (c,), q), sys_)
             assert walk.branch[code] == branch
             assert code - walk.starts[branch - 1] == i - 1
+
+    @pytest.mark.parametrize("q, k", ENGINE_SYSTEMS)
+    def test_apply_table_is_the_suffix_maps(self, q, k):
+        # from each window, every branch whose image is longer than a window
+        # steps to the image's last 2k - 1 symbols; other cells hold -1
+        sys_ = DupSystem(q, k)
+        dp, walk = enumeration._dp(sys_), _walk_tables(sys_)
+        assert len(walk.apply) == len(dp.states) * walk.span
+        expected = [-1] * len(walk.apply)
+        for sid, state in enumerate(dp.states):
+            for branch, start in zip(range(1, k + 1), walk.starts):
+                if len(state) + branch < 2 * k:
+                    continue
+                for i in range(1, ref.widths(sys_)[branch - 1] + 1):
+                    y = ref.image(Word(state, q), i, branch, sys_)
+                    expected[sid * walk.span + start + i - 1] = dp.window_sid(y.symbols)
+        assert walk.apply == expected
 
     @pytest.mark.parametrize("q, k", ENGINE_SYSTEMS)
     def test_step_table_is_the_stack_rule(self, q, k):
@@ -553,11 +548,11 @@ class TestBlocks:
         for p, base in _block_classes(sys_):
             for levels in (blocks - 1, blocks, blocks + 1, 2 * blocks):
                 for n in (len(p) + base + levels, len(p) + base + k * levels):
-                    total = _size_ref(p, n, sys_)
+                    total = ref.size(p, n, sys_)
                     for j in sorted({j for j in (1, 2, total // 2, total - 1, total) if j >= 1}):
                         word = walk.unrank(p.symbols, n, j)
-                        assert word == _unrank_ref(p, n, j, sys_), (p, n, j)
-                        assert walk.rank(p.symbols, word) == j == _rank_ref(p, word, sys_)
+                        assert word == ref.unrank(p, n, j, sys_), (p, n, j)
+                        assert walk.rank(p.symbols, word) == j == ref.rank(p, word, sys_)
 
     @pytest.mark.parametrize("q, k", BLOCK_SYSTEMS)
     def test_op_counts_follow_the_blocks(self, q, k, counted):
@@ -577,7 +572,7 @@ class TestBlocks:
         sys_ = DupSystem(q, k)
         walk, dp = _walk_tables(sys_), enumeration._dp(sys_)
         blocks = _block_length(q)
-        lower = sum(1 for width in _widths(sys_)[:-1] if width)
+        lower = sum(1 for width in ref.widths(sys_)[:-1] if width)
         for p, base in _block_classes(sys_):
             first_walk = last_walk = 3  # dp.offsets[r] + y, then sid * span + code
             if len(p):
@@ -593,7 +588,7 @@ class TestBlocks:
                 assert ops == 1 + 2 * levels + divmods + first_walk
                 assert _ops(counted, walk.rank, p.symbols, word) == (1, 0)
                 n = len(p) + base + k * levels
-                total = _size_ref(p, n, sys_)
+                total = ref.size(p, n, sys_)
                 word, ops = _ops(counted, walk.unrank, p.symbols, n, counted(total))
                 assert ops == 1 + 3 * lower * levels + divmods + last_walk
                 ranked = _ops(counted, walk.rank, p.symbols, word)

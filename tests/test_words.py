@@ -371,21 +371,15 @@ class TestAlphabetCheck:
 
     S4 = DupSystem(4, 2)
     X5 = Word((0, 1, 0), 5)
-    X4 = Word((0, 1, 0), 4)
 
     @pytest.mark.parametrize("call", [
         lambda x: tdcode.root(x, TestAlphabetCheck.S4),
         lambda x: tdcode.random_descendant(x, 1, TestAlphabetCheck.S4, 0),
         lambda x: tdcode.decode_codeword(x, tdcode.CodeSpec(TestAlphabetCheck.S4, 2)),
-        lambda x: tdcode.count_extensions(x, 1, TestAlphabetCheck.S4),
-        lambda x: tdcode.extension_index(TestAlphabetCheck.X4, x, TestAlphabetCheck.S4),
-        lambda x: tdcode.neighbors(x, tdcode.FseParams(TestAlphabetCheck.S4, 1, 3)),
         lambda x: tdcode.FseCodec(tdcode.FseParams(TestAlphabetCheck.S4, 1, 3)).decode_values(x),
-        lambda x: tdcode.apply_phi(x, 1, TestAlphabetCheck.S4),
         lambda x: tdcode.rank_irr(x, TestAlphabetCheck.S4),
         lambda x: tdcode.rank_irr_prefix(Word((0,), 4), x, TestAlphabetCheck.S4),
-    ], ids=["root", "random_descendant", "decode_codeword", "count_extensions",
-            "extension_index", "fse_state", "fse_decode_values", "suffix_map", "rank_irr",
+    ], ids=["root", "random_descendant", "decode_codeword", "fse_decode_values", "rank_irr",
             "rank_irr_prefix"])
     def test_one_message(self, call):
         with pytest.raises(DomainError, match="^word alphabet q=5 does not match system q=4$"):
