@@ -508,6 +508,9 @@ def _cmd_verify(args) -> int:
     if args.n < 1:
         raise DomainError(f"maximum word length must be >= 1, got {args.n}")
     _check_length(args.n, "maximum word length")
+    cap = OracleBudget().max_words
+    if not 1 <= args.budget <= cap:
+        raise DomainError(f"budget {args.budget} outside [1, {cap}], the oracle's word budget")
     budget = OracleBudget(max_words=args.budget)
     if not 0 <= args.depth <= budget.max_depth:
         raise DomainError(
@@ -519,8 +522,11 @@ def _cmd_verify(args) -> int:
         checks.append({"check": name, "ok": ok, "detail": detail})
 
     if args.scope in ("counts", "all"):
+        skip_from, power = 1, sys_.q  # the first n with q**n > budget, and its q**n
+        while power <= args.budget:
+            skip_from, power = skip_from + 1, power * sys_.q
         for n in range(1, args.n + 1):
-            if sys_.q**n > args.budget:
+            if n >= skip_from:
                 record(f"counts n={n}", True, "skipped: budget")
                 continue
             brute = enumerate_irr_bruteforce(n, sys_, budget)

@@ -11,11 +11,9 @@ received word, and add the size of all shorter root classes.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .enumeration import count_table
 from .errors import DomainError, NotADescendantError, show_int
 from .ranking import _walk_tables
 from .words import DupSystem, Word, _check_alphabet, extend_zeta
@@ -37,41 +35,41 @@ def encode_codewords(js: Iterable[int], spec: CodeSpec) -> Iterator[Word]:
     """The j-th codeword (1-indexed) for each j in js: roots are taken in
     order of length, each length ordered by rank, then padded to length n.
 
-    The count table, its cumulative sums and the rank walker are looked up
-    once per stream.
+    The class sizes, their total and the walker are looked up once per
+    stream.  The root length is found walking down from n, where most roots
+    are; a root of length 1 costs n subtractions, about one unrank.
     """
     n = spec.n
-    ct = count_table(spec.sys)
-    total = ct.cumulative(n)  # code_size(n)
-    cum = ct._cumulative  # cum[i]: the messages whose root is at most i long
-    unrank = _walk_tables(spec.sys).unrank
+    walk = _walk_tables(spec.sys)
+    v = walk.class_sizes((), n)  # v[i]: the roots of length i
+    total = sum(v[1:n + 1])  # code_size(n)
     for j in js:
         if not 1 <= j <= total:
             raise DomainError(f"message index {show_int(j)} outside [1, {show_int(total)}]")
-        i = bisect_left(cum, j, 1, n + 1)  # the first root length with cum[i] >= j
-        yield extend_zeta(unrank((), i, j - cum[i - 1]), n - i)
+        i, after = n, total - j  # after: the messages past j, whose roots are at most i long
+        while after >= v[i]:  # all of class i lies past j
+            after, i = after - v[i], i - 1
+        yield extend_zeta(walk.unrank((), i, v[i] - after), n - i)
 
 
 def decode_codewords(ys: Iterable[Word], spec: CodeSpec) -> Iterator[int]:
     """The message index of each received word, as decode_codeword gives
     it, with the per-system lookups made once per stream."""
     sys, n = spec.sys, spec.n
-    ct = count_table(sys)
-    cum = ct._cumulative
-    reduce, rank = _walk_tables(sys).reduce, _walk_tables(sys).rank_cells
+    walk = _walk_tables(sys)
+    v = walk.class_sizes((), n)
+    total = sum(v[1:n + 1])
     for y in ys:
         _check_alphabet(y, sys)
         if len(y.symbols) < n:
             raise NotADescendantError(
                 f"received length {len(y)} is shorter than the code length {n}"
             )
-        cells = reduce(y.symbols)  # the root's, one cell per symbol
+        cells = walk.reduce(y.symbols)  # the root's, one cell per symbol
         m = len(cells)
         if m > n:
             raise NotADescendantError(f"root length {m} exceeds the code length {n}")
-        if len(cum) < m:
-            ct.cumulative(m - 1)
-        yield cum[m - 1] + rank((), cells)
+        yield total - sum(v[m:n + 1]) + walk.rank_cells((), cells)  # shorter roots first
 
 
 def encode_codeword(j: int, spec: CodeSpec) -> Word:

@@ -58,7 +58,6 @@ class CountTable:
                 q * q * (q - 1) * (q - 2),
                 q * (q - 1) * (q - 2) * (q * q - q - 1),
             ]
-        self._cumulative = [0]
 
     @classmethod
     def _seeded(cls, sys: DupSystem, values: Sequence[int]) -> CountTable:
@@ -77,14 +76,6 @@ class CountTable:
                 v.append(sum(map(mul, c, reversed(v))))
         return v[n]
 
-    def cumulative(self, n: int) -> int:
-        """Sum of count(i) for i = 1..n."""
-        self.count(max(n, 0))
-        c = self._cumulative
-        while len(c) <= n:
-            c.append(c[-1] + self._values[len(c)])
-        return c[n] if n >= 0 else 0
-
 
 count_table = cache(CountTable)
 
@@ -98,7 +89,9 @@ def code_size(n: int, sys: DupSystem) -> int:
     """Size of the length-n run-padded code: sum of count_irr(i) for i <= n."""
     if n < 1:
         raise DomainError(f"codeword length must be >= 1, got {n}")
-    return count_table(sys).cumulative(n)
+    table = count_table(sys)
+    table.count(n)
+    return sum(table._values[1:n + 1])
 
 
 # -------------------------------------------------------------- window DP

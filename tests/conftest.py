@@ -52,7 +52,8 @@ def fresh_tables() -> None:
     """Empty the per-system table caches, so a test sees what it builds."""
     from tdcode import enumeration, ranking
 
-    for build in (ranking._walk_tables, enumeration._dp, enumeration._degree_table):
+    for build in (ranking._walk_tables, enumeration._dp, enumeration._degree_table,
+                  enumeration.count_table):
         build.cache_clear()
 
 

@@ -742,6 +742,7 @@ class TestVerify:
         assert len(payload["checks"]) == 5
 
     DEPTH = OracleBudget().max_depth
+    WORDS = OracleBudget().max_words
 
     @pytest.mark.parametrize("flags, message", [
         (("-k", "2", "-n", "0"), "maximum word length must be >= 1, got 0"),
@@ -751,7 +752,13 @@ class TestVerify:
         (("-k", "3", "--depth", "3000"), f"depth 3000 outside [0, {DEPTH}], the oracle's search depth"),
         (("-k", "3", "--depth", "20"), f"depth 20 outside [0, {DEPTH}], the oracle's search depth"),
         (("-k", "3", "--depth", "-1"), f"depth -1 outside [0, {DEPTH}], the oracle's search depth"),
-    ], ids=["n-0", "n-negative", "n-past-the-cap", "depth-3000", "depth-20", "depth-negative"])
+        (("-k", "2", "-n", "24", "--scope", "counts", "--budget", "1000000000000"),
+         f"budget 1000000000000 outside [1, {WORDS}], the oracle's word budget"),
+        (("-k", "2", "--budget", str(WORDS + 1)),
+         f"budget {WORDS + 1} outside [1, {WORDS}], the oracle's word budget"),
+        (("-k", "2", "--budget", "0"), f"budget 0 outside [1, {WORDS}], the oracle's word budget"),
+    ], ids=["n-0", "n-negative", "n-past-the-cap", "depth-3000", "depth-20", "depth-negative",
+            "budget-10**12", "budget-past-the-cap", "budget-0"])
     def test_bad_flags_fail_before_any_check(self, flags, message, capsys, monkeypatch):
         def checking(*args):
             raise AssertionError("a check ran before the flags were checked")
@@ -768,6 +775,16 @@ class TestVerify:
                          "--depth", str(self.DEPTH), "--samples", "3")
         assert rc == 0
         assert f"3 samples at depth {self.DEPTH}" in out
+
+    def test_counts_skip_from_the_first_length_past_the_budget(self, capsys):
+        # 3**3 = 27 fits a budget of 27, 3**4 does not
+        rc, out, _ = run(capsys, "verify", "--scope", "counts", "-q", "3", "-k", "2",
+                         "-n", "6", "--budget", "27", "--json")
+        assert rc == 0
+        details = [c["detail"] for c in json.loads(out)["checks"]]
+        assert details[:3] == ["3 words, bijection ok", "6 words, bijection ok",
+                               "12 words, bijection ok"]
+        assert details[3:] == ["skipped: budget"] * 3
 
     def test_budget_skips_are_reported(self, capsys):
         rc, out, _ = run(capsys, "verify", "--scope", "delta", "-q", "3", "-k", "2",

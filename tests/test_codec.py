@@ -74,7 +74,9 @@ class TestEncodeCodeword:
             # roots of length i take messages last+1 .. last+count_irr(i)
             first, last = last + 1, last + count_irr(i, spec.sys)
             for j in (first, last):
-                assert len(root(encode_codeword(j, spec), spec.sys)) == i
+                x = encode_codeword(j, spec)
+                assert len(root(x, spec.sys)) == i
+                assert decode_codeword(x, spec) == j
         assert last == code_size(n, spec.sys)
 
     def test_all_codewords_have_length_n(self, s33):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from hypothesis import strategies as st
 import reference as ref
 from conftest import walk_extensions, window_dp
 from tdcode import (
-    CountTable,
     DomainError,
     DupSystem,
     FseParams,
@@ -92,10 +93,6 @@ class TestCountIrr:
                 + (q - 2) * count_irr(n - 3, sys_)
             )
 
-    def test_count_table_cumulative(self, s32):
-        table = CountTable(s32)
-        assert table.cumulative(4) == sum(count_irr(i, s32) for i in range(1, 5))
-
     def test_large_n_is_fast_and_exact_integer(self, s32):
         value = count_irr(2000, s32)
         assert isinstance(value, int)
@@ -112,12 +109,27 @@ class TestCodeSize:
     def test_known_sizes(self, n, sysname, expected, request):
         assert code_size(n, request.getfixturevalue(sysname)) == expected
 
-    def test_is_prefix_sum_of_counts(self, s43):
-        assert code_size(5, s43) == sum(count_irr(i, s43) for i in range(1, 6))
+    @pytest.mark.parametrize("sysname, n", [("s43", 5), ("s32", 4)])
+    def test_is_prefix_sum_of_counts(self, sysname, n, request):
+        sys_ = request.getfixturevalue(sysname)
+        assert code_size(n, sys_) == sum(count_irr(i, sys_) for i in range(1, n + 1))
 
     def test_requires_positive_length(self, s32):
         with pytest.raises(DomainError):
             code_size(0, s32)
+
+    def test_keeps_one_list_of_counts(self, fresh_tables):
+        # the counts are O(n**2) bits; a second list, of their prefix sums,
+        # would double the peak
+        sys_ = DupSystem(4, 2)
+        tracemalloc.start()
+        try:
+            code_size(6000, sys_)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(sys.getsizeof(v) for v in enumeration.count_table(sys_)._values)
+        assert peak < 1.25 * kept
 
 
 class TestExtensions:
