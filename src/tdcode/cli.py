@@ -8,7 +8,7 @@ import sys as _sys
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import CorruptInputError, DomainError, TandemCodeError, show_int
+from .errors import BudgetExceededError, CorruptInputError, DomainError, TandemCodeError, show_int
 from .words import DupSystem, Word, _duplicate, random_descendant, root
 
 # Each command imports the counting, ranking, codec and FSE modules it
@@ -36,6 +36,11 @@ MAX_STATE_LENGTH = 1 << 11
 # them (q = 8, k = 3: 18480 windows, `rate` in under a second at 40 MB).
 # This admits q <= 8 at k = 3 and q <= 27 at k = 2.
 MAX_WINDOWS = 20_000
+
+# The most root samples verify may draw.  Each costs an unrank, a channel
+# draw and a root at length up to -n, and the oracle's search, which the
+# budget bounds over all samples (10000 samples at -n 8: about 0.6 s).
+_MAX_SAMPLES = 10_000
 
 
 def format_header(fields: dict[str, object]) -> str:
@@ -498,7 +503,7 @@ def _cmd_verify(args) -> int:
     from .enumeration import count_irr, delta_min_degree
     from .oracle import (
         OracleBudget,
-        all_roots_bfs,
+        RootOracle,
         enumerate_irr_bruteforce,
         min_outdegree_bruteforce,
     )
@@ -516,6 +521,8 @@ def _cmd_verify(args) -> int:
         raise DomainError(
             f"depth {args.depth} outside [0, {budget.max_depth}], the oracle's search depth"
         )
+    if not 1 <= args.samples <= _MAX_SAMPLES:
+        raise DomainError(f"samples {args.samples} outside [1, {_MAX_SAMPLES}]")
     checks: list[dict] = []
 
     def record(name: str, ok: bool, detail: str) -> None:
@@ -550,17 +557,21 @@ def _cmd_verify(args) -> int:
             record(f"delta m={m}", fast == brute, f"degree {fast} vs brute {brute}")
     if args.scope in ("roots", "all"):
         rng = random.Random(args.seed)
-        failures = 0
-        for _ in range(args.samples):
+        oracle = RootOracle(sys_, budget)  # one memo: the budget bounds every sample's search
+        ok, detail = True, f"{args.samples} samples at depth {args.depth}"
+        for i in range(args.samples):
             n = rng.randint(1, args.n)
             x = unrank_irr(n, rng.randint(1, count_irr(n, sys_)), sys_)
             y, _events = random_descendant(x, args.depth, sys_, rng.getrandbits(48))
-            if root(y, sys_) != x or all_roots_bfs(y, sys_, budget) != {x}:
-                failures += 1
-                record("roots", False, f"root mismatch for a descendant of {x}")
+            try:
+                ok = root(y, sys_) == x and oracle.roots(y) == {x}
+            except BudgetExceededError:
+                detail = f"skipped: budget after {i} of {args.samples} samples"
                 break
-        if not failures:
-            record("roots", True, f"{args.samples} samples at depth {args.depth}")
+            if not ok:
+                detail = f"root mismatch for a descendant of {x}"
+                break
+        record("roots", ok, detail)
     passed = all(c["ok"] for c in checks)
     if args.json:
         print(json.dumps({"passed": passed, "checks": checks}))
@@ -639,7 +650,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_system(p)
     p.add_argument("-n", type=int, default=8, help="maximum word length")
     p.add_argument("--depth", type=int, default=3, help="duplications per root sample")
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=int, default=50,
+                   help=f"root samples, 1 to {_MAX_SAMPLES}")
     p.add_argument("--budget", type=int, default=2_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")

@@ -11,18 +11,17 @@ received word, and add the size of all shorter root classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import DomainError, NotADescendantError, show_int
 from .ranking import _walk_tables
-from .words import DupSystem, Word, _check_alphabet, extend_zeta
+from .words import DupSystem, Word, _check_alphabet, _Record, extend_zeta
 
 
-@dataclass(frozen=True)
-class CodeSpec:
+class CodeSpec(_Record):
     """A code instance: duplication system plus codeword length n >= 1."""
 
+    __slots__ = ("sys", "n")
     sys: DupSystem
     n: int
 

@@ -19,13 +19,12 @@ for any q).  Each per-system table is built once, on first use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .words import DupSystem
+from .words import DupSystem, _Record
 
 # ------------------------------------------------------------------ totals
 
@@ -257,10 +256,10 @@ def delta_min_degree(m: int, sys: DupSystem) -> int:
 # -------------------------------------------------------- rates and params
 
 
-@dataclass(frozen=True)
-class RateInfo:
+class RateInfo(_Record):
     """Asymptotic data for one system: growth factor, rate, degree constant."""
 
+    __slots__ = ("sys", "lam", "rate", "__dict__")  # __dict__ holds kappa once read
     sys: DupSystem
     lam: float  # dominant growth factor of count_irr(n)
     rate: float  # log_q(lam), symbols of information per code symbol
@@ -302,11 +301,11 @@ def asymptotic_rate(sys: DupSystem) -> RateInfo:
     return RateInfo(sys, lam, math.log(lam) / math.log(sys.q))
 
 
-@dataclass(frozen=True)
-class FseParams:
+class FseParams(_Record):
     """Parameters of an (ell, m) finite-state encoder: read ell message
     symbols, emit one irreducible length-m state per step."""
 
+    __slots__ = ("sys", "ell", "m")
     sys: DupSystem
     ell: int
     m: int

@@ -11,19 +11,23 @@ All searches carry an explicit budget and abort cleanly past it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BudgetExceededError, DomainError
-from .words import DupSystem, Word
+from .words import DupSystem, Word, _Record
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    """Caps on brute-force work: distinct words touched and search depth."""
+class OracleBudget(_Record):
+    """Caps on brute-force work: distinct words touched and search depth.
+    The root search, whose words can be long, counts the symbols it holds
+    against max_words instead."""
 
-    max_words: int = 2_000_000
-    max_depth: int = 12
+    __slots__ = ("max_words", "max_depth")
+    max_words: int
+    max_depth: int
+
+    def __init__(self, max_words: int = 2_000_000, max_depth: int = 12) -> None:
+        super().__init__(max_words, max_depth)
 
 
 DEFAULT_BUDGET = OracleBudget()
@@ -61,12 +65,18 @@ def enumerate_irr_bruteforce(
 
 class RootOracle:
     """Finds every irreducible ancestor of a word by trying all
-    deduplication orders, memoized so repeated queries share work."""
+    deduplication orders, memoized so repeated queries share work.
+
+    The budget's max_words bounds the symbols of the memoized words, over
+    all queries: a word of length n costs n, since scanning and holding it
+    does.  So one long word cannot make the search run without bound.
+    """
 
     def __init__(self, sys: DupSystem, budget: Optional[OracleBudget] = None):
         self.sys = sys
         self.budget = budget or DEFAULT_BUDGET
         self._memo: dict[tuple[int, ...], frozenset[tuple[int, ...]]] = {}
+        self._held = 0  # symbols of the words searched so far
 
     def roots(self, y: Word) -> set[Word]:
         if y.q != self.sys.q:
@@ -79,9 +89,10 @@ class RootOracle:
         got = self._memo.get(syms)
         if got is not None:
             return got
-        if len(self._memo) >= self.budget.max_words:
+        self._held += len(syms)
+        if self._held > self.budget.max_words:
             raise BudgetExceededError(
-                f"root search visited more than {self.budget.max_words} words"
+                f"root search held more than {self.budget.max_words} symbols"
             )
         k = self.sys.k
         n = len(syms)

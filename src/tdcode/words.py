@@ -11,7 +11,7 @@ irreducible root, which is what makes greedy deduplication a decoder.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from .errors import DomainError
@@ -21,10 +21,69 @@ _DNA_IN = bytes.maketrans(b"ACGT", bytes(range(4)))
 _DNA_OUT = bytes.maketrans(bytes(range(4)), b"ACGT")
 
 
-@dataclass(frozen=True)
-class Word:
+class _Record:
+    """Base of the package's immutable records.  The standard library's
+    record decorator would import inspect and compile source for each
+    class, a large share of every command's start-up; this base does not.
+
+    The fields are the subclass's __slots__ (a "__dict__" slot excepted),
+    taken by position or keyword; then __post_init__ checks them.  Equality
+    holds within one class, the hash is the field tuple's, assignment
+    raises AttributeError, and copy and pickle rebuild through __init__.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+        # a plain callable, not a method: self._values(self) is the field
+        # tuple (every record has two or more fields)
+        cls._values = attrgetter(*fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs:
+            try:
+                args += tuple(kwargs.pop(f) for f in fields[len(args):])
+            except KeyError as exc:
+                raise TypeError(f"{type(self).__name__}() missing field {exc}") from None
+        if kwargs or len(args) != len(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        for f, value in zip(fields, args):
+            object.__setattr__(self, f, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # rebuild through __init__: the default restores slots by setattr
+        return type(self), self._values(self)
+
+
+class Word(_Record):
     """Immutable word over the alphabet {0, ..., q-1}."""
 
+    __slots__ = ("symbols", "q")
     symbols: tuple[int, ...]
     q: int
 
@@ -94,10 +153,10 @@ class Word:
         return Word(self.symbols + syms, self.q)
 
 
-@dataclass(frozen=True)
-class DuplicationEvent:
+class DuplicationEvent(_Record):
     """One tandem duplication: copy x[position : position+length] in place."""
 
+    __slots__ = ("position", "length")
     position: int
     length: int
 
@@ -116,10 +175,10 @@ class DuplicationEvent:
         return e
 
 
-@dataclass(frozen=True)
-class DupSystem:
+class DupSystem(_Record):
     """A duplication system: alphabet size q >= 3 and root-unique k in {2, 3}."""
 
+    __slots__ = ("q", "k")
     q: int
     k: int
 

@@ -31,6 +31,7 @@ from tdcode.cli import (
     MAX_STATE_LENGTH,
     MAX_TABLE_LENGTH,
     MAX_WINDOWS,
+    _MAX_SAMPLES,
     _check_length,
     _frame_bits,
     _join_chunks,
@@ -441,6 +442,30 @@ class TestColdStart:
                              env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
         assert out.split() == ["0", *loaded]
 
+    @pytest.mark.parametrize("argv", [
+        ["channel", "-t", "3", "-i", "{code}"],
+        ["encode", "--mode", "code", "-q", "4", "-k", "3", "-n", "16", "-i", "{msg}"],
+        ["encode", "--mode", "fse", "-q", "4", "-k", "3", "-e", "0.15", "-i", "{msg}"],
+        ["decode", "-i", "{code}"],
+        ["decode", "-i", "{fse}"],
+    ], ids=["channel", "encode-code", "encode-fse", "decode-code", "decode-fse"])
+    def test_no_command_loads_inspect(self, argv, tmp_path):
+        # the records are slotted classes: a dataclass would import inspect
+        src = Path(__file__).resolve().parent.parent / "src"
+        files = {"msg": tmp_path / "msg.bin"}
+        files["msg"].write_bytes(bytes(range(64)))
+        for mode, flags in (("code", ["-n", "16"]), ("fse", ["-e", "0.15"])):
+            files[mode] = tmp_path / f"{mode}.seq"
+            assert main(["encode", "--mode", mode, "-q", "4", "-k", "3", *flags,
+                         "-i", str(files["msg"]), "-o", str(files[mode])]) == 0
+        argv = [a.format(**files) for a in argv] + ["-o", str(tmp_path / "out")]
+        code = ("import sys; from tdcode.cli import main; "
+                f"rc = main({argv!r}); "
+                "print(rc, *sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+        assert out.split() == ["0"]
+
     def test_every_public_name_resolves(self):
         import tdcode
 
@@ -743,6 +768,7 @@ class TestVerify:
 
     DEPTH = OracleBudget().max_depth
     WORDS = OracleBudget().max_words
+    SAMPLES = _MAX_SAMPLES
 
     @pytest.mark.parametrize("flags, message", [
         (("-k", "2", "-n", "0"), "maximum word length must be >= 1, got 0"),
@@ -757,14 +783,20 @@ class TestVerify:
         (("-k", "2", "--budget", str(WORDS + 1)),
          f"budget {WORDS + 1} outside [1, {WORDS}], the oracle's word budget"),
         (("-k", "2", "--budget", "0"), f"budget 0 outside [1, {WORDS}], the oracle's word budget"),
+        (("-k", "2", "-n", "4", "--scope", "roots", "--samples", "1000000000"),
+         f"samples 1000000000 outside [1, {SAMPLES}]"),
+        (("-k", "2", "-n", "4", "--scope", "roots", "--samples", "-3"),
+         f"samples -3 outside [1, {SAMPLES}]"),
+        (("-k", "2", "--samples", "0"), f"samples 0 outside [1, {SAMPLES}]"),
     ], ids=["n-0", "n-negative", "n-past-the-cap", "depth-3000", "depth-20", "depth-negative",
-            "budget-10**12", "budget-past-the-cap", "budget-0"])
+            "budget-10**12", "budget-past-the-cap", "budget-0", "samples-10**9",
+            "samples-negative", "samples-0"])
     def test_bad_flags_fail_before_any_check(self, flags, message, capsys, monkeypatch):
         def checking(*args):
             raise AssertionError("a check ran before the flags were checked")
 
         for name in ("oracle.enumerate_irr_bruteforce", "oracle.min_outdegree_bruteforce",
-                     "oracle.all_roots_bfs", "ranking.unrank_irr"):
+                     "oracle.RootOracle", "ranking.unrank_irr"):
             monkeypatch.setattr(f"tdcode.{name}", checking)
         rc, out, err = run(capsys, "verify", "-q", "3", *flags)
         assert (rc, out) == (2, "")
@@ -775,6 +807,28 @@ class TestVerify:
                          "--depth", str(self.DEPTH), "--samples", "3")
         assert rc == 0
         assert f"3 samples at depth {self.DEPTH}" in out
+
+    def test_the_samples_cap_itself_is_allowed(self, capsys):
+        rc, out, _ = run(capsys, "verify", "--scope", "roots", "-q", "3", "-k", "2", "-n", "4",
+                         "--depth", "1", "--samples", str(self.SAMPLES))
+        assert (rc, out) == (0, f"ok roots: {self.SAMPLES} samples at depth 1\nall checks passed\n")
+
+    def test_roots_skip_once_the_searches_hold_the_budget(self, capsys):
+        # long words at depth 12 would take the oracle minutes; the budget
+        # bounds the symbols its searches hold over all samples
+        start = time.perf_counter()
+        rc, out, _ = run(capsys, "verify", "--scope", "roots", "-q", "4", "-k", "3",
+                         "-n", "2000", "--samples", "5", "--depth", "12",
+                         "--budget", "100000")
+        assert time.perf_counter() - start < 5
+        assert (rc, out) == (0, "ok roots: skipped: budget after 0 of 5 samples\n"
+                                "all checks passed\n")
+        rc, out, _ = run(capsys, "verify", "--scope", "roots", "-q", "3", "-k", "2", "-n", "8",
+                         "--samples", "50", "--budget", "2000", "--json")
+        assert rc == 0
+        [check] = json.loads(out)["checks"]
+        assert check["ok"] and re.fullmatch(r"skipped: budget after \d+ of 50 samples",
+                                            check["detail"])
 
     def test_counts_skip_from_the_first_length_past_the_budget(self, capsys):
         # 3**3 = 27 fits a budget of 27, 3**4 does not

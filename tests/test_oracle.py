@@ -88,6 +88,15 @@ class TestRootSearch:
         with pytest.raises(BudgetExceededError):
             oracle.roots(w("0011220011"))
 
+    def test_budget_counts_the_symbols_held_over_all_queries(self, s32):
+        # an irreducible word is one search of its own length
+        oracle = RootOracle(s32, OracleBudget(max_words=7))
+        assert oracle.roots(w("0120")) == {w("0120")}
+        assert oracle.roots(w("0120")) == {w("0120")}  # memoized: costs nothing more
+        assert RootOracle(s32, OracleBudget(max_words=7)).roots(w("0121")) == {w("0121")}
+        with pytest.raises(BudgetExceededError, match="held more than 7 symbols"):
+            oracle.roots(w("0121"))  # 4 + 4 symbols
+
     def test_alphabet_mismatch(self, s32):
         with pytest.raises(DomainError):
             all_roots_bfs(Word((0, 1), 4), s32)

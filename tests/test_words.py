@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import time
 
@@ -11,12 +13,16 @@ from hypothesis import strategies as st
 
 import tdcode
 from tdcode import (
+    CodeSpec,
     DomainError,
     DupSystem,
     DuplicationEvent,
+    FseParams,
     OracleBudget,
+    RateInfo,
     Word,
     all_roots_bfs,
+    asymptotic_rate,
     count_irr,
     extend_zeta,
     find_tandem_repeat,
@@ -29,7 +35,8 @@ from tdcode import (
 from tdcode.oracle import _has_square
 
 # Short words and few duplications keep the deduplication-graph search
-# to about a hundred words; the budget turns a runaway search into an error.
+# to a few hundred words, a few thousand symbols; the budget turns a
+# runaway search into an error.
 ORACLE_BUDGET = OracleBudget(max_words=20_000)
 
 
@@ -363,6 +370,89 @@ class TestDupSystem:
 
     def test_hashable(self):
         assert len({DupSystem(3, 2), DupSystem(3, 2), DupSystem(3, 3)}) == 2
+
+
+_S43 = DupSystem(4, 3)
+
+
+class TestRecords:
+    """The seven frozen records behave as frozen dataclasses would: fields
+    by position or keyword, equality within one class, the field tuple's
+    hash, the same repr, no assignment, and copy and pickle round trips."""
+
+    RECORDS = [
+        (Word, ("symbols", "q"), ((0, 1), 3), "Word(symbols=(0, 1), q=3)"),
+        (DuplicationEvent, ("position", "length"), (2, 3),
+         "DuplicationEvent(position=2, length=3)"),
+        (DupSystem, ("q", "k"), (4, 3), "DupSystem(q=4, k=3)"),
+        (CodeSpec, ("sys", "n"), (_S43, 8), "CodeSpec(sys=DupSystem(q=4, k=3), n=8)"),
+        (FseParams, ("sys", "ell", "m"), (_S43, 3, 7),
+         "FseParams(sys=DupSystem(q=4, k=3), ell=3, m=7)"),
+        (RateInfo, ("sys", "lam", "rate"), (_S43, 2.5, 0.66),
+         "RateInfo(sys=DupSystem(q=4, k=3), lam=2.5, rate=0.66)"),
+        (OracleBudget, ("max_words", "max_depth"), (100, 4),
+         "OracleBudget(max_words=100, max_depth=4)"),
+    ]
+    IDS = [cls.__name__ for cls, *_ in RECORDS]
+
+    @pytest.mark.parametrize("cls, names, values, text", RECORDS, ids=IDS)
+    def test_fields_by_position_or_keyword(self, cls, names, values, text):
+        x = cls(*values)
+        assert tuple(getattr(x, f) for f in names) == values
+        assert cls(**dict(zip(names, values))) == x
+        assert cls(*values[:1], **dict(zip(names[1:], values[1:]))) == x
+        if cls is not OracleBudget:  # its fields have defaults
+            with pytest.raises(TypeError):
+                cls(*values[:-1])
+        with pytest.raises(TypeError):
+            cls(*values, values[-1])
+        with pytest.raises(TypeError):
+            cls(*values, nonsense=1)
+
+    @pytest.mark.parametrize("cls, names, values, text", RECORDS, ids=IDS)
+    def test_equality_hash_and_repr(self, cls, names, values, text):
+        x = cls(*values)
+        assert x == cls(*values) and not x != cls(*values)
+        assert hash(x) == hash(values)
+        assert repr(x) == text
+
+    def test_no_equality_across_classes(self):
+        # the same field tuple in two classes
+        assert DupSystem(3, 2) != DuplicationEvent(3, 2)
+        assert DuplicationEvent(3, 2) != OracleBudget(3, 2)
+        assert DupSystem(3, 2) != (3, 2)
+        assert len({DupSystem(3, 2), DuplicationEvent(3, 2), OracleBudget(3, 2)}) == 3
+
+    @pytest.mark.parametrize("cls, names, values, text", RECORDS, ids=IDS)
+    def test_assignment_raises(self, cls, names, values, text):
+        x = cls(*values)
+        for name in (*names, "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert tuple(getattr(x, f) for f in names) == values
+
+    @pytest.mark.parametrize("cls, names, values, text", RECORDS, ids=IDS)
+    def test_copy_and_pickle(self, cls, names, values, text):
+        x = cls(*values)
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is cls and y == x and repr(y) == text
+
+    def test_oracle_budget_defaults(self):
+        assert OracleBudget() == OracleBudget(2_000_000, 12)
+        assert OracleBudget(max_depth=3) == OracleBudget(2_000_000, 3)
+
+    def test_rate_info_computes_kappa_once(self):
+        info = asymptotic_rate(_S43)
+        assert info.kappa is info.kappa
+        assert copy.deepcopy(info) == info
+
+    def test_checks_run_on_every_construction(self):
+        with pytest.raises(DomainError):
+            Word(symbols=(0, 3), q=3)
+        with pytest.raises(DomainError):
+            FseParams(_S43, 1, 4)
 
 
 class TestAlphabetCheck:
