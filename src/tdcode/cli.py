@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import BudgetExceededError, CorruptInputError, DomainError, TandemCodeError, show_int
-from .words import DupSystem, Word, _duplicate, random_descendant, root
+from .words import _DNA_OUT, DupSystem, Word, _duplicate, random_descendant, root
 
 # Each command imports the counting, ranking, codec and FSE modules it
 # runs, so a channel process loads (and compiles) none of them.
@@ -312,11 +312,12 @@ def _cmd_encode(args) -> int:
             "chunk": chunk, "digits": 0, "dna": int(dna),
         })
         data = _read_bytes(args.input)
-        lines = [header]
+        lines = [header.encode()]
         if data:
             js = [v + 1 for v in _split_chunks(*_frame_bits(data), chunk)]
-            lines += [_render_word(y, dna) for y in encode_codewords(js, spec)]
-        _write_text(args.output, "\n".join(lines) + "\n")
+            table = _DNA_OUT if dna else bytes.maketrans(bytes(range(10)), b"0123456789")
+            lines += [s.translate(table) for s in encode_codewords(js, spec)]
+        _write_bytes(args.output, b"\n".join(lines) + b"\n")
         return 0
     from .fse import FseCodec, _block_value
 
@@ -401,8 +402,12 @@ def _cmd_decode(args) -> int:
                       error=CorruptInputError if "n" in header else DomainError)
         if chunk is None:
             chunk = code_size(spec.n, sys_).bit_length() - 1
-        # parsed one strand at a time, so the first bad strand is the one reported
-        received = (_parse_word(s, sys_.q, dna) for s in strands)
+        # one translate per strand, lazily: it drops all but the letters, so a bad strand shrinks
+        letters = b"ACGTacgt" if dna else b"0123456789"[:sys_.q]
+        table = bytes.maketrans(letters, bytes(range(sys_.q)) * (2 if dna else 1))
+        drop = bytes(range(256)).translate(None, letters)
+        received = (y if len(y := s.encode().translate(table, drop)) == len(s)
+                    else _parse_word(s, sys_.q, dna) for s in strands)
         values = []
         for j in decode_codewords(received, spec):
             if j - 1 >= 1 << chunk:

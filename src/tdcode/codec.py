@@ -11,11 +11,11 @@ received word, and add the size of all shorter root classes.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, NotADescendantError, show_int
 from .ranking import _walk_tables
-from .words import DupSystem, Word, _check_alphabet, _Record, extend_zeta
+from .words import DupSystem, Word, _check_alphabet, _Record
 
 
 class CodeSpec(_Record):
@@ -30,16 +30,15 @@ class CodeSpec(_Record):
             raise DomainError(f"codeword length must be >= 1, got {self.n}")
 
 
-def encode_codewords(js: Iterable[int], spec: CodeSpec) -> Iterator[Word]:
-    """The j-th codeword (1-indexed) for each j in js: roots are taken in
-    order of length, each length ordered by rank, then padded to length n.
+def encode_codewords(js: Iterable[int], spec: CodeSpec) -> Iterator[bytearray]:
+    """The j-th codeword (1-indexed) for each j in js, as its symbols: roots
+    are taken in order of length, each length ordered by rank, then padded to n.
 
     The class sizes, their total and the walker are looked up once per
     stream.  The root length is found walking down from n, where most roots
     are; a root of length 1 costs n subtractions, about one unrank.
     """
-    n = spec.n
-    walk = _walk_tables(spec.sys)
+    n, walk = spec.n, _walk_tables(spec.sys)
     v = walk.class_sizes((), n)  # v[i]: the roots of length i
     total = sum(v[1:n + 1])  # code_size(n)
     for j in js:
@@ -48,23 +47,22 @@ def encode_codewords(js: Iterable[int], spec: CodeSpec) -> Iterator[Word]:
         i, after = n, total - j  # after: the messages past j, whose roots are at most i long
         while after >= v[i]:  # all of class i lies past j
             after, i = after - v[i], i - 1
-        yield extend_zeta(walk.unrank((), i, v[i] - after), n - i)
+        s = walk.unrank((), i, v[i] - after)
+        s += s[-1:] * (n - i)  # the root is never empty
+        yield s
 
 
-def decode_codewords(ys: Iterable[Word], spec: CodeSpec) -> Iterator[int]:
-    """The message index of each received word, as decode_codeword gives
-    it, with the per-system lookups made once per stream."""
-    sys, n = spec.sys, spec.n
-    walk = _walk_tables(sys)
+def decode_codewords(ys: Iterable[Sequence[int]], spec: CodeSpec) -> Iterator[int]:
+    """The message index of each received word, given as symbols in range(q),
+    as decode_codeword gives it, with the per-system lookups made once."""
+    n, walk = spec.n, _walk_tables(spec.sys)
     v = walk.class_sizes((), n)
     total = sum(v[1:n + 1])
     for y in ys:
-        _check_alphabet(y, sys)
-        if len(y.symbols) < n:
-            raise NotADescendantError(
-                f"received length {len(y)} is shorter than the code length {n}"
-            )
-        cells = walk.reduce(y.symbols)  # the root's, one cell per symbol
+        if len(y) < n:
+            raise NotADescendantError(f"received length {len(y)} is shorter than the code "
+                                      f"length {n}")
+        cells = walk.reduce(y)  # the root's, one cell per symbol
         m = len(cells)
         if m > n:
             raise NotADescendantError(f"root length {m} exceeds the code length {n}")
@@ -73,7 +71,7 @@ def decode_codewords(ys: Iterable[Word], spec: CodeSpec) -> Iterator[int]:
 
 def encode_codeword(j: int, spec: CodeSpec) -> Word:
     """The j-th codeword (1-indexed); see encode_codewords."""
-    return next(encode_codewords((j,), spec))
+    return Word._unchecked(tuple(next(encode_codewords((j,), spec))), spec.sys.q)
 
 
 def decode_codeword(y: Word, spec: CodeSpec) -> int:
@@ -82,4 +80,5 @@ def decode_codeword(y: Word, spec: CodeSpec) -> int:
     Rejects (NotADescendantError) received words shorter than n and
     words whose root is longer than n; no codeword can reach those.
     """
-    return next(decode_codewords((y,), spec))
+    _check_alphabet(y, spec.sys)
+    return next(decode_codewords((y.symbols,), spec))

@@ -37,6 +37,7 @@ a root and ranks it in one walk.
 from __future__ import annotations
 
 from functools import cache
+from operator import itemgetter
 from sys import int_info
 from typing import Sequence
 
@@ -97,7 +98,8 @@ class _WalkTables:
     transition table dp.step, which shares classify's cell index.  The
     plain class's base words are windows, listed in lexicographic order
     within each length: the j-th (0-indexed) length-r word is window
-    dp.offsets[r] + j.
+    dp.offsets[r] + j.  A branch-b step appends tails[b][sid], window sid's
+    last b symbols, to unrank's self.pack: bytes to a bytearray up to q = 256.
     """
 
     def __init__(self, sys: DupSystem):
@@ -106,6 +108,10 @@ class _WalkTables:
         self.dp = dp = _dp(sys)
         self.plain = count_table(sys)
         step, states = dp.step, dp.states
+        self.pack, tail = (bytearray, bytes) if q <= 256 else (list, tuple)
+        packed, share = list(map(tail, states)), {}.setdefault  # equal tails: one object
+        self.tails = [None] + [[share(t, t) for t in map(itemgetter(slice(-b, None)), packed)]
+                               for b in range(1, k + 1)]
         self.widths = widths = _coefficients(sys)
         self.starts = starts = tuple(sum(widths[:b]) for b in range(k))
         self.span = span = sum(widths)
@@ -121,18 +127,19 @@ class _WalkTables:
         free_sets: dict[tuple[int, ...], list[int]] = {}
         ids = list(range(len(states)))  # apply shares these ints, not one new int a cell
         for sid, w in enumerate(states):
-            for branch in range(max(2 * k - len(w), 1), k + 1):
-                avoid, copied = _suffix_map(w, len(w), branch, k)
+            m, row = len(w), sid * q
+            for branch in range(max(2 * k - m, 1), k + 1):
+                avoid, copied = _suffix_map(w, m, branch, k)
                 free = free_sets.get(avoid)
                 if free is None:  # free index i + 1 picks free[i]
                     free = free_sets[avoid] = [c for c in range(q) if c not in avoid]
                 # cells[i]: the step cell of image i's last symbol
-                cells = [sid * q + a for a in free]
+                cells = [row + a for a in free]
                 for c in copied:
                     cells = [step[cell] + c for cell in cells]
                 at = sid * span + starts[branch - 1]
                 apply[at:at + len(free)] = [ids[step[cell] // q] for cell in cells]
-                if len(w) + branch == 2 * k:  # the length-2k images: each cell once
+                if m + branch == 2 * k:  # the length-2k images: each cell once
                     for code, cell in enumerate(cells, start=starts[branch - 1]):
                         classify[cell] = code
 
@@ -142,11 +149,11 @@ class _WalkTables:
         table.count(n - len(p))
         return table._values
 
-    def unrank(self, p: tuple[int, ...], n: int, j: int) -> Word:
-        """The j-th length-n word of p's class; j must be in range.  A block
-        of levels runs on y = j * scale + digits, scale the product of the
-        widths it picked; one divmod at its end gives the next j and its free
-        indices, the first pick's the least significant digit."""
+    def unrank(self, p: tuple[int, ...], n: int, j: int):
+        """The j-th length-n word of p's class (j in range) as a self.pack of
+        its symbols.  A block of levels runs on y = j * scale + digits, scale
+        the product of the widths it picked; one divmod at its end gives the
+        next j and its free indices, the first pick's the least significant digit."""
         dp, v, k = self.dp, self.class_sizes(p, n), self.sys.k
         r, base = n - len(p), max(k - 1, 2 * k - 1 - len(p))
         head, last, top, levels = self.head, self.last, self.top, self.levels
@@ -174,16 +181,16 @@ class _WalkTables:
                 digits, i = divmod(digits, w)
                 codes.append(start + i)
         if p:
-            s = list(p)
+            s = self.pack(p)
             sid = _kth(dp, dp.window_sid(p), r, (y,), s)
         else:
             sid = dp.offsets[r] + y
-            s = list(dp.states[sid])
-        apply, span, branch, states = self.apply, self.span, self.branch, dp.states
+            s = self.pack(dp.states[sid])
+        apply, span, branch, tails = self.apply, self.span, self.branch, self.tails
         for code in reversed(codes):
             sid = apply[sid * span + code]
-            s += states[sid][-branch[code]:]
-        return Word._unchecked(tuple(s), self.sys.q)
+            s += tails[branch[code]][sid]
+        return s
 
     def reduce(self, s: Sequence[int]) -> list[int]:
         """The cells sid * q + c of s's root, c after window sid, by root's stack rule."""
@@ -253,7 +260,7 @@ def unrank_irr(n: int, j: int, sys: DupSystem) -> Word:
     total = count_table(sys).count(n)
     if not 1 <= j <= total:
         raise DomainError(f"rank {show_int(j)} outside [1, {show_int(total)}] for length {n}")
-    return _walk_tables(sys).unrank((), n, j)
+    return Word._unchecked(tuple(_walk_tables(sys).unrank((), n, j)), sys.q)
 
 
 def rank_irr(x: Word, sys: DupSystem) -> int:
@@ -272,7 +279,7 @@ def unrank_irr_prefix(p: Word, n: int, j: int, sys: DupSystem) -> Word:
     if not 1 <= j <= total:
         raise DomainError(f"rank {show_int(j)} outside [1, {show_int(total)}] "
                           f"for prefix {p}, length {n}")
-    return _walk_tables(sys).unrank(p.symbols, n, j)
+    return Word._unchecked(tuple(_walk_tables(sys).unrank(p.symbols, n, j)), sys.q)
 
 
 def rank_irr_prefix(p: Word, x: Word, sys: DupSystem) -> int:

@@ -272,15 +272,6 @@ def root(y: Word, sys: DupSystem) -> Word:
     return Word._unchecked(tuple(st[5:]), y.q)
 
 
-def extend_zeta(x: Word, i: int) -> Word:
-    """Append i copies of the last symbol of x (a run extension)."""
-    if len(x) == 0:
-        raise DomainError("cannot extend the empty word")
-    if i < 0:
-        raise DomainError(f"extension count must be >= 0, got {i}")
-    return Word._unchecked(x.symbols + (x.symbols[-1],) * i, x.q)
-
-
 def _duplicate(buf, t: int, k: int, seed: int) -> list[tuple[int, int]]:
     """Apply t random duplications to the mutable sequence buf in place.
 

@@ -13,7 +13,7 @@ import itertools
 from functools import cache
 from typing import Optional
 
-from tdcode import DupSystem, Word, enumerate_irr_bruteforce
+from tdcode import DomainError, DupSystem, Word, enumerate_irr_bruteforce
 from tdcode.oracle import _has_square
 
 
@@ -89,6 +89,16 @@ def preimage(y: Word, sys_: DupSystem) -> tuple[Word, int, int]:
     """The one (x, i, branch) whose image is y."""
     (found,) = preimages(y, sys_)
     return found
+
+
+def extend_zeta(x: Word, i: int) -> Word:
+    """x with i more copies of its last symbol, as a codeword pads its root
+    to the code length."""
+    if len(x) == 0:
+        raise DomainError("cannot extend the empty word")
+    if i < 0:
+        raise DomainError(f"extension count must be >= 0, got {i}")
+    return Word(x.symbols + (x.symbols[-1],) * i, x.q)
 
 
 # ------------------------------------------------------ the recursive order

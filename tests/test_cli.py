@@ -403,6 +403,61 @@ class TestCodeStreamErrors:
         assert rc == 1
         assert err == f"error: {self.BAD[name][1]}\n"
 
+    # decode maps a code strand's letters to symbols in one pass; a strand
+    # that does not map whole fails with the strand parser's message
+    @staticmethod
+    def encode(tmp_path, capsys, payload: bytes, *flags: str) -> str:
+        src = tmp_path / "src.bin"
+        src.write_bytes(payload)
+        rc, out, err = run(capsys, "encode", "--mode", "code", *flags, "-i", str(src))
+        assert rc == 0, err
+        return out
+
+    def test_lower_case_dna_with_crlf_line_ends_decodes(self, tmp_path, capsys):
+        payload = b"tandem duplications"
+        text = self.encode(tmp_path, capsys, payload, "-q", "4", "-k", "3", "-n", "12", "--dna")
+        enc = tmp_path / "enc.txt"
+        enc.write_bytes(text.lower().replace("\n", "\r\n").encode())
+        out = tmp_path / "out.bin"
+        rc, _, err = run(capsys, "decode", "-i", str(enc), "-o", str(out))
+        assert rc == 0, err
+        assert out.read_bytes() == payload
+
+    @pytest.mark.parametrize("flags, strand, message", [
+        (("-q", "4", "-k", "3", "--dna"), "acXt",
+         "cannot parse strand 'acXt': not a DNA string: 'acXt'"),
+        (("-q", "3", "-k", "2"), "0130",
+         "cannot parse strand '0130': symbol 3 outside alphabet of size 3"),
+    ], ids=["dna-letter", "digit-past-q"])
+    def test_bad_strand_mid_stream(self, flags, strand, message, tmp_path, capsys):
+        header, *strands = self.encode(tmp_path, capsys, b"hello", *flags, "-n", "4").splitlines()
+        assert len(strands) > 4
+        enc = tmp_path / "enc.txt"
+        enc.write_text("\n".join([header, *strands[:3], strand, *strands[3:]]) + "\n")
+        rc, _, err = run(capsys, "decode", "-i", str(enc), "-o", str(tmp_path / "out"))
+        assert rc == 1
+        assert err == f"error: {message}\n"
+
+
+class TestCodeStrandRendering:
+    # encode renders each codeword's symbols with one translate; every strand
+    # line reads as the Word renderer prints the codeword of its message index
+    @pytest.mark.parametrize("q, k, dna", [(q, k, False) for q in range(3, 9) for k in (2, 3)]
+                             + [(4, 2, True), (4, 3, True)])
+    def test_strands_match_the_word_renderer(self, q, k, dna, tmp_path, capsys):
+        n = 12
+        data = bytes(range(0, 256, 5)) + b"\xff" * 8 + b"\x00" * 8
+        src = tmp_path / "src.bin"
+        src.write_bytes(data)
+        rc, out, err = run(capsys, "encode", "--mode", "code", "-q", str(q), "-k", str(k),
+                           "-n", str(n), *(["--dna"] if dna else []), "-i", str(src))
+        assert rc == 0, err
+        header, *strands = out.splitlines()
+        spec = CodeSpec(DupSystem(q, k), n)
+        js = [v + 1 for v in _split_chunks(*_frame_bits(data), parse_header(header)["chunk"])]
+        codewords = [encode_codeword(j, spec) for j in js]
+        assert strands == [x.to_dna() if dna else str(x) for x in codewords]
+
 
 class TestColdStart:
     def test_cli_import_loads_neither_the_oracle_nor_openssl(self):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from tdcode import (
     CodeSpec,
     DomainError,
@@ -18,7 +19,6 @@ from tdcode import (
     count_irr,
     decode_codeword,
     encode_codeword,
-    extend_zeta,
     rank_irr,
     unrank_irr,
     is_irreducible,
@@ -90,7 +90,7 @@ class TestEncodeCodeword:
         for j in (1, 5, 40, 117):
             c = encode_codeword(j, spec)
             r = root(c, s32)
-            assert c == extend_zeta(r, 6 - len(r))
+            assert c == ref.extend_zeta(r, 6 - len(r))
 
     def test_rejects_out_of_range_message(self, s32):
         spec = CodeSpec(s32, 4)
@@ -153,7 +153,7 @@ class TestDecodeCodeword:
 
     def test_rejects_alphabet_mismatch(self, s32):
         spec = CodeSpec(s32, 4)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^word alphabet q=4 does not match system q=3$"):
             decode_codeword(Word((0, 1, 2, 3), 4), spec)
 
     def test_cones_are_disjoint_at_small_scale(self, s32):
@@ -197,7 +197,7 @@ def codeword_reference(j: int, spec: CodeSpec) -> Word:
     while code_size(i, spec.sys) < j:
         i += 1
     shorter = code_size(i - 1, spec.sys) if i > 1 else 0
-    return extend_zeta(unrank_irr(i, j - shorter, spec.sys), spec.n - i)
+    return ref.extend_zeta(unrank_irr(i, j - shorter, spec.sys), spec.n - i)
 
 
 def index_reference(y: Word, spec: CodeSpec) -> int:
@@ -216,23 +216,26 @@ class TestStreams:
         total = code_size(n, sys_)
         rng = random.Random(q * 100 + k * 10 + n)
         js = [1, total] + [rng.randint(1, total) for _ in range(5 if n > 100 else 30)]
-        words = list(encode_codewords(js, spec))
+        streamed = list(encode_codewords(js, spec))
+        assert all(type(s) is bytearray for s in streamed)
+        words = [Word(tuple(s), q) for s in streamed]
         assert words == [encode_codeword(j, spec) for j in js]
         assert words == [codeword_reference(j, spec) for j in js]
         noisy = [random_descendant(x, 6, sys_, seed)[0] for seed, x in enumerate(words)]
-        assert list(decode_codewords(noisy, spec)) == js
+        assert list(decode_codewords([bytes(y.symbols) for y in noisy], spec)) == js
         assert [decode_codeword(y, spec) for y in noisy] == js
         assert [index_reference(y, spec) for y in noisy] == js
 
     @pytest.mark.parametrize("bad, error, message", [
         (w("012"), NotADescendantError, "received length 3 is shorter than the code length 4"),
         (w("01020"), NotADescendantError, "root length 5 exceeds the code length 4"),
-        (Word((0, 1, 2, 3), 4), DomainError, "word alphabet q=4 does not match system q=3"),
     ])
     def test_decode_stream_stops_at_the_bad_word(self, s32, bad, error, message):
+        # the stream takes symbols; decode_codeword checks a word's alphabet
+        # (TestDecodeCodeword.test_rejects_alphabet_mismatch)
         spec = CodeSpec(s32, 4)
-        good = [encode_codeword(j, spec) for j in (5, 39)]
-        stream = decode_codewords([*good, bad, good[0]], spec)
+        good = [encode_codeword(j, spec).symbols for j in (5, 39)]
+        stream = decode_codewords([*good, bad.symbols, good[0]], spec)
         assert [next(stream), next(stream)] == [5, 39]
         with pytest.raises(error, match=f"^{message}$"):
             next(stream)
@@ -243,7 +246,7 @@ class TestStreams:
     def test_encode_stream_stops_at_the_bad_index(self, s32, j):
         spec = CodeSpec(s32, 4)
         stream = encode_codewords([7, j, 8], spec)
-        assert next(stream) == encode_codeword(7, spec)
+        assert tuple(next(stream)) == encode_codeword(7, spec).symbols
         message = f"^message index {j} outside \\[1, 39\\]$"
         with pytest.raises(DomainError, match=message):
             next(stream)

@@ -102,6 +102,11 @@ def _ops(counted: type, call, *args):
     return result, counted.ops
 
 
+def _unrank_word(walk: _WalkTables, p: tuple[int, ...], n: int, j: int) -> Word:
+    """walk.unrank's symbols as a Word."""
+    return Word(tuple(walk.unrank(p, n, j)), walk.sys.q)
+
+
 def _walk_image(x: Word, i: int, branch: int, sys_: DupSystem) -> Word:
     """image(x, i, branch) as the walker's apply table gives it; x is at
     least 2k - branch long."""
@@ -297,7 +302,7 @@ class TestUnrankRank:
             for n in (100, 300, 500):
                 total = ref.size(p, n, sys_)
                 for j in (1, total // 2 + 1, total):
-                    word, ops_u = _ops(counted, walk.unrank, p.symbols, n, counted(j))
+                    word, ops_u = _ops(counted, _unrank_word, walk, p.symbols, n, counted(j))
                     j_back, ops_r = _ops(counted, walk.rank, p.symbols, word)
                     assert j_back == j
                     assert ops_u <= 8 * n
@@ -416,7 +421,7 @@ class TestWindowWalk:
         rng = random.Random(q * 10 + k)
         for n in [0, 1, 2 * k - 1, 2 * k, 2 * k + 1] + [rng.randint(1, 200) for _ in range(3)]:
             j = rng.randint(1, count_irr(n, sys_))
-            word = walk.unrank((), n, j)
+            word = _unrank_word(walk, (), n, j)
             assert word == ref.unrank(Word((), q), n, j, sys_), (n, j)
             assert walk.rank((), word) == j == ref.rank(Word((), q), word, sys_)
         for _ in range(4):
@@ -424,7 +429,7 @@ class TestWindowWalk:
             p = unrank_irr(length, rng.randint(1, count_irr(length, sys_)), sys_)
             n = rng.randint(length, 200)
             j = rng.randint(1, ref.size(p, n, sys_))
-            word = walk.unrank(p.symbols, n, j)
+            word = _unrank_word(walk, p.symbols, n, j)
             assert word == ref.unrank(p, n, j, sys_), (p, n, j)
             assert walk.rank(p.symbols, word) == j == ref.rank(p, word, sys_)
 
@@ -550,7 +555,7 @@ class TestBlocks:
                 for n in (len(p) + base + levels, len(p) + base + k * levels):
                     total = ref.size(p, n, sys_)
                     for j in sorted({j for j in (1, 2, total // 2, total - 1, total) if j >= 1}):
-                        word = walk.unrank(p.symbols, n, j)
+                        word = _unrank_word(walk, p.symbols, n, j)
                         assert word == ref.unrank(p, n, j, sys_), (p, n, j)
                         assert walk.rank(p.symbols, word) == j == ref.rank(p, word, sys_)
 
@@ -584,12 +589,12 @@ class TestBlocks:
             for levels in (blocks - 1, blocks, blocks + 1, 2 * blocks):
                 divmods = -(-levels // blocks)
                 n = len(p) + base + levels
-                word, ops = _ops(counted, walk.unrank, p.symbols, n, counted(1))
+                word, ops = _ops(counted, _unrank_word, walk, p.symbols, n, counted(1))
                 assert ops == 1 + 2 * levels + divmods + first_walk
                 assert _ops(counted, walk.rank, p.symbols, word) == (1, 0)
                 n = len(p) + base + k * levels
                 total = ref.size(p, n, sys_)
-                word, ops = _ops(counted, walk.unrank, p.symbols, n, counted(total))
+                word, ops = _ops(counted, _unrank_word, walk, p.symbols, n, counted(total))
                 assert ops == 1 + 3 * lower * levels + divmods + last_walk
                 ranked = _ops(counted, walk.rank, p.symbols, word)
                 assert ranked == (total, 2 * lower * levels + 3 * divmods)
