@@ -52,13 +52,17 @@ def encode_codewords(js: Iterable[int], spec: CodeSpec) -> Iterator[bytearray]:
         yield s
 
 
-def decode_codewords(ys: Iterable[Sequence[int]], spec: CodeSpec) -> Iterator[int]:
-    """The message index of each received word, given as symbols in range(q),
-    as decode_codeword gives it, with the per-system lookups made once."""
+def decode_codewords(ys: Iterable[Word | Sequence[int]], spec: CodeSpec) -> Iterator[int]:
+    """The message index of each received word, given as a Word (its alphabet
+    checked) or as symbols in range(q), as decode_codeword gives it, with the
+    per-system lookups made once."""
     n, walk = spec.n, _walk_tables(spec.sys)
     v = walk.class_sizes((), n)
     total = sum(v[1:n + 1])
     for y in ys:
+        if type(y) is Word:
+            _check_alphabet(y, spec.sys)
+            y = y.symbols
         if len(y) < n:
             raise NotADescendantError(f"received length {len(y)} is shorter than the code "
                                       f"length {n}")
@@ -80,5 +84,4 @@ def decode_codeword(y: Word, spec: CodeSpec) -> int:
     Rejects (NotADescendantError) received words shorter than n and
     words whose root is longer than n; no codeword can reach those.
     """
-    _check_alphabet(y, spec.sys)
-    return next(decode_codewords((y.symbols,), spec))
+    return next(decode_codewords((y,), spec))

@@ -229,13 +229,13 @@ class TestStreams:
     @pytest.mark.parametrize("bad, error, message", [
         (w("012"), NotADescendantError, "received length 3 is shorter than the code length 4"),
         (w("01020"), NotADescendantError, "root length 5 exceeds the code length 4"),
+        (Word((0, 1, 2, 3), 4), DomainError, "word alphabet q=4 does not match system q=3"),
     ])
     def test_decode_stream_stops_at_the_bad_word(self, s32, bad, error, message):
-        # the stream takes symbols; decode_codeword checks a word's alphabet
-        # (TestDecodeCodeword.test_rejects_alphabet_mismatch)
+        # the stream takes symbols and Words alike; a Word's alphabet is checked
         spec = CodeSpec(s32, 4)
         good = [encode_codeword(j, spec).symbols for j in (5, 39)]
-        stream = decode_codewords([*good, bad.symbols, good[0]], spec)
+        stream = decode_codewords([*good, bad, good[0]], spec)
         assert [next(stream), next(stream)] == [5, 39]
         with pytest.raises(error, match=f"^{message}$"):
             next(stream)
