@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import BudgetExceededError, CorruptInputError, DomainError, TandemCodeError, show_int
-from .words import _DNA_OUT, DupSystem, Word, _duplicate, random_descendant, root
+from .words import DupSystem, Word, _duplicate, random_descendant, root
 
 # Each command imports the counting, ranking, codec and FSE modules it
 # runs, so a channel process loads (and compiles) none of them.
@@ -43,45 +43,68 @@ MAX_WINDOWS = 20_000
 _MAX_SAMPLES = 10_000
 
 
-def format_header(fields: dict[str, object]) -> str:
-    """Stream header line carrying the parameters needed to decode."""
-    return " ".join([HEADER_PREFIX] + [f"{k}={v}" for k, v in fields.items()])
+# The stream header's fields, declared once in the order encode writes them:
+# the type of a value; the values a header may give it (else exit 1); and
+# the cap on the length it makes decode count to, past which a header's
+# value exits 1 and a flag's 2.  DupSystem, CodeSpec and FseParams hold the
+# engine's domains (q >= 3, k in {2, 3}, n >= 1, ell >= 1, m >= 2k - 1),
+# exit 2 from either; _stream checks the bounds between fields and strands.
+_FIELDS: dict[str, tuple] = {
+    "mode": (str, ("fse", "code"), None),
+    "q": (int, None, None),
+    "k": (int, None, None),
+    "n": (int, None, (MAX_TABLE_LENGTH, "code length")),
+    "ell": (int, None, None),
+    "m": (int, None, (MAX_STATE_LENGTH, "state length")),
+    "chunk": (int, None, None),
+    "digits": (int, (0, 1), None),
+    "dna": (int, (0, 1), None),
+}
 
 
 def parse_header(line: str) -> Optional[dict[str, object]]:
-    """Parse a stream header line, or return None for ordinary comments."""
-    if line.split()[:2] != ["#", "tdcode"]:
+    """Parse a stream header line, or return None for ordinary comments.
+    Each token must set a field of _FIELDS, once, to a value it may take."""
+    if line.split()[:2] != HEADER_PREFIX.split():
         return None
     fields: dict[str, object] = {}
     for tok in line.split()[2:]:
         key, sep, val = tok.partition("=")
         if not sep:
             raise CorruptInputError(f"malformed header token {tok!r}")
-        if key == "mode":
-            fields[key] = val
-        else:
-            try:
-                fields[key] = int(val)
-            except ValueError as exc:
-                raise CorruptInputError(f"malformed header token {tok!r}") from exc
+        if key not in _FIELDS:
+            raise CorruptInputError(f"unknown header field {tok!r}")
+        kind, values, _ = _FIELDS[key]
+        try:
+            value = kind(val)
+        except ValueError as exc:
+            raise CorruptInputError(f"malformed header token {tok!r}") from exc
+        if values is not None and value not in values:
+            raise CorruptInputError(f"header field {tok!r} is not {' or '.join(map(str, values))}")
+        if key in fields:
+            raise CorruptInputError(f"repeated header field {tok!r}")
+        fields[key] = value
     return fields
 
 
-def _stream_header(line: str, header: Optional[dict]) -> Optional[dict]:
-    """The stream's header once the non-strand line `line` is read: the
-    first `# tdcode` line is the header, and later `#` lines are comments."""
-    return parse_header(line) if header is None else header
+def _strand_codec(q: int, dna: bool):
+    """Every stream's strand codec: the table rendering symbols as letters, and
+    the parser mapping letters to symbols in one translate; a strand that
+    shrinks there raises the word parser's message."""
+    letters = b"ACGTacgt" if dna else b"0123456789"[:q]
+    table = bytes.maketrans(letters, bytes(range(q)) * (2 if dna else 1))
+    drop = bytes(range(256)).translate(None, letters)
 
+    def parse(text: str) -> bytes:
+        y = text.encode().translate(table, drop)
+        if len(y) != len(text):
+            try:
+                Word.from_dna(text) if dna else Word.from_string(text, q)
+            except (DomainError, ValueError) as exc:
+                raise CorruptInputError(f"cannot parse strand {text!r}: {exc}") from exc
+        return y
 
-def _render_word(w: Word, dna: bool) -> str:
-    return w.to_dna() if dna else str(w)
-
-
-def _parse_word(text: str, q: int, dna: bool) -> Word:
-    try:
-        return Word.from_dna(text) if dna else Word.from_string(text, q)
-    except (DomainError, ValueError) as exc:
-        raise CorruptInputError(f"cannot parse strand {text!r}: {exc}") from exc
+    return bytes.maketrans(bytes(range(q)), letters[:q]), parse
 
 
 def _read_bytes(path: str) -> bytes:
@@ -108,14 +131,6 @@ def _read_text(path: str) -> str:
         raise CorruptInputError(
             f"input is not ASCII text: byte 0x{data[exc.start]:02x} at offset {exc.start}"
         ) from None
-
-
-def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        _sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
 
 
 def _frame_bits(data: bytes) -> tuple[int, int]:
@@ -159,15 +174,6 @@ def _join_chunks(values: list[int], chunk: int) -> bytes:
     return payload.to_bytes(bit_len // 8, "big")
 
 
-def _merged(header: dict, key: str, flag, default=None):
-    # header wins, flags fill gaps
-    if key in header:
-        return header[key]
-    if flag is not None:
-        return flag
-    return default
-
-
 def _check_render(q: int, dna: bool) -> None:
     if dna and q != 4:
         raise DomainError("--dna requires q=4")
@@ -175,9 +181,9 @@ def _check_render(q: int, dna: bool) -> None:
         raise DomainError("digit rendering requires q <= 10; use --dna for q=4")
 
 
-def _check_length(n: int, what: str, cap: int = MAX_TABLE_LENGTH, error=DomainError) -> None:
+def _check_length(n: int, what: str, cap: int = MAX_TABLE_LENGTH) -> None:
     if n > cap:
-        raise error(f"{what} {n} exceeds the counting cap {cap}")
+        raise DomainError(f"{what} {n} exceeds the counting cap {cap}")
 
 
 def _window_system(q: int, k: int) -> DupSystem:
@@ -202,21 +208,83 @@ def _choose_params(epsilon: float, sys_: DupSystem, cap: int = MAX_TABLE_LENGTH)
     return choose_params(epsilon, sys_)
 
 
-def _resolve_fse_params(args, sys_: DupSystem, header: dict) -> FseParams:
-    # like _merged: the header's ell and m win, -e (or else --ell/--m) fills gaps;
-    # each m is capped before any counting, -e's as the estimate choose_params starts at
+def _stream(args, header: dict, strands: Optional[list[str]] = None):
+    """The fields of args.command's stream, checked before anything counts
+    (a header field wins, a flag or -e fills its gap); its parameters; and
+    its strands' symbols, lazily in code mode, so the first bad strand fails
+    in stream order.  strands is None when encoding; the bounds that guard
+    counting wait for strands, as an empty stream decodes to nothing."""
+    flags = vars(args)
+    f = {key: header[key] if key in header else flags.get(key) for key in _FIELDS}
+    f["digits"], f["dna"] = int(bool(f["digits"])), int(bool(f["dna"]))
+    who = "decoding" if args.command == "decode" else args.command
+    if f["mode"] is None and who == "decoding":  # encode requires --mode
+        raise DomainError("decoding needs --mode fse|code or a stream header")
+    if f["q"] is None or f["k"] is None:  # encode requires -q and -k
+        raise DomainError(f"{who} needs -q and -k or a stream header")
+    sys_ = DupSystem(f["q"], f["k"]) if who == "channel" else _window_system(f["q"], f["k"])
+    _check_render(sys_.q, f["dna"])
+    if who == "channel":  # duplicating strands needs only q, k and dna
+        return f, sys_, None
+    parse = _strand_codec(sys_.q, f["dna"])[1]
+
+    def check_cap(key: str) -> None:
+        cap, what = _FIELDS[key][2]
+        if f[key] > cap:
+            error = CorruptInputError if key in header else DomainError
+            raise error(f"{what} {f[key]} exceeds the counting cap {cap}")
+
+    if f["mode"] == "code":
+        from .codec import CodeSpec
+
+        if f["digits"]:  # encode writes digits=0
+            if "digits" in header:
+                raise CorruptInputError("header digits=1 applies only to mode=fse")
+            raise DomainError("--digits applies only to --mode fse")
+        if f["n"] is None:
+            raise DomainError(
+                "code mode needs -n" + ("" if strands is None else " or a stream header"))
+        params = CodeSpec(sys_, f["n"])
+        if f["chunk"] is not None:
+            # code_size(n) < q**(n + 1) bounds every chunk encode writes
+            cap = (params.n + 1) * sys_.q.bit_length()
+            if not 1 <= f["chunk"] <= cap:
+                raise CorruptInputError(f"header chunk={f['chunk']} outside [1, {cap}]")
+        # duplications only lengthen strands; check before code_size(n) costs O(n**2) bits
+        if strands and params.n > min(map(len, strands)):
+            raise CorruptInputError(f"code length n={params.n} exceeds the shortest strand")
+        if strands != []:
+            check_cap("n")
+        return f, params, strands and map(parse, strands)
     from .enumeration import FseParams
 
-    ell, m = args.ell, args.m
-    if args.epsilon is not None and not ("ell" in header and "m" in header):
-        chosen = _choose_params(args.epsilon, sys_, MAX_STATE_LENGTH)
-        ell, m = chosen.ell, chosen.m
-    ell, m = _merged(header, "ell", ell), _merged(header, "m", m)
-    if ell is None or m is None:
+    epsilon = flags.get("epsilon")
+    if epsilon is not None and not ("ell" in header and "m" in header):
+        chosen = _choose_params(epsilon, sys_, MAX_STATE_LENGTH)
+        f["ell"], f["m"] = header.get("ell", chosen.ell), header.get("m", chosen.m)
+    if f["ell"] is None or f["m"] is None:
         raise DomainError("fse mode needs -e, or both --ell and --m")
-    _check_length(int(m), "state length", MAX_STATE_LENGTH,
-                  CorruptInputError if "m" in header else DomainError)
-    return FseParams(sys_, int(ell), int(m))
+    check_cap("m")
+    params = FseParams(sys_, f["ell"], f["m"])
+    ell, m, received = f["ell"], f["m"], None
+    # q**ell <= delta_min_degree(m) < q**m: checked before q**ell is formed
+    if strands is None and ell >= m:
+        raise DomainError(f"ell={ell} must be below m={m}; no labeling exists")
+    if strands:
+        if len(strands) != 1:
+            raise CorruptInputError(f"fse mode expects one strand, found {len(strands)}")
+        received = [tuple(parse(strands[0]))]  # as the Word that root takes
+        if not ell < m <= len(received[0]):  # and the strand holds a state
+            raise CorruptInputError(
+                f"ell={ell}, m={m} do not satisfy ell < m <= {len(received[0])}, the strand length"
+            )
+    if strands != []:
+        chunk = (sys_.q**ell).bit_length() - 1
+        if f["chunk"] not in (None, chunk):
+            raise CorruptInputError(
+                f"header chunk={f['chunk']} is not {chunk}, the width for ell={ell}")
+        f["chunk"] = chunk
+    return f, params, received
 
 
 @contextmanager
@@ -288,166 +356,107 @@ def _cmd_unrank(args) -> int:
     sys_ = _window_system(args.q, args.k)
     _check_render(args.q, args.dna)
     _check_length(args.n, "length")
-    print(_render_word(unrank_irr(args.n, args.j, sys_), args.dna))
+    print((Word.to_dna if args.dna else str)(unrank_irr(args.n, args.j, sys_)))
     return 0
 
 
-def _cmd_encode(args) -> int:
-    sys_ = _window_system(args.q, args.k)
-    dna = bool(args.dna)
-    _check_render(args.q, dna)
-    if args.mode == "code":
-        from .codec import CodeSpec, encode_codewords
-        from .enumeration import code_size
+def _code(f: dict, spec):
+    """Code mode: value v travels as the codeword of index v + 1, one strand each."""
+    from .codec import decode_codewords, encode_codewords
+    from .enumeration import code_size
 
-        if args.digits:
-            raise DomainError("--digits applies only to --mode fse")
-        if args.n is None:
-            raise DomainError("code mode needs -n")
-        _check_length(args.n, "code length")
-        spec = CodeSpec(sys_, args.n)
-        chunk = code_size(args.n, sys_).bit_length() - 1
-        header = format_header({
-            "mode": "code", "q": args.q, "k": args.k, "n": args.n,
-            "chunk": chunk, "digits": 0, "dna": int(dna),
-        })
-        data = _read_bytes(args.input)
-        lines = [header.encode()]
-        if data:
-            js = [v + 1 for v in _split_chunks(*_frame_bits(data), chunk)]
-            table = _DNA_OUT if dna else bytes.maketrans(bytes(range(10)), b"0123456789")
-            lines += [s.translate(table) for s in encode_codewords(js, spec)]
-        _write_bytes(args.output, b"\n".join(lines) + b"\n")
-        return 0
-    from .fse import FseCodec, _block_value
+    if f["chunk"] is None:  # encode, or a header without one
+        f["chunk"] = code_size(spec.n, spec.sys).bit_length() - 1
+    chunk = f["chunk"]
 
-    params = _resolve_fse_params(args, sys_, {})
-    if params.ell >= params.m:  # before q**ell is formed: q**ell <= delta_min_degree(m) < q**m
-        raise DomainError(f"ell={params.ell} must be below m={params.m}; no labeling exists")
-    chunk = (sys_.q**params.ell).bit_length() - 1
-    codec = FseCodec(params)
-    header = format_header({
-        "mode": "fse", "q": args.q, "k": args.k, "ell": params.ell,
-        "m": params.m, "chunk": chunk, "digits": int(args.digits), "dna": int(dna),
-    })
-    if args.digits:
-        text = "".join(_read_text(args.input).split())
-        if len(text) % params.ell != 0:
-            raise DomainError(
-                f"digit message length must be a multiple of ell={params.ell}"
-            )
-        values = [
-            _block_value(Word.from_string(text[i:i + params.ell], sys_.q), params)
-            for i in range(0, len(text), params.ell)
-        ]
-    else:
-        data = _read_bytes(args.input)
-        values = _split_chunks(*_frame_bits(data), chunk) if data else []
-    lines = [header]
-    if values:
-        lines.append(_render_word(codec.encode_values(values), dna))
-    _write_text(args.output, "\n".join(lines) + "\n")
-    return 0
-
-
-def _read_stream(path: str) -> tuple[dict, list[str]]:
-    """Split a strand stream into its header fields and strand lines."""
-    header: Optional[dict] = None
-    strands: list[str] = []
-    for raw in _read_text(path).splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            header = _stream_header(line, header)
-            continue
-        strands.append(line)
-    return header or {}, strands
-
-
-def _cmd_decode(args) -> int:
-    header, strands = _read_stream(args.input)
-    mode = _merged(header, "mode", args.mode)
-    if mode not in ("fse", "code"):
-        raise DomainError("decoding needs --mode fse|code or a stream header")
-    q = _merged(header, "q", args.q)
-    k = _merged(header, "k", args.k)
-    if q is None or k is None:
-        raise DomainError("decoding needs -q and -k or a stream header")
-    sys_ = _window_system(int(q), int(k))
-    dna = bool(_merged(header, "dna", int(args.dna) if args.dna else None, 0))
-    digits = bool(_merged(header, "digits", int(args.digits) if args.digits else None, 0))
-    _check_render(sys_.q, dna)
-    if mode == "code":
-        from .codec import CodeSpec, decode_codewords
-        from .enumeration import code_size
-
-        n = _merged(header, "n", args.n)
-        if n is None:
-            raise DomainError("code mode needs -n or a stream header")
-        spec = CodeSpec(sys_, int(n))
-        chunk = header.get("chunk")
-        if chunk is not None:
-            # code_size(n) < q**(n + 1) bounds every chunk encode writes
-            cap = (spec.n + 1) * sys_.q.bit_length()
-            if not 1 <= chunk <= cap:
-                raise CorruptInputError(f"header chunk={chunk} outside [1, {cap}]")
-        if not strands:
-            _write_bytes(args.output, b"")
-            return 0
-        # duplications only lengthen strands; check before code_size(n) costs O(n**2) bits
-        if spec.n > min(map(len, strands)):
-            raise CorruptInputError(f"code length n={spec.n} exceeds the shortest strand")
-        _check_length(spec.n, "code length",
-                      error=CorruptInputError if "n" in header else DomainError)
-        if chunk is None:
-            chunk = code_size(spec.n, sys_).bit_length() - 1
-        # one translate per strand, lazily: it drops all but the letters, so a bad strand shrinks
-        letters = b"ACGTacgt" if dna else b"0123456789"[:sys_.q]
-        table = bytes.maketrans(letters, bytes(range(sys_.q)) * (2 if dna else 1))
-        drop = bytes(range(256)).translate(None, letters)
-        received = (y if len(y := s.encode().translate(table, drop)) == len(s)
-                    else _parse_word(s, sys_.q, dna) for s in strands)
-        values = []
+    def to_values(received):
         for j in decode_codewords(received, spec):
             if j - 1 >= 1 << chunk:
                 raise CorruptInputError(
                     f"decoded index {show_int(j)} does not fit in a {chunk} bit chunk"
                 )
-            values.append(j - 1)
-        _write_bytes(args.output, _join_chunks(values, chunk))
-        return 0
-    from .fse import FseCodec, _value_block
+            yield j - 1
 
-    params = _resolve_fse_params(args, sys_, header)
-    if not strands:
-        _write_bytes(args.output, b"")
-        return 0
-    if len(strands) != 1:
-        raise CorruptInputError(f"fse mode expects one strand, found {len(strands)}")
-    received = _parse_word(strands[0], sys_.q, dna)
-    # q**ell <= delta_min_degree(m) < q**m, and the strand holds a state
-    if not params.ell < params.m <= len(received):
-        raise CorruptInputError(
-            f"ell={params.ell}, m={params.m} do not satisfy ell < m <= "
-            f"{len(received)}, the strand length"
-        )
-    chunk = (sys_.q**params.ell).bit_length() - 1
-    if header.get("chunk", chunk) != chunk:
-        raise CorruptInputError(
-            f"header chunk={header['chunk']} is not {chunk}, the width for ell={params.ell}"
-        )
-    values = FseCodec(params).decode_values(root(received, sys_))
-    if digits:
-        text = "".join(str(_value_block(v, params)) for v in values)
-        _write_text(args.output, text + "\n")
-        return 0
-    for v in values:
-        if v >= 1 << chunk:
-            raise CorruptInputError(
-                f"decoded block value {show_int(v)} does not fit in a {chunk} bit chunk"
-            )
-    _write_bytes(args.output, _join_chunks(values, chunk))
+    return (lambda values: encode_codewords([v + 1 for v in values], spec)), to_values
+
+
+def _fse(f: dict, params):
+    """Fse mode: the values are the blocks of the encoder's one walk, one strand."""
+    from .fse import FseCodec
+
+    codec, chunk = FseCodec(params), f["chunk"]
+
+    def to_values(received):
+        values = codec.decode_values(root(Word._unchecked(received[0], params.sys.q), params.sys))
+        for v in () if f["digits"] else values:
+            if v >= 1 << chunk:
+                raise CorruptInputError(
+                    f"decoded block value {show_int(v)} does not fit in a {chunk} bit chunk"
+                )
+        return values
+
+    return (lambda values: [bytes(codec.encode_values(values).symbols)]), to_values
+
+
+# each mode's set-up, returning (values -> strands, strands -> values), and the fields it omits
+_MODES = {"code": (_code, ("ell", "m")), "fse": (_fse, ("n",))}
+
+
+def _frame(path: str, f: dict, params) -> list[int]:
+    """The message's values: the framed payload's chunks, or --digits blocks."""
+    if f["digits"]:
+        from .fse import _block_value
+
+        text, ell = "".join(_read_text(path).split()), params.ell
+        if len(text) % ell != 0:
+            raise DomainError(f"digit message length must be a multiple of ell={ell}")
+        return [_block_value(Word.from_string(text[i:i + ell], params.sys.q), params)
+                for i in range(0, len(text), ell)]
+    data = _read_bytes(path)
+    return _split_chunks(*_frame_bits(data), f["chunk"]) if data else []
+
+
+def _unframe(values, f: dict, params) -> bytes:
+    """Inverse of _frame: the payload, or the digit text of the blocks."""
+    if f["digits"]:
+        from .fse import _value_block
+
+        return "".join(str(_value_block(v, params)) for v in values).encode() + b"\n"
+    return _join_chunks(list(values), f["chunk"])
+
+
+def _cmd_encode(args) -> int:
+    f, params, _ = _stream(args, {})
+    setup, left_out = _MODES[f["mode"]]
+    to_strands, _ = setup(f, params)
+    header = " ".join([HEADER_PREFIX, *(f"{k}={f[k]}" for k in _FIELDS if k not in left_out)])
+    values = _frame(args.input, f, params)
+    render = _strand_codec(params.sys.q, f["dna"])[0]
+    strands = [s.translate(render) for s in to_strands(values)] if values else []
+    _write_bytes(args.output, b"\n".join([header.encode(), *strands]) + b"\n")
+    return 0
+
+
+def _read_stream(path: str) -> tuple[dict, list[str]]:
+    """Split a strand stream into its header fields and strand lines: the
+    first `# tdcode` line is the header, and later `#` lines are comments."""
+    header: Optional[dict] = None
+    strands: list[str] = []
+    for raw in _read_text(path).splitlines():
+        line = raw.strip()
+        if line.startswith("#"):
+            header = parse_header(line) if header is None else header
+        elif line:
+            strands.append(line)
+    return header or {}, strands
+
+
+def _cmd_decode(args) -> int:
+    header, strands = _read_stream(args.input)
+    f, params, received = _stream(args, header, strands)
+    if strands:  # an empty stream decodes to nothing, counting nothing
+        _, to_values = _MODES[f["mode"]][0](f, params)
+    _write_bytes(args.output, _unframe(to_values(received), f, params) if strands else b"")
     return 0
 
 
@@ -464,37 +473,26 @@ def _cmd_channel(args) -> int:
         raise DomainError(f"duplication count must be >= 0, got {args.t}")
     if args.t > MAX_TABLE_LENGTH:
         raise DomainError(f"duplication count {args.t} exceeds the cap {MAX_TABLE_LENGTH}")
-    out_lines: list[str] = []
+    out_lines: list[bytes] = []
     header: Optional[dict] = None
-    sys_: Optional[DupSystem] = None
-    dna = False
-    letters = b""
+    parse = None
     idx = 0
     for raw in _read_text(args.input).splitlines():
         line = raw.strip()
-        if not line or line.startswith("#"):
-            header = _stream_header(line, header)
-            out_lines.append(raw)
+        if not line or line.startswith("#"):  # the header rule of _read_stream
+            header = parse_header(line) if header is None else header
+            out_lines.append(raw.encode())
             continue
-        if sys_ is None:
-            hdr = header or {}
-            q = _merged(hdr, "q", args.q)
-            k = _merged(hdr, "k", args.k)
-            if q is None or k is None:
-                raise DomainError("channel needs -q and -k or a stream header")
-            sys_ = DupSystem(int(q), int(k))
-            dna = bool(_merged(hdr, "dna", int(args.dna) if args.dna else None, 0))
-            _check_render(sys_.q, dna)
-            letters = b"ACGT" if dna else "0123456789"[:sys_.q].encode()
-        # duplicate the characters themselves: the draws depend only on lengths
-        buf = bytearray(line.upper() if dna else line, "ascii")
-        if buf.translate(None, letters):
-            _parse_word(line, sys_.q, dna)  # raises with the parser's message
+        if parse is None:
+            f, sys_, _ = _stream(args, header or {})
+            render, parse = _strand_codec(sys_.q, f["dna"])
+        # duplicate the symbols: the draws depend only on lengths
+        buf = bytearray(parse(line))
         seed = int.from_bytes(sha256(f"{args.seed}:{idx}".encode()).digest()[:8], "big")
         _duplicate(buf, args.t, sys_.k, seed)
-        out_lines.append(buf.decode())
+        out_lines.append(buf.translate(render))
         idx += 1
-    _write_text(args.output, "\n".join(out_lines) + ("\n" if out_lines else ""))
+    _write_bytes(args.output, b"\n".join(out_lines) + (b"\n" if out_lines else b""))
     return 0
 
 

@@ -31,6 +31,7 @@ from tdcode.cli import (
     MAX_STATE_LENGTH,
     MAX_TABLE_LENGTH,
     MAX_WINDOWS,
+    _FIELDS,
     _MAX_SAMPLES,
     _check_length,
     _frame_bits,
@@ -239,42 +240,151 @@ class TestFlagBounds:
             _check_length(MAX_TABLE_LENGTH + 1, "length")
 
 
-class TestHeaderBounds:
-    # the honest hello stream has 312 symbols and chunk=1 (fse), or chunk=9
-    # under the cap (n + 1) * q.bit_length() = 22 (code)
-    MODES = {
-        "fse": ("--mode", "fse", "--ell", "1", "--m", "3"),
-        "code": ("--mode", "code", "-n", "10"),
-    }
+class Counted(Exception):
+    """Raised by the counting entry points the header walk stubs out."""
 
-    @pytest.mark.parametrize("mode, field, value", [
-        ("fse", "ell", 3),
-        ("fse", "m", 1000),
-        ("fse", "chunk", 40),
-        ("code", "chunk", 0),
-        ("code", "chunk", 23),
-    ])
+
+# The stream fields' bounds, walked: each field of cli._FIELDS at its bound
+# and one past it, from a header and from its flag where one exists.  The
+# streams are honest but for the probed field: a code stream of q = 3,
+# k = 2, n = 10 (chunk = 9, at most (n + 1) * q.bit_length() = 22) with two
+# strands of 10 symbols, and an fse stream of ell = 1, m = 3 (chunk = 1)
+# with one strand of 312 symbols.  rc None: the check passes and counting
+# starts.
+BASE = {
+    "code": {"mode": "code", "q": 3, "k": 2, "n": 10, "chunk": 9, "digits": 0, "dna": 0},
+    "fse": {"mode": "fse", "q": 3, "k": 2, "ell": 1, "m": 3, "chunk": 1, "digits": 0, "dna": 0},
+}
+
+
+def probe(mode, field, value, rc=None, message="", *, flag=False, length=None, name=None,
+          **more):
+    edits = {field: value, **more}
+    return pytest.param(mode, edits, flag, length, rc, message, id=name or "-".join(
+        [mode, field, str(value)] + (["flag"] if flag else [])))
+
+
+HEADER_PROBES = [
+    probe("code", "mode", "code"),
+    probe("code", "mode", "xyz", 1, "header field 'mode=xyz' is not fse or code"),
+    probe("code", "mode", "xyz", 2, "argument --mode: invalid choice: 'xyz'", flag=True),
+    probe("code", "q", 3),
+    probe("code", "q", 2, 2, "alphabet size must be at least 3, got 2"),
+    probe("code", "q", 2, 2, "alphabet size must be at least 3, got 2", flag=True),
+    probe("code", "q", 8, k=3),
+    probe("code", "q", 9, 2, f"q=9, k=3 has 35784 full windows, over the window cap {MAX_WINDOWS}",
+          k=3),
+    probe("code", "q", 9, 2, f"q=9, k=3 has 35784 full windows, over the window cap {MAX_WINDOWS}",
+          k=3, flag=True),
+    probe("code", "q", 10),
+    probe("code", "q", 11, 2, "digit rendering requires q <= 10; use --dna for q=4"),
+    probe("code", "q", 11, 2, "digit rendering requires q <= 10; use --dna for q=4", flag=True),
+    probe("code", "k", 3),
+    probe("code", "k", 4, 2, "duplication bound k must be 2 or 3, got 4"),
+    probe("code", "k", 4, 2, "argument -k: invalid choice: 4", flag=True),
+    probe("code", "n", 1, chunk=1),
+    probe("code", "n", 1, flag=True),
+    probe("code", "n", 0, 2, "codeword length must be >= 1, got 0"),
+    probe("code", "n", 0, 2, "codeword length must be >= 1, got 0", flag=True),
+    probe("code", "n", 10),
+    probe("code", "n", 11, 1, "code length n=11 exceeds the shortest strand"),
+    probe("code", "n", 11, 1, "code length n=11 exceeds the shortest strand", flag=True),
+    probe("code", "n", MAX_TABLE_LENGTH, length=MAX_TABLE_LENGTH + 1),
+    probe("code", "n", MAX_TABLE_LENGTH, length=MAX_TABLE_LENGTH + 1, flag=True),
+    probe("code", "n", MAX_TABLE_LENGTH + 1, 1,
+          f"code length {MAX_TABLE_LENGTH + 1} exceeds the counting cap {MAX_TABLE_LENGTH}",
+          length=MAX_TABLE_LENGTH + 1),
+    probe("code", "n", MAX_TABLE_LENGTH + 1, 2,
+          f"code length {MAX_TABLE_LENGTH + 1} exceeds the counting cap {MAX_TABLE_LENGTH}",
+          length=MAX_TABLE_LENGTH + 1, flag=True),
+    probe("code", "chunk", 1),
+    probe("code", "chunk", 0, 1, "header chunk=0 outside [1, 22]"),
+    probe("code", "chunk", 22),
+    probe("code", "chunk", 23, 1, "header chunk=23 outside [1, 22]"),
+    probe("code", "digits", 0),
+    probe("code", "digits", 1, 1, "header digits=1 applies only to mode=fse"),
+    probe("code", "digits", 1, 2, "--digits applies only to --mode fse", flag=True),
+    probe("code", "digits", 2, 1, "header field 'digits=2' is not 0 or 1"),
+    probe("code", "dna", 1, q=4),
+    probe("code", "dna", 1, q=4, flag=True),
+    probe("code", "dna", 1, 2, "--dna requires q=4", name="code-dna-1-q3"),
+    probe("code", "dna", 1, 2, "--dna requires q=4", flag=True, name="code-dna-1-q3-flag"),
+    probe("code", "dna", 2, 1, "header field 'dna=2' is not 0 or 1"),
+    probe("fse", "mode", "fse"),
+    probe("fse", "ell", 1),
+    probe("fse", "ell", 0, 2, "block length ell must be >= 1, got 0"),
+    probe("fse", "ell", 0, 2, "block length ell must be >= 1, got 0", flag=True),
+    probe("fse", "ell", 2, chunk=3),
+    probe("fse", "ell", 2, flag=True),
+    probe("fse", "ell", 3, 1, "ell=3, m=3 do not satisfy ell < m <= 312, the strand length"),
+    probe("fse", "ell", 3, 1, "ell=3, m=3 do not satisfy ell < m <= 312, the strand length",
+          flag=True),
+    probe("fse", "m", 3),
+    probe("fse", "m", 2, 2, "state length m must be >= 3, got 2"),
+    probe("fse", "m", 2, 2, "state length m must be >= 3, got 2", flag=True),
+    probe("fse", "m", 312),
+    probe("fse", "m", 313, 1, "ell=1, m=313 do not satisfy ell < m <= 312, the strand length"),
+    probe("fse", "m", 313, 1, "ell=1, m=313 do not satisfy ell < m <= 312, the strand length",
+          flag=True),
+    probe("fse", "m", 1000, 1, "ell=1, m=1000 do not satisfy ell < m <= 312, the strand length"),
+    probe("fse", "m", MAX_STATE_LENGTH, length=MAX_STATE_LENGTH + 1),
+    probe("fse", "m", MAX_STATE_LENGTH + 1, 1,
+          f"state length {MAX_STATE_LENGTH + 1} exceeds the counting cap {MAX_STATE_LENGTH}",
+          length=MAX_STATE_LENGTH + 1),
+    probe("fse", "m", MAX_STATE_LENGTH + 1, 2,
+          f"state length {MAX_STATE_LENGTH + 1} exceeds the counting cap {MAX_STATE_LENGTH}",
+          length=MAX_STATE_LENGTH + 1, flag=True),
+    probe("fse", "chunk", 1),
+    probe("fse", "chunk", 2, 1, "header chunk=2 is not 1, the width for ell=1"),
+    probe("fse", "chunk", 40, 1, "header chunk=40 is not 1, the width for ell=1"),
+    probe("fse", "digits", 1),
+    probe("fse", "digits", 1, flag=True),
+    probe("fse", "digits", 2, 1, "header field 'digits=2' is not 0 or 1"),
+]
+
+
+class TestHeaderBounds:
+    FLAGS = {"mode": "--mode", "q": "-q", "k": "-k", "n": "-n", "ell": "--ell", "m": "--m"}
+
+    def test_the_walk_covers_every_field(self):
+        # each probe's field is the first of its edits
+        fields = {next(iter(p.values[1])) for p in HEADER_PROBES}
+        flagged = {next(iter(p.values[1])) for p in HEADER_PROBES if p.values[2]}
+        assert fields == set(_FIELDS)
+        assert flagged == set(_FIELDS) - {"chunk"}  # the one field with no flag
+
+    @pytest.mark.parametrize("mode, edits, flag, length, rc_expected, message", HEADER_PROBES)
     def test_bad_field_fails_before_counting(
-        self, mode, field, value, tmp_path, capsys, monkeypatch
+        self, mode, edits, flag, length, rc_expected, message, tmp_path, capsys, monkeypatch
     ):
-        src = tmp_path / "src.bin"
-        src.write_bytes(b"hello")
-        enc = tmp_path / "enc.txt"
-        rc, _, _ = run(capsys, "encode", *self.MODES[mode], "-q", "3", "-k", "2",
-                       "-i", str(src), "-o", str(enc))
-        assert rc == 0
-        text = enc.read_text()
-        enc.write_text(re.sub(rf"\b{field}=\d+", f"{field}={value}", text, count=1))
+        fields = {**BASE[mode], **edits}
+        length = length or (10 if mode == "code" else 312)
+        strand = ("ACG" if fields["dna"] else "012") * length
+        strands = [strand[:length]] * (2 if mode == "code" else 1)
+        argv = ["decode", "-i", str(tmp_path / "enc.txt"), "-o", str(tmp_path / "out")]
+        if flag:  # a header-less stream: every field from its flag
+            argv += [f for key, v in fields.items() if key in self.FLAGS
+                     for f in (self.FLAGS[key], str(v))]
+            argv += [f"--{key}" for key in ("digits", "dna") if fields[key]]
+        else:
+            strands.insert(0, " ".join(["# tdcode"] + [f"{k}={v}" for k, v in fields.items()]))
+        (tmp_path / "enc.txt").write_text("\n".join(strands) + "\n")
 
         def counting(*args):
-            raise AssertionError("decoding started before the header was checked")
+            raise Counted
 
-        monkeypatch.setattr("tdcode.fse.FseCodec", counting)
-        monkeypatch.setattr("tdcode.codec.decode_codewords", counting)
-        rc, _, err = run(capsys, "decode", "-i", str(enc), "-o", str(tmp_path / "out"))
-        assert rc == 1
-        assert "error:" in err and "Traceback" not in err
-
+        for name in ("fse.FseCodec", "codec.decode_codewords", "enumeration.code_size"):
+            monkeypatch.setattr(f"tdcode.{name}", counting)
+        if rc_expected is None:
+            with pytest.raises(Counted):
+                main(argv)
+            return
+        rc, _, err = run(capsys, *argv)
+        assert rc == rc_expected
+        if message.startswith("argument "):  # argparse checks a flag's choices
+            assert f"error: {message}" in err
+        else:
+            assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("strands, rc_expected", [("0120120120\n", 1), ("", 0)],
                              ids=["short-strand", "empty"])
@@ -293,28 +403,6 @@ class TestHeaderBounds:
         assert rc == rc_expected
         assert "Traceback" not in err
         assert ("error:" in err) == (rc_expected == 1)
-
-
-    @pytest.mark.parametrize("source, rc_expected", [("header", 1), ("flag", 2)])
-    def test_code_length_past_the_cap_fails_before_counting(
-        self, source, rc_expected, tmp_path, capsys, monkeypatch
-    ):
-        # a strand as long as n gets past the shortest-strand check
-        n = MAX_TABLE_LENGTH + 1
-        strand = "".join(random.Random(1).choices("0123456789", k=n))
-        enc = tmp_path / "enc.txt"
-        header = f"# tdcode mode=code q=10 k=2 n={n}\n" if source == "header" else ""
-        enc.write_text(header + strand + "\n")
-
-        def counting(*args):
-            raise AssertionError("counting started before n was checked")
-
-        monkeypatch.setattr("tdcode.enumeration.code_size", counting)
-        monkeypatch.setattr("tdcode.codec.decode_codewords", counting)
-        flags = () if header else ("--mode", "code", "-q", "10", "-k", "2", "-n", str(n))
-        rc, _, err = run(capsys, "decode", *flags, "-i", str(enc), "-o", str(tmp_path / "out"))
-        assert rc == rc_expected
-        assert err == f"error: code length {n} exceeds the counting cap {MAX_TABLE_LENGTH}\n"
 
 
 class TestStateCap:
@@ -457,6 +545,51 @@ class TestCodeStrandRendering:
         js = [v + 1 for v in _split_chunks(*_frame_bits(data), parse_header(header)["chunk"])]
         codewords = [encode_codeword(j, spec) for j in js]
         assert strands == [x.to_dna() if dna else str(x) for x in codewords]
+
+
+class TestStreamDigests:
+    # encode's streams byte for byte, as the stream format wrote them before
+    # its header fields were declared in one table: code mode for q 3..8 x
+    # k 2..3 at n = 12, and one fse stream per k
+    DIGESTS = {
+        ("code", 3, 2, ("-n", "12")):
+            "88cda104cd19b2a5720ed9fe3f2277da1e4af2f7a634b584d6537001ef8441c4",
+        ("code", 3, 3, ("-n", "12")):
+            "c1517428b56a58d1ead68402cfa21d941670e52faeff2e45a5183643edddf103",
+        ("code", 4, 2, ("-n", "12")):
+            "f0cd2363ee0dabaa4f2afd829746799b46bc8ccd3e5e368a4a7aa8edffc813ac",
+        ("code", 4, 3, ("-n", "12")):
+            "61cd40c5af64dab49d4fe04da9e42d4e8a81b1f3c0dd324b717a022fcad4c97d",
+        ("code", 5, 2, ("-n", "12")):
+            "516f62f3cdf5bcf4ede5360d09b826677e484dabfd6605c3c72025c32f49c132",
+        ("code", 5, 3, ("-n", "12")):
+            "98e211a8a3ccfea45b2131863749b740db73159aa607c16cbb148b1981dfb369",
+        ("code", 6, 2, ("-n", "12")):
+            "1cbbb079516a49c1e0fac8ff3e8922b778c9143fa29127340998dac89b8f6319",
+        ("code", 6, 3, ("-n", "12")):
+            "46a353c83eb302f67e0f566dd46968c73ac963cfe007f741b489af788530a894",
+        ("code", 7, 2, ("-n", "12")):
+            "3f30788f02b839afcbe8ece37f3f3df0c3b8fa68f5cee9c19d643aec78f0b170",
+        ("code", 7, 3, ("-n", "12")):
+            "238535a5e29f5a5bb782356533de148d826aa6c3323f2829a83ca66b363535fd",
+        ("code", 8, 2, ("-n", "12")):
+            "cf5c962a00efe6f8681db4a107a84349c413320d0acef157c3494283baf07a93",
+        ("code", 8, 3, ("-n", "12")):
+            "f6d1c4d28633111b804cf5c042e049b9e7d2bc9ef3b67a6bd4cd58a0c4514302",
+        ("fse", 5, 2, ("-e", "0.05")):
+            "733380f266a8a071537ffd4139751c8a3d729d70363d6d6453625a4be268224a",
+        ("fse", 6, 3, ("-e", "0.05")):
+            "393b82942ea46e3c29a3a39a760ac44f187660bac33ac8b8f79eba7e9f0544da",
+    }
+
+    @pytest.mark.parametrize("mode, q, k, flags", list(DIGESTS),
+                             ids=[f"{m}-q{q}k{k}" for m, q, k, _ in DIGESTS])
+    def test_stream_digest(self, mode, q, k, flags, tmp_path):
+        src, out = tmp_path / "msg.bin", tmp_path / "enc.txt"
+        src.write_bytes(bytes(range(256)) + b"tandem duplication")
+        assert main(["encode", "--mode", mode, "-q", str(q), "-k", str(k), *flags,
+                     "-i", str(src), "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS[mode, q, k, flags]
 
 
 class TestColdStart:
@@ -916,6 +1049,21 @@ class TestHeaderParsing:
         from tdcode import CorruptInputError
         with pytest.raises(CorruptInputError):
             parse_header("# tdcode mode=code q=banana")
+
+    # a header token must set a known field, once, to a value it may take;
+    # anything else is corrupt input for decode and channel alike
+    @pytest.mark.parametrize("command", [("channel", "-t", "2"), ("decode",)],
+                             ids=["channel", "decode"])
+    @pytest.mark.parametrize("extra, message", [
+        ("q=5", "repeated header field 'q=5'"),
+        ("group=3", "unknown header field 'group=3'"),
+        ("dna=7", "header field 'dna=7' is not 0 or 1"),
+    ], ids=["repeated", "unknown", "dna-7"])
+    def test_corrupt_token_fails_both(self, command, extra, message, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"# tdcode mode=code q=4 k=2 n=5 digits=0 dna=1 {extra}\nACGTA\n")
+        rc, out, err = run(capsys, *command, "-i", str(bad), "-o", str(tmp_path / "x"))
+        assert (rc, err) == (1, f"error: {message}\n")
 
 
 class TestStreamHeaderRule:
