@@ -6,10 +6,10 @@ import argparse
 import random
 import sys as _sys
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Container, Optional, Sequence
 
 from .errors import BudgetExceededError, CorruptInputError, DomainError, TandemCodeError, show_int
-from .words import DupSystem, Word, _duplicate, random_descendant, root
+from .words import DupSystem, Word, _duplicate, _text_codec, random_descendant, root
 
 # Each command imports the counting, ranking, codec and FSE modules it
 # runs, so a channel process loads (and compiles) none of them.
@@ -88,23 +88,17 @@ def parse_header(line: str) -> Optional[dict[str, object]]:
 
 
 def _strand_codec(q: int, dna: bool):
-    """Every stream's strand codec: the table rendering symbols as letters, and
-    the parser mapping letters to symbols in one translate; a strand that
-    shrinks there raises the word parser's message."""
-    letters = b"ACGTacgt" if dna else b"0123456789"[:q]
-    table = bytes.maketrans(letters, bytes(range(q)) * (2 if dna else 1))
-    drop = bytes(range(256)).translate(None, letters)
+    """A stream's strand codec: the text codec's render table, and its
+    parser, for which a bad strand is corrupt input."""
+    render, parse_text = _text_codec(q, dna)
 
     def parse(text: str) -> bytes:
-        y = text.encode().translate(table, drop)
-        if len(y) != len(text):
-            try:
-                Word.from_dna(text) if dna else Word.from_string(text, q)
-            except (DomainError, ValueError) as exc:
-                raise CorruptInputError(f"cannot parse strand {text!r}: {exc}") from exc
-        return y
+        try:
+            return parse_text(text)
+        except DomainError as exc:
+            raise CorruptInputError(f"cannot parse strand {text!r}: {exc}") from exc
 
-    return bytes.maketrans(bytes(range(q)), letters[:q]), parse
+    return render, parse
 
 
 def _read_bytes(path: str) -> bytes:
@@ -174,10 +168,15 @@ def _join_chunks(values: list[int], chunk: int) -> bytes:
     return payload.to_bytes(bit_len // 8, "big")
 
 
-def _check_render(q: int, dna: bool) -> None:
+def _check_render(q: int, dna: bool, header: Container[str] = ()) -> None:
+    # the text codec's limits; a header field past them is corrupt input
     if dna and q != 4:
+        if "dna" in header:
+            raise CorruptInputError("header dna=1 requires q=4")
         raise DomainError("--dna requires q=4")
     if not dna and q > 10:
+        if "q" in header:
+            raise CorruptInputError(f"header q={q}: digit rendering requires q <= 10")
         raise DomainError("digit rendering requires q <= 10; use --dna for q=4")
 
 
@@ -186,16 +185,16 @@ def _check_length(n: int, what: str, cap: int = MAX_TABLE_LENGTH) -> None:
         raise DomainError(f"{what} {n} exceeds the counting cap {cap}")
 
 
-def _window_system(q: int, k: int) -> DupSystem:
+def _window_system(q: int, k: int, from_header: bool = False) -> DupSystem:
     # for every command that builds the window DP, before it does
     from .enumeration import count_table
 
     sys_ = DupSystem(q, k)
     windows = count_table(sys_).count(2 * k - 1)  # a closed-form base value
     if windows > MAX_WINDOWS:
-        raise DomainError(
-            f"q={q}, k={k} has {windows} full windows, over the window cap {MAX_WINDOWS}"
-        )
+        error, name = (CorruptInputError, "header q") if from_header else (DomainError, "q")
+        raise error(
+            f"{name}={q}, k={k} has {windows} full windows, over the window cap {MAX_WINDOWS}")
     return sys_
 
 
@@ -212,8 +211,8 @@ def _stream(args, header: dict, strands: Optional[list[str]] = None):
     """The fields of args.command's stream, checked before anything counts
     (a header field wins, a flag or -e fills its gap); its parameters; and
     its strands' symbols, lazily in code mode, so the first bad strand fails
-    in stream order.  strands is None when encoding; the bounds that guard
-    counting wait for strands, as an empty stream decodes to nothing."""
+    in stream order.  strands is None when encoding; a stream without
+    strands gets every check that needs none, and decodes to nothing."""
     flags = vars(args)
     f = {key: header[key] if key in header else flags.get(key) for key in _FIELDS}
     f["digits"], f["dna"] = int(bool(f["digits"])), int(bool(f["dna"]))
@@ -222,8 +221,9 @@ def _stream(args, header: dict, strands: Optional[list[str]] = None):
         raise DomainError("decoding needs --mode fse|code or a stream header")
     if f["q"] is None or f["k"] is None:  # encode requires -q and -k
         raise DomainError(f"{who} needs -q and -k or a stream header")
-    sys_ = DupSystem(f["q"], f["k"]) if who == "channel" else _window_system(f["q"], f["k"])
-    _check_render(sys_.q, f["dna"])
+    sys_ = (DupSystem(f["q"], f["k"]) if who == "channel"
+            else _window_system(f["q"], f["k"], "q" in header))
+    _check_render(sys_.q, f["dna"], header)
     if who == "channel":  # duplicating strands needs only q, k and dna
         return f, sys_, None
     parse = _strand_codec(sys_.q, f["dna"])[1]
@@ -253,8 +253,7 @@ def _stream(args, header: dict, strands: Optional[list[str]] = None):
         # duplications only lengthen strands; check before code_size(n) costs O(n**2) bits
         if strands and params.n > min(map(len, strands)):
             raise CorruptInputError(f"code length n={params.n} exceeds the shortest strand")
-        if strands != []:
-            check_cap("n")
+        check_cap("n")
         return f, params, strands and map(parse, strands)
     from .enumeration import FseParams
 
@@ -268,8 +267,6 @@ def _stream(args, header: dict, strands: Optional[list[str]] = None):
     params = FseParams(sys_, f["ell"], f["m"])
     ell, m, received = f["ell"], f["m"], None
     # q**ell <= delta_min_degree(m) < q**m: checked before q**ell is formed
-    if strands is None and ell >= m:
-        raise DomainError(f"ell={ell} must be below m={m}; no labeling exists")
     if strands:
         if len(strands) != 1:
             raise CorruptInputError(f"fse mode expects one strand, found {len(strands)}")
@@ -278,12 +275,14 @@ def _stream(args, header: dict, strands: Optional[list[str]] = None):
             raise CorruptInputError(
                 f"ell={ell}, m={m} do not satisfy ell < m <= {len(received[0])}, the strand length"
             )
-    if strands != []:
-        chunk = (sys_.q**ell).bit_length() - 1
-        if f["chunk"] not in (None, chunk):
-            raise CorruptInputError(
-                f"header chunk={f['chunk']} is not {chunk}, the width for ell={ell}")
-        f["chunk"] = chunk
+    elif ell >= m:
+        error = DomainError if strands is None else CorruptInputError
+        raise error(f"ell={ell} must be below m={m}; no labeling exists")
+    chunk = (sys_.q**ell).bit_length() - 1
+    if f["chunk"] not in (None, chunk):
+        raise CorruptInputError(
+            f"header chunk={f['chunk']} is not {chunk}, the width for ell={ell}")
+    f["chunk"] = chunk
     return f, params, received
 
 
@@ -343,7 +342,7 @@ def _cmd_rank(args) -> int:
 
     sys_ = _window_system(args.q, args.k)
     _check_render(args.q, args.dna)
-    word = Word.from_dna(args.word) if args.dna else Word.from_string(args.word, args.q)
+    word = Word._unchecked(tuple(_text_codec(args.q, args.dna)[1](args.word)), args.q)
     _check_length(len(word), "word length")
     with _all_digits():
         print(rank_irr(word, sys_))
@@ -356,7 +355,8 @@ def _cmd_unrank(args) -> int:
     sys_ = _window_system(args.q, args.k)
     _check_render(args.q, args.dna)
     _check_length(args.n, "length")
-    print((Word.to_dna if args.dna else str)(unrank_irr(args.n, args.j, sys_)))
+    word = unrank_irr(args.n, args.j, sys_)
+    print(bytes(word.symbols).translate(_text_codec(args.q, args.dna)[0]).decode("ascii"))
     return 0
 
 
@@ -402,26 +402,33 @@ def _fse(f: dict, params):
 _MODES = {"code": (_code, ("ell", "m")), "fse": (_fse, ("n",))}
 
 
+def _block_digits(values: list[int], q: int, ell: int) -> bytearray:
+    """The --digits blocks of values: ell base-q digits each, most
+    significant first, as symbol bytes; int(digit text, q) inverts it."""
+    digits = bytearray(ell * len(values))
+    for end, v in zip(range(ell, len(digits) + 1, ell), values):
+        for i in range(end - 1, end - ell - 1, -1):
+            v, digits[i] = divmod(v, q)
+    return digits
+
+
 def _frame(path: str, f: dict, params) -> list[int]:
     """The message's values: the framed payload's chunks, or --digits blocks."""
     if f["digits"]:
-        from .fse import _block_value
-
-        text, ell = "".join(_read_text(path).split()), params.ell
+        text, q, ell = "".join(_read_text(path).split()), params.sys.q, params.ell
         if len(text) % ell != 0:
             raise DomainError(f"digit message length must be a multiple of ell={ell}")
-        return [_block_value(Word.from_string(text[i:i + ell], params.sys.q), params)
-                for i in range(0, len(text), ell)]
+        _text_codec(q, False)[1](text)  # every character a digit below q
+        return [int(text[i:i + ell], q) for i in range(0, len(text), ell)]
     data = _read_bytes(path)
     return _split_chunks(*_frame_bits(data), f["chunk"]) if data else []
 
 
-def _unframe(values, f: dict, params) -> bytes:
+def _unframe(values, f: dict, params) -> bytes | bytearray:
     """Inverse of _frame: the payload, or the digit text of the blocks."""
     if f["digits"]:
-        from .fse import _value_block
-
-        return "".join(str(_value_block(v, params)) for v in values).encode() + b"\n"
+        q = params.sys.q
+        return _block_digits(values, q, params.ell).translate(_text_codec(q, False)[0]) + b"\n"
     return _join_chunks(list(values), f["chunk"])
 
 
@@ -431,28 +438,32 @@ def _cmd_encode(args) -> int:
     to_strands, _ = setup(f, params)
     header = " ".join([HEADER_PREFIX, *(f"{k}={f[k]}" for k in _FIELDS if k not in left_out)])
     values = _frame(args.input, f, params)
-    render = _strand_codec(params.sys.q, f["dna"])[0]
+    render = _text_codec(params.sys.q, f["dna"])[0]
     strands = [s.translate(render) for s in to_strands(values)] if values else []
     _write_bytes(args.output, b"\n".join([header.encode(), *strands]) + b"\n")
     return 0
 
 
-def _read_stream(path: str) -> tuple[dict, list[str]]:
-    """Split a strand stream into its header fields and strand lines: the
-    first `# tdcode` line is the header, and later `#` lines are comments."""
+def _read_stream(path: str) -> tuple[dict, list[str], dict[int, str]]:
+    """Split a strand stream into its header fields, its lines, and its
+    strands (stripped) by line number: the first `# tdcode` line anywhere
+    is the header, later `#` lines are comments, and every other line that
+    is not blank is a strand."""
     header: Optional[dict] = None
-    strands: list[str] = []
-    for raw in _read_text(path).splitlines():
+    lines = _read_text(path).splitlines()
+    strands: dict[int, str] = {}
+    for i, raw in enumerate(lines):
         line = raw.strip()
         if line.startswith("#"):
             header = parse_header(line) if header is None else header
         elif line:
-            strands.append(line)
-    return header or {}, strands
+            strands[i] = line
+    return header or {}, lines, strands
 
 
 def _cmd_decode(args) -> int:
-    header, strands = _read_stream(args.input)
+    header, _, at = _read_stream(args.input)
+    strands = list(at.values())
     f, params, received = _stream(args, header, strands)
     if strands:  # an empty stream decodes to nothing, counting nothing
         _, to_values = _MODES[f["mode"]][0](f, params)
@@ -473,26 +484,18 @@ def _cmd_channel(args) -> int:
         raise DomainError(f"duplication count must be >= 0, got {args.t}")
     if args.t > MAX_TABLE_LENGTH:
         raise DomainError(f"duplication count {args.t} exceeds the cap {MAX_TABLE_LENGTH}")
-    out_lines: list[bytes] = []
-    header: Optional[dict] = None
-    parse = None
-    idx = 0
-    for raw in _read_text(args.input).splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):  # the header rule of _read_stream
-            header = parse_header(line) if header is None else header
-            out_lines.append(raw.encode())
-            continue
-        if parse is None:
-            f, sys_, _ = _stream(args, header or {})
-            render, parse = _strand_codec(sys_.q, f["dna"])
+    header, lines, strands = _read_stream(args.input)
+    out = [raw.encode() for raw in lines]  # every line that is not a strand as it was
+    if strands:
+        f, sys_, _ = _stream(args, header)
+        render, parse = _strand_codec(sys_.q, f["dna"])
+    for idx, (i, line) in enumerate(strands.items()):
         # duplicate the symbols: the draws depend only on lengths
         buf = bytearray(parse(line))
         seed = int.from_bytes(sha256(f"{args.seed}:{idx}".encode()).digest()[:8], "big")
         _duplicate(buf, args.t, sys_.k, seed)
-        out_lines.append(buf.translate(render))
-        idx += 1
-    _write_bytes(args.output, b"\n".join(out_lines) + (b"\n" if out_lines else b""))
+        out[i] = buf.translate(render)
+    _write_bytes(args.output, b"\n".join(out) + (b"\n" if out else b""))
     return 0
 
 

@@ -23,27 +23,6 @@ from .errors import CorruptInputError, DomainError, show_int
 from .words import Word, _check_alphabet
 
 
-def _block_value(block: Word, params: FseParams) -> int:
-    if block.q != params.sys.q:
-        raise DomainError(
-            f"block alphabet q={block.q} does not match system q={params.sys.q}"
-        )
-    if len(block) != params.ell:
-        raise DomainError(f"blocks must have length ell={params.ell}, got {len(block)}")
-    v = 0
-    for s in block.symbols:
-        v = v * params.sys.q + s
-    return v
-
-
-def _value_block(v: int, params: FseParams) -> Word:
-    q = params.sys.q
-    digits = [0] * params.ell
-    for pos in range(params.ell - 1, -1, -1):
-        v, digits[pos] = divmod(v, q)
-    return Word(tuple(digits), q)
-
-
 class FseCodec:
     """A ready-to-run (ell, m) encoder/decoder pair.
 

@@ -11,14 +11,46 @@ irreducible root, which is what makes greedy deduplication a decoder.
 from __future__ import annotations
 
 import random
+from functools import cache
 from operator import attrgetter
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .errors import DomainError
 
 DNA_ALPHABET = "ACGT"
-_DNA_IN = bytes.maketrans(b"ACGT", bytes(range(4)))
-_DNA_OUT = bytes.maketrans(bytes(range(4)), b"ACGT")
+
+
+@cache
+def _text_codec(q: int, dna: bool):
+    """The one text form of symbols: ACGT for q = 4 (either case on input)
+    when dna, else one ASCII digit per symbol (q <= 10).  Returns the table
+    rendering symbol bytes as text bytes, and the parser mapping text,
+    stripped of ASCII whitespace, to symbol bytes in one translate that
+    deletes every other byte; text that shrinks there raises DomainError."""
+    if q < 2:
+        raise DomainError(f"alphabet size must be at least 2, got {q}")
+    if dna and q != 4:
+        raise DomainError("DNA rendering requires q = 4")
+    if not dna and q > 10:
+        raise DomainError("digit strings only cover alphabets up to q = 10")
+    letters = b"ACGTacgt" if dna else b"0123456789"[:q]
+    table = bytes.maketrans(letters, bytes(range(q)) * (2 if dna else 1))
+    drop = bytes(range(256)).translate(None, letters)
+
+    def parse(text: str) -> bytes:
+        # "replace" turns every non-ASCII character into b"?", which is dropped
+        raw = text.encode("ascii", "replace").strip()
+        symbols = raw.translate(table, drop)
+        if len(symbols) != len(raw):
+            if dna:
+                raise DomainError(f"not a DNA string: {text!r}")
+            if not raw.isdigit():
+                raise DomainError(f"not a digit string: {text!r}")
+            raise DomainError(f"symbol {next(d for d in raw if d - 48 >= q) - 48} "
+                              f"outside alphabet of size {q}")
+        return symbols
+
+    return bytes.maketrans(bytes(range(q)), letters[:q]), parse
 
 
 class _Record:
@@ -106,29 +138,15 @@ class Word(_Record):
     @classmethod
     def from_string(cls, text: str, q: int) -> "Word":
         """Parse a digit string; each character is one symbol (needs q <= 10)."""
-        if q > 10:
-            raise DomainError("digit strings only cover alphabets up to q = 10")
-        if not text.isascii():  # int() also reads Arabic-Indic and fullwidth digits
-            raise DomainError(f"not a digit string: {text!r}")
-        try:
-            syms = tuple(int(ch) for ch in text.strip())
-        except ValueError:
-            raise DomainError(f"not a digit string: {text!r}") from None
-        return cls(syms, q)
+        return cls._unchecked(tuple(_text_codec(q, False)[1](text)), q)
 
     @classmethod
     def from_dna(cls, text: str) -> "Word":
         """Parse an ACGT string as a word over q = 4 (A=0, C=1, G=2, T=3)."""
-        # "replace" turns every non-ASCII character into b"?", which is rejected
-        raw = text.strip().upper().encode("ascii", "replace")
-        if raw.translate(None, b"ACGT"):
-            raise DomainError(f"not a DNA string: {text!r}")
-        return cls._unchecked(tuple(raw.translate(_DNA_IN)), 4)
+        return cls._unchecked(tuple(_text_codec(4, True)[1](text)), 4)
 
     def to_dna(self) -> str:
-        if self.q != 4:
-            raise DomainError("DNA rendering requires q = 4")
-        return bytes(self.symbols).translate(_DNA_OUT).decode("ascii")
+        return bytes(self.symbols).translate(_text_codec(self.q, True)[0]).decode("ascii")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -141,16 +159,8 @@ class Word(_Record):
 
     def __str__(self) -> str:
         if self.q <= 10:
-            return "".join(str(s) for s in self.symbols)
+            return bytes(self.symbols).translate(_text_codec(self.q, False)[0]).decode("ascii")
         return ".".join(str(s) for s in self.symbols)
-
-    def concat(self, other: "Word") -> "Word":
-        if other.q != self.q:
-            raise DomainError("cannot concatenate words over different alphabets")
-        return Word(self.symbols + other.symbols, self.q)
-
-    def append(self, *syms: int) -> "Word":
-        return Word(self.symbols + syms, self.q)
 
 
 class DuplicationEvent(_Record):
@@ -203,23 +213,6 @@ def tandem_duplicate(x: Word, e: DuplicationEvent) -> Word:
         )
     s = x.symbols
     return Word(s[:end] + s[e.position:end] + s[end:], x.q)
-
-
-def find_tandem_repeat(x: Word, k: int) -> Optional[DuplicationEvent]:
-    """Locate the leftmost shortest substring ww with |w| <= k, if any.
-
-    Ties break toward the smallest start position, then the smallest
-    length, so the result is deterministic.
-    """
-    if k < 1:
-        raise DomainError(f"repeat length bound must be >= 1, got {k}")
-    s = x.symbols
-    n = len(s)
-    for i in range(n - 1):
-        for t in range(1, k + 1):
-            if i + 2 * t <= n and s[i:i + t] == s[i + t:i + 2 * t]:
-                return DuplicationEvent(i, t)
-    return None
 
 
 def is_irreducible(x: Word, k: int) -> bool:

@@ -201,17 +201,17 @@ class TestFlagBounds:
         assert rc == 2
         assert "is too small" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
-        ("rate", "-q", "40", "-k", "3"),
-        ("rank", "-q", "9", "-k", "3", "-w", "012"),
-        ("unrank", "-q", "28", "-k", "2", "-n", "3", "-j", "1"),
-        ("encode", "--mode", "fse", "-q", "9", "-k", "3", "--ell", "1", "--m", "5"),
-        ("encode", "--mode", "code", "-q", "9", "-k", "3", "-n", "5"),
-        ("decode",),
-        ("verify", "-q", "40", "-k", "2"),
+    @pytest.mark.parametrize("argv, rc_expected", [
+        (("rate", "-q", "40", "-k", "3"), 2),
+        (("rank", "-q", "9", "-k", "3", "-w", "012"), 2),
+        (("unrank", "-q", "28", "-k", "2", "-n", "3", "-j", "1"), 2),
+        (("encode", "--mode", "fse", "-q", "9", "-k", "3", "--ell", "1", "--m", "5"), 2),
+        (("encode", "--mode", "code", "-q", "9", "-k", "3", "-n", "5"), 2),
+        (("decode",), 1),  # a header's q is corrupt input
+        (("verify", "-q", "40", "-k", "2"), 2),
     ], ids=["rate", "rank", "unrank", "encode-fse", "encode-code", "decode-header", "verify"])
     def test_alphabet_past_the_window_cap_fails_before_the_dp(
-        self, argv, tmp_path, capsys, monkeypatch
+        self, argv, rc_expected, tmp_path, capsys, monkeypatch
     ):
         def building(*args):
             raise AssertionError("the window DP was built before q was checked")
@@ -222,7 +222,7 @@ class TestFlagBounds:
         if argv[0] in ("encode", "decode"):
             argv += ("-i", str(src), "-o", str(tmp_path / "out"))
         rc, _, err = run(capsys, *argv)
-        assert rc == 2
+        assert rc == rc_expected
         assert f"over the window cap {MAX_WINDOWS}" in err and "Traceback" not in err
 
     def test_duplication_count_past_the_cap_fails_before_reading(self, capsys, monkeypatch):
@@ -249,8 +249,9 @@ class Counted(Exception):
 # streams are honest but for the probed field: a code stream of q = 3,
 # k = 2, n = 10 (chunk = 9, at most (n + 1) * q.bit_length() = 22) with two
 # strands of 10 symbols, and an fse stream of ell = 1, m = 3 (chunk = 1)
-# with one strand of 312 symbols.  rc None: the check passes and counting
-# starts.
+# with one strand of 312 symbols; length 0 is a stream without strands,
+# which gets every check that needs none.  rc None: the check passes and
+# counting starts.
 BASE = {
     "code": {"mode": "code", "q": 3, "k": 2, "n": 10, "chunk": 9, "digits": 0, "dna": 0},
     "fse": {"mode": "fse", "q": 3, "k": 2, "ell": 1, "m": 3, "chunk": 1, "digits": 0, "dna": 0},
@@ -272,12 +273,12 @@ HEADER_PROBES = [
     probe("code", "q", 2, 2, "alphabet size must be at least 3, got 2"),
     probe("code", "q", 2, 2, "alphabet size must be at least 3, got 2", flag=True),
     probe("code", "q", 8, k=3),
-    probe("code", "q", 9, 2, f"q=9, k=3 has 35784 full windows, over the window cap {MAX_WINDOWS}",
-          k=3),
+    probe("code", "q", 9, 1,
+          f"header q=9, k=3 has 35784 full windows, over the window cap {MAX_WINDOWS}", k=3),
     probe("code", "q", 9, 2, f"q=9, k=3 has 35784 full windows, over the window cap {MAX_WINDOWS}",
           k=3, flag=True),
     probe("code", "q", 10),
-    probe("code", "q", 11, 2, "digit rendering requires q <= 10; use --dna for q=4"),
+    probe("code", "q", 11, 1, "header q=11: digit rendering requires q <= 10"),
     probe("code", "q", 11, 2, "digit rendering requires q <= 10; use --dna for q=4", flag=True),
     probe("code", "k", 3),
     probe("code", "k", 4, 2, "duplication bound k must be 2 or 3, got 4"),
@@ -297,17 +298,22 @@ HEADER_PROBES = [
     probe("code", "n", MAX_TABLE_LENGTH + 1, 2,
           f"code length {MAX_TABLE_LENGTH + 1} exceeds the counting cap {MAX_TABLE_LENGTH}",
           length=MAX_TABLE_LENGTH + 1, flag=True),
+    probe("code", "n", MAX_TABLE_LENGTH + 1, 1,
+          f"code length {MAX_TABLE_LENGTH + 1} exceeds the counting cap {MAX_TABLE_LENGTH}",
+          length=0, name="code-n-32769-no-strand"),
     probe("code", "chunk", 1),
     probe("code", "chunk", 0, 1, "header chunk=0 outside [1, 22]"),
     probe("code", "chunk", 22),
     probe("code", "chunk", 23, 1, "header chunk=23 outside [1, 22]"),
+    probe("code", "chunk", 0, 1, "header chunk=0 outside [1, 22]", length=0,
+          name="code-chunk-0-no-strand"),
     probe("code", "digits", 0),
     probe("code", "digits", 1, 1, "header digits=1 applies only to mode=fse"),
     probe("code", "digits", 1, 2, "--digits applies only to --mode fse", flag=True),
     probe("code", "digits", 2, 1, "header field 'digits=2' is not 0 or 1"),
     probe("code", "dna", 1, q=4),
     probe("code", "dna", 1, q=4, flag=True),
-    probe("code", "dna", 1, 2, "--dna requires q=4", name="code-dna-1-q3"),
+    probe("code", "dna", 1, 1, "header dna=1 requires q=4", name="code-dna-1-q3"),
     probe("code", "dna", 1, 2, "--dna requires q=4", flag=True, name="code-dna-1-q3-flag"),
     probe("code", "dna", 2, 1, "header field 'dna=2' is not 0 or 1"),
     probe("fse", "mode", "fse"),
@@ -319,6 +325,10 @@ HEADER_PROBES = [
     probe("fse", "ell", 3, 1, "ell=3, m=3 do not satisfy ell < m <= 312, the strand length"),
     probe("fse", "ell", 3, 1, "ell=3, m=3 do not satisfy ell < m <= 312, the strand length",
           flag=True),
+    probe("fse", "ell", 3, 1, "ell=3 must be below m=3; no labeling exists", length=0,
+          name="fse-ell-3-no-strand"),
+    probe("fse", "ell", 3, 1, "ell=3 must be below m=3; no labeling exists", length=0,
+          flag=True, name="fse-ell-3-no-strand-flag"),
     probe("fse", "m", 3),
     probe("fse", "m", 2, 2, "state length m must be >= 3, got 2"),
     probe("fse", "m", 2, 2, "state length m must be >= 3, got 2", flag=True),
@@ -331,12 +341,17 @@ HEADER_PROBES = [
     probe("fse", "m", MAX_STATE_LENGTH + 1, 1,
           f"state length {MAX_STATE_LENGTH + 1} exceeds the counting cap {MAX_STATE_LENGTH}",
           length=MAX_STATE_LENGTH + 1),
+    probe("fse", "m", MAX_STATE_LENGTH + 1, 1,
+          f"state length {MAX_STATE_LENGTH + 1} exceeds the counting cap {MAX_STATE_LENGTH}",
+          length=0, name="fse-m-2049-no-strand"),
     probe("fse", "m", MAX_STATE_LENGTH + 1, 2,
           f"state length {MAX_STATE_LENGTH + 1} exceeds the counting cap {MAX_STATE_LENGTH}",
           length=MAX_STATE_LENGTH + 1, flag=True),
     probe("fse", "chunk", 1),
     probe("fse", "chunk", 2, 1, "header chunk=2 is not 1, the width for ell=1"),
     probe("fse", "chunk", 40, 1, "header chunk=40 is not 1, the width for ell=1"),
+    probe("fse", "chunk", 40, 1, "header chunk=40 is not 1, the width for ell=1", length=0,
+          name="fse-chunk-40-no-strand"),
     probe("fse", "digits", 1),
     probe("fse", "digits", 1, flag=True),
     probe("fse", "digits", 2, 1, "header field 'digits=2' is not 0 or 1"),
@@ -358,9 +373,9 @@ class TestHeaderBounds:
         self, mode, edits, flag, length, rc_expected, message, tmp_path, capsys, monkeypatch
     ):
         fields = {**BASE[mode], **edits}
-        length = length or (10 if mode == "code" else 312)
+        length = (10 if mode == "code" else 312) if length is None else length
         strand = ("ACG" if fields["dna"] else "012") * length
-        strands = [strand[:length]] * (2 if mode == "code" else 1)
+        strands = [strand[:length]] * (2 if mode == "code" else 1) if length else []
         argv = ["decode", "-i", str(tmp_path / "enc.txt"), "-o", str(tmp_path / "out")]
         if flag:  # a header-less stream: every field from its flag
             argv += [f for key, v in fields.items() if key in self.FLAGS
@@ -386,7 +401,7 @@ class TestHeaderBounds:
         else:
             assert err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("strands, rc_expected", [("0120120120\n", 1), ("", 0)],
+    @pytest.mark.parametrize("strands, rc_expected", [("0120120120\n", 1), ("", 1)],
                              ids=["short-strand", "empty"])
     def test_code_length_checked_before_counting(
         self, strands, rc_expected, tmp_path, capsys, monkeypatch
@@ -1099,6 +1114,23 @@ class TestStreamHeaderRule:
                        "-i", str(enc), "-o", str(noisy))
         assert rc == 0 and noisy.read_text().splitlines()[1] == self.LATER
         rc, _, err = run(capsys, "decode", "-i", str(noisy), "-o", str(out))
+        assert (rc, err) == (0, "")
+        assert out.read_bytes() == payload
+
+    @pytest.mark.parametrize("command", ["channel", "decode"])
+    def test_header_after_the_first_strand(self, command, tmp_path, capsys):
+        payload, enc = self._encoded(tmp_path, capsys)
+        header, later, first, *rest = enc.read_text().splitlines()
+        enc.write_text("\n".join([first, header, later, *rest]) + "\n")
+        noisy, out = tmp_path / "noisy.txt", tmp_path / "out.bin"
+        if command == "channel":  # every line that is not a strand stays as it was
+            rc, _, err = run(capsys, "channel", "-t", "7", "--seed", "4",
+                             "-i", str(enc), "-o", str(noisy))
+            assert (rc, err) == (0, "")
+            lines = noisy.read_text().splitlines()
+            assert lines[1:3] == [header, later] and len(lines) == 3 + len(rest)
+            enc = noisy
+        rc, _, err = run(capsys, "decode", "-i", str(enc), "-o", str(out))
         assert (rc, err) == (0, "")
         assert out.read_bytes() == payload
 

@@ -142,7 +142,7 @@ class TestExtensions:
         assert len(ext) == extension_count(word, r, sys_)
         assert ext == ref.extensions(word, r, sys_)
         assert ext == sorted(ext, key=lambda e: e.symbols)
-        assert all(is_irreducible(word.concat(e), sys_.k) for e in ext)
+        assert all(is_irreducible(Word(word.symbols + e.symbols, sys_.q), sys_.k) for e in ext)
         assert all(len(e) == r for e in ext)
 
     def test_kth_extension_and_index_invert(self, s33):

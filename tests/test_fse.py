@@ -29,11 +29,29 @@ from tdcode import (
 )
 from tdcode import oracle
 from tdcode.enumeration import _dp, _index, _kth
-from tdcode.fse import _block_value, _value_block
+from tdcode.cli import _block_digits, main
 
 
 def w(text: str, q: int = 3) -> Word:
     return Word.from_string(text, q)
+
+
+def block(v: int, q: int, ell: int) -> Word:
+    """The ell-digit base-q block of value v, most significant digit first."""
+    digits = []
+    for _ in range(ell):
+        v, r = divmod(v, q)
+        digits.append(r)
+    return Word(tuple(reversed(digits)), q)
+
+
+def encode_digits(tmp_path, capsys, text: str, ell: int, m: int) -> tuple[int, str]:
+    """encode --digits of text at q = 3, k = 2: exit code and stderr."""
+    src = tmp_path / "msg.txt"
+    src.write_text(text)
+    rc = main(["encode", "--mode", "fse", "-q", "3", "-k", "2", "--ell", str(ell),
+               "--m", str(m), "--digits", "-i", str(src), "-o", str(tmp_path / "enc.txt")])
+    return rc, capsys.readouterr().err
 
 
 # The five systems of the random round-trip tests, as (q, k, ell, m).
@@ -101,7 +119,7 @@ class TestNeighbors:
             nbrs = walk_extensions(state, 5, s33)
             assert nbrs == ref.extensions(state, 5, s33)
             for nxt in nbrs:
-                assert is_irreducible(state.concat(nxt), 3)
+                assert is_irreducible(Word(state.symbols + nxt.symbols, 3), 3)
 
     def test_nth_neighbor_inverts_neighbor_index(self, p313):
         x = w("021")
@@ -205,13 +223,14 @@ class TestFseCodec:
         assert len(strand) == 5 * len(values)
         assert is_irreducible(strand, 3)
 
-    def test_block_alphabet_validated(self, p313):
-        with pytest.raises(DomainError):
-            _block_value(Word((0,), 4), p313)
+    # the --digits message is cut into ell-digit blocks of base-q digits
+    def test_block_alphabet_validated(self, tmp_path, capsys):
+        rc, err = encode_digits(tmp_path, capsys, "0132\n", 1, 3)
+        assert (rc, err) == (2, "error: symbol 3 outside alphabet of size 3\n")
 
-    def test_block_length_validated(self, p313):
-        with pytest.raises(DomainError):
-            _block_value(w("01"), p313)
+    def test_block_length_validated(self, tmp_path, capsys):
+        rc, err = encode_digits(tmp_path, capsys, "01 2\n", 2, 6)
+        assert (rc, err) == (2, "error: digit message length must be a multiple of ell=2\n")
 
     def test_decode_rejects_ragged_length(self, p313):
         with pytest.raises(CorruptInputError):
@@ -234,17 +253,11 @@ class TestFseCodec:
         params = FseParams(DupSystem(q, k), ell=ell, m=m)
         codec = FseCodec(params)
         values = data.draw(st.lists(st.integers(0, q**ell - 1), max_size=12))
-        blocks = []
-        for v in values:
-            digits = []
-            for _ in range(ell):
-                v, r = divmod(v, q)
-                digits.append(r)
-            blocks.append(Word(tuple(reversed(digits)), q))
-        strand = codec.encode_values([_block_value(b, params) for b in blocks])
+        blocks = [block(v, q, ell) for v in values]
+        strand = codec.encode_values([int(str(b), q) for b in blocks])
         assert len(strand) == m * len(blocks)
         assert is_irreducible(strand, k)
-        assert [_value_block(v, params) for v in codec.decode_values(strand)] == blocks
+        assert [block(v, q, ell) for v in codec.decode_values(strand)] == blocks
 
 
 class TestValueEngine:
@@ -255,8 +268,9 @@ class TestValueEngine:
         q, k, ell, m = data.draw(st.sampled_from(STREAM_SYSTEMS))
         codec = codec_for(q, k, ell, m)
         values = data.draw(st.lists(st.integers(0, q**ell - 1), max_size=12))
-        blocks = [_value_block(v, codec.params) for v in values]
-        assert [_block_value(b, codec.params) for b in blocks] == values
+        blocks = [block(v, q, ell) for v in values]
+        assert _block_digits(values, q, ell) == bytes(s for b in blocks for s in b)
+        assert [int(str(b), q) for b in blocks] == values
         strand = codec.encode_values(values)
         state = codec.start_state
         for b, v in zip(range(0, len(strand), m), values):

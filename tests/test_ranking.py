@@ -511,7 +511,7 @@ class TestWindowWalk:
 
     def test_reducible_at_the_end_of_a_long_word(self, s42):
         x = unrank_irr(300, count_irr(300, s42) // 5, s42)
-        y = x.append(x.symbols[-1])
+        y = Word(x.symbols + x.symbols[-1:], x.q)
         with pytest.raises(DomainError, match="is not irreducible for k = 2$"):
             rank_irr(y, s42)
 

@@ -25,7 +25,6 @@ from tdcode import (
     all_roots_bfs,
     asymptotic_rate,
     count_irr,
-    find_tandem_repeat,
     is_irreducible,
     random_descendant,
     root,
@@ -33,6 +32,7 @@ from tdcode import (
     unrank_irr,
 )
 from tdcode.oracle import _has_square
+from tdcode.words import _text_codec
 
 # Short words and few duplications keep the deduplication-graph search
 # to a few hundred words, a few thousand symbols; the budget turns a
@@ -123,15 +123,42 @@ class TestWord:
         with pytest.raises(DomainError):
             w("012", 3).to_dna()
 
-    def test_concat_and_append(self):
-        assert w("01").concat(w("20")) == w("0120")
-        assert w("01").append(2, 0) == w("0120")
-
     def test_sequence_protocol(self):
         word = w("0120")
         assert len(word) == 4
         assert word[1] == 1
         assert list(word) == [0, 1, 2, 0]
+
+
+class TestTextCodec:
+    """The one text form of symbols, digits (q <= 10) or ACGT, behind Word's
+    parsers and renderers and the command line's strands and digit text."""
+
+    @pytest.mark.parametrize("q, dna", [(q, False) for q in range(2, 11)] + [(4, True)])
+    def test_render_and_parse_invert(self, q, dna):
+        render, parse = _text_codec(q, dna)
+        symbols = bytes(random.Random(q).choices(range(q), k=200))
+        text = symbols.translate(render).decode("ascii")
+        assert parse(text) == parse(f" {text.lower()}\r\n") == symbols
+        word = Word(tuple(symbols), q)
+        assert (word.to_dna() if dna else str(word)) == text
+        assert (Word.from_dna(text) if dna else Word.from_string(text, q)) == word
+
+    @pytest.mark.parametrize("q, dna, text, message", [
+        (3, False, "0130", "symbol 3 outside alphabet of size 3"),
+        (3, False, "01x3", "not a digit string: '01x3'"),
+        (3, False, "01 2", "not a digit string: '01 2'"),
+        (4, True, "acXt", "not a DNA string: 'acXt'"),
+        (4, True, "AC\u00c4T", "not a DNA string: 'AC\u00c4T'"),
+        (11, False, "0", "digit strings only cover alphabets up to q = 10"),
+        (3, True, "A", "DNA rendering requires q = 4"),
+        (1, False, "0", "alphabet size must be at least 2, got 1"),
+    ], ids=["digit-past-q", "non-digit", "space", "dna-letter", "dna-non-ascii", "q-11",
+            "dna-q3", "q-1"])
+    def test_messages(self, q, dna, text, message):
+        with pytest.raises(DomainError) as info:
+            _text_codec(q, dna)[1](text)
+        assert str(info.value) == message
 
 
 class TestTandemDuplicate:
@@ -157,26 +184,6 @@ class TestTandemDuplicate:
             DuplicationEvent(0, 0)
 
 
-class TestFindTandemRepeat:
-    def test_none_on_irreducible(self):
-        assert find_tandem_repeat(w("01210"), 3) is None
-
-    def test_leftmost_wins(self):
-        # repeats at positions 1 (11) and 4 (22): leftmost reported
-        ev = find_tandem_repeat(w("0112022"), 2)
-        assert (ev.position, ev.length) == (1, 1)
-
-    def test_shortest_wins_at_same_position(self):
-        # 1111 holds a length-1 and a length-2 square at the same offset
-        ev = find_tandem_repeat(w("01111"), 2)
-        assert (ev.position, ev.length) == (1, 1)
-
-    def test_length_capped_by_k(self):
-        assert find_tandem_repeat(w("012012"), 2) is None
-        ev = find_tandem_repeat(w("012012"), 3)
-        assert (ev.position, ev.length) == (0, 3)
-
-
 class TestIsIrreducible:
     @pytest.mark.parametrize("x, k, expected", [
         ("010", 2, True),
@@ -198,9 +205,7 @@ class TestIsIrreducible:
         q = data.draw(st.integers(2, 5))
         k = data.draw(st.integers(1, 4))
         x = Word(tuple(data.draw(st.lists(st.integers(0, q - 1), max_size=24))), q)
-        got = is_irreducible(x, k)
-        assert got == (find_tandem_repeat(x, k) is None)
-        assert got == (not _has_square(x.symbols, k))
+        assert is_irreducible(x, k) == (not _has_square(x.symbols, k))
 
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(DomainError):
