@@ -6,7 +6,7 @@ import argparse
 import random
 import sys as _sys
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Container, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import BudgetExceededError, CorruptInputError, DomainError, TandemCodeError, show_int
 from .words import DupSystem, Word, _duplicate, _text_codec, random_descendant, root
@@ -168,15 +168,10 @@ def _join_chunks(values: list[int], chunk: int) -> bytes:
     return payload.to_bytes(bit_len // 8, "big")
 
 
-def _check_render(q: int, dna: bool, header: Container[str] = ()) -> None:
-    # the text codec's limits; a header field past them is corrupt input
+def _check_render(q: int, dna: bool) -> None:
     if dna and q != 4:
-        if "dna" in header:
-            raise CorruptInputError("header dna=1 requires q=4")
         raise DomainError("--dna requires q=4")
     if not dna and q > 10:
-        if "q" in header:
-            raise CorruptInputError(f"header q={q}: digit rendering requires q <= 10")
         raise DomainError("digit rendering requires q <= 10; use --dna for q=4")
 
 
@@ -185,16 +180,16 @@ def _check_length(n: int, what: str, cap: int = MAX_TABLE_LENGTH) -> None:
         raise DomainError(f"{what} {n} exceeds the counting cap {cap}")
 
 
-def _window_system(q: int, k: int, from_header: bool = False) -> DupSystem:
+def _window_system(q: int, k: int) -> DupSystem:
     # for every command that builds the window DP, before it does
     from .enumeration import count_table
 
     sys_ = DupSystem(q, k)
     windows = count_table(sys_).count(2 * k - 1)  # a closed-form base value
     if windows > MAX_WINDOWS:
-        error, name = (CorruptInputError, "header q") if from_header else (DomainError, "q")
-        raise error(
-            f"{name}={q}, k={k} has {windows} full windows, over the window cap {MAX_WINDOWS}")
+        raise DomainError(
+            f"q={q}, k={k} has {windows} full windows, over the window cap {MAX_WINDOWS}"
+        )
     return sys_
 
 
@@ -221,9 +216,24 @@ def _stream(args, header: dict, strands: Optional[list[str]] = None):
         raise DomainError("decoding needs --mode fse|code or a stream header")
     if f["q"] is None or f["k"] is None:  # encode requires -q and -k
         raise DomainError(f"{who} needs -q and -k or a stream header")
-    sys_ = (DupSystem(f["q"], f["k"]) if who == "channel"
-            else _window_system(f["q"], f["k"], "q" in header))
-    _check_render(sys_.q, f["dna"], header)
+    sys_ = DupSystem(f["q"], f["k"])  # the engine's domain: exit 2 from a header too
+    # past a bound, a header's value is corrupt input that names its field,
+    # and a flag's keeps the check's DomainError
+    try:
+        if who != "channel":  # duplicating strands builds no window DP
+            _window_system(sys_.q, sys_.k)
+    except DomainError as exc:
+        if "q" in header:
+            raise CorruptInputError(f"header {exc}") from exc
+        raise
+    try:
+        _check_render(sys_.q, f["dna"])
+    except DomainError as exc:
+        if f["dna"] and "dna" in header:
+            raise CorruptInputError("header dna=1 requires q=4") from exc
+        if not f["dna"] and "q" in header:
+            raise CorruptInputError(f"header q={sys_.q}: digit rendering requires q <= 10") from exc
+        raise
     if who == "channel":  # duplicating strands needs only q, k and dna
         return f, sys_, None
     parse = _strand_codec(sys_.q, f["dna"])[1]
@@ -342,7 +352,7 @@ def _cmd_rank(args) -> int:
 
     sys_ = _window_system(args.q, args.k)
     _check_render(args.q, args.dna)
-    word = Word._unchecked(tuple(_text_codec(args.q, args.dna)[1](args.word)), args.q)
+    word = Word.from_dna(args.word) if args.dna else Word.from_string(args.word, args.q)
     _check_length(len(word), "word length")
     with _all_digits():
         print(rank_irr(word, sys_))
@@ -355,8 +365,7 @@ def _cmd_unrank(args) -> int:
     sys_ = _window_system(args.q, args.k)
     _check_render(args.q, args.dna)
     _check_length(args.n, "length")
-    word = unrank_irr(args.n, args.j, sys_)
-    print(bytes(word.symbols).translate(_text_codec(args.q, args.dna)[0]).decode("ascii"))
+    print((Word.to_dna if args.dna else str)(unrank_irr(args.n, args.j, sys_)))
     return 0
 
 
@@ -418,7 +427,13 @@ def _frame(path: str, f: dict, params) -> list[int]:
         text, q, ell = "".join(_read_text(path).split()), params.sys.q, params.ell
         if len(text) % ell != 0:
             raise DomainError(f"digit message length must be a multiple of ell={ell}")
-        _text_codec(q, False)[1](text)  # every character a digit below q
+        parse = _text_codec(q, False)[1]
+        try:  # every character a digit below q
+            parse(text)
+        except DomainError:  # name the first ell-digit block that holds a bad one
+            for i in range(0, len(text), ell):
+                parse(text[i:i + ell])
+            raise
         return [int(text[i:i + ell], q) for i in range(0, len(text), ell)]
     data = _read_bytes(path)
     return _split_chunks(*_frame_bits(data), f["chunk"]) if data else []
@@ -485,7 +500,8 @@ def _cmd_channel(args) -> int:
     if args.t > MAX_TABLE_LENGTH:
         raise DomainError(f"duplication count {args.t} exceeds the cap {MAX_TABLE_LENGTH}")
     header, lines, strands = _read_stream(args.input)
-    out = [raw.encode() for raw in lines]  # every line that is not a strand as it was
+    # every line that is not a strand as it was; strands fill their slots below
+    out = [None if i in strands else raw.encode() for i, raw in enumerate(lines)]
     if strands:
         f, sys_, _ = _stream(args, header)
         render, parse = _strand_codec(sys_.q, f["dna"])

@@ -24,9 +24,10 @@ DNA_ALPHABET = "ACGT"
 def _text_codec(q: int, dna: bool):
     """The one text form of symbols: ACGT for q = 4 (either case on input)
     when dna, else one ASCII digit per symbol (q <= 10).  Returns the table
-    rendering symbol bytes as text bytes, and the parser mapping text,
-    stripped of ASCII whitespace, to symbol bytes in one translate that
-    deletes every other byte; text that shrinks there raises DomainError."""
+    rendering symbol bytes as text bytes, and the parser mapping stripped
+    text to symbol bytes in one translate that deletes every other byte;
+    text that shrinks there, or digit text with a non-ASCII character
+    (int() reads other scripts' digits), raises DomainError."""
     if q < 2:
         raise DomainError(f"alphabet size must be at least 2, got {q}")
     if dna and q != 4:
@@ -39,12 +40,12 @@ def _text_codec(q: int, dna: bool):
 
     def parse(text: str) -> bytes:
         # "replace" turns every non-ASCII character into b"?", which is dropped
-        raw = text.encode("ascii", "replace").strip()
+        raw = text.strip().encode("ascii", "replace")
         symbols = raw.translate(table, drop)
-        if len(symbols) != len(raw):
+        if len(symbols) != len(raw) or not (dna or text.isascii()):
             if dna:
                 raise DomainError(f"not a DNA string: {text!r}")
-            if not raw.isdigit():
+            if not (raw.isdigit() and text.isascii()):
                 raise DomainError(f"not a digit string: {text!r}")
             raise DomainError(f"symbol {next(d for d in raw if d - 48 >= q) - 48} "
                               f"outside alphabet of size {q}")

@@ -228,6 +228,11 @@ class TestFseCodec:
         rc, err = encode_digits(tmp_path, capsys, "0132\n", 1, 3)
         assert (rc, err) == (2, "error: symbol 3 outside alphabet of size 3\n")
 
+    def test_bad_digit_names_its_block(self, tmp_path, capsys):
+        # the message quotes the ell-digit block that holds the bad digit, not the message
+        rc, err = encode_digits(tmp_path, capsys, "0120\n" * 1000 + "0x12\n", 2, 6)
+        assert (rc, err) == (2, "error: not a digit string: '0x'\n")
+
     def test_block_length_validated(self, tmp_path, capsys):
         rc, err = encode_digits(tmp_path, capsys, "01 2\n", 2, 6)
         assert (rc, err) == (2, "error: digit message length must be a multiple of ell=2\n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import re
 import time
 
 import pytest
@@ -83,12 +84,17 @@ class TestWord:
         with pytest.raises(DomainError):
             Word.from_string("013", 3)
 
-    @pytest.mark.parametrize("text", ["\u0660\u0661\u0662", "\uff10\uff11\uff12", "01\u0663"],
-                             ids=["arabic-indic", "fullwidth", "one-arabic-indic"])
+    @pytest.mark.parametrize("text", ["\u0660\u0661\u0662", "\uff10\uff11\uff12", "01\u0663",
+                                      "\u00a0012"],
+                             ids=["arabic-indic", "fullwidth", "one-arabic-indic", "nbsp-blank"])
     def test_from_string_rejects_non_ascii_digits(self, text):
-        # int() reads these as 0, 1, 2 and 3; a digit string is ASCII
-        with pytest.raises(DomainError, match=f"^not a digit string: {text!r}$"):
+        # int() reads these as 0, 1, 2 and 3; a digit string is ASCII, blanks too
+        with pytest.raises(DomainError, match=f"^{re.escape(f'not a digit string: {text!r}')}$"):
             Word.from_string(text, 4)
+
+    @pytest.mark.parametrize("text", ["\x1c012\x1f", " 012\r\n"], ids=["ascii-separators", "blanks"])
+    def test_from_string_strips_ascii_whitespace(self, text):
+        assert Word.from_string(text, 3) == w("012")
 
     def test_dna_round_trip(self):
         word = Word.from_dna("ACGT")
@@ -96,7 +102,7 @@ class TestWord:
         assert word.symbols == (0, 1, 2, 3)
         assert word.to_dna() == "ACGT"
 
-    @given(text=st.text(alphabet="ACGTacgtNÄı \t\n", max_size=30))
+    @given(text=st.text(alphabet="ACGTacgtNÄı \t\n\x1c\u00a0\u2003", max_size=30))
     @settings(max_examples=300, deadline=None)
     def test_dna_matches_per_character_reference(self, text):
         try:
