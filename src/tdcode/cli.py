@@ -280,7 +280,7 @@ def _stream(args, header: dict, strands: Optional[list[str]] = None):
     if strands:
         if len(strands) != 1:
             raise CorruptInputError(f"fse mode expects one strand, found {len(strands)}")
-        received = [tuple(parse(strands[0]))]  # as the Word that root takes
+        received = [parse(strands[0])]
         if not ell < m <= len(received[0]):  # and the strand holds a state
             raise CorruptInputError(
                 f"ell={ell}, m={m} do not satisfy ell < m <= {len(received[0])}, the strand length"
@@ -396,7 +396,7 @@ def _fse(f: dict, params):
     codec, chunk = FseCodec(params), f["chunk"]
 
     def to_values(received):
-        values = codec.decode_values(root(Word._unchecked(received[0], params.sys.q), params.sys))
+        values = codec.decode_received(received[0])
         for v in () if f["digits"] else values:
             if v >= 1 << chunk:
                 raise CorruptInputError(

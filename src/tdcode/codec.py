@@ -6,7 +6,8 @@ padded with n - i copies of its last symbol.  Distinct messages map to
 words with distinct irreducible roots, and duplication never changes the
 root, so the decoder recovers the message from any descendant: strip
 duplications back to the root and rank it, in one window walk of the
-received word, and add the size of all shorter root classes.
+received word (the window DP's reduce, which the FSE decoder also runs),
+and add the size of all shorter root classes.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def decode_codewords(ys: Iterable[Word | Sequence[int]], spec: CodeSpec) -> Iter
         if len(y) < n:
             raise NotADescendantError(f"received length {len(y)} is shorter than the code "
                                       f"length {n}")
-        cells = walk.reduce(y)  # the root's, one cell per symbol
+        cells = walk.dp.reduce(y)  # the root's, one cell per symbol
         m = len(cells)
         if m > n:
             raise NotADescendantError(f"root length {m} exceeds the code length {n}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from functools import cache, cached_property
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, MutableSequence, Sequence
 
 from .errors import DomainError
 from .words import DupSystem, _Record
@@ -106,6 +106,22 @@ def _append_ok(w: tuple[int, ...], c: int, k: int) -> bool:
     return True
 
 
+# The most cells whose ints a reduce shares (1.2 MB of them).  A larger step
+# table's cells go to an array of machine ints instead: there each shared int
+# is a cache miss, which costs more than the allocation it saves (a
+# 400k-symbol reduce took 56-62 ms sharing 72674 cells at q = 7, k = 3,
+# against 44-49 ms with new ints, and 133-159 against 64-114 ms at q = 8,
+# on a 2-vCPU host under Python 3.11.7), and a new int would cost 32 bytes
+# a cell where the array costs 8.
+_SHARED_CELLS = 1 << 15
+
+
+def _int_array():
+    from array import array  # a compiled module, loaded only where used
+
+    return array("q")
+
+
 class _WindowDP:
     """Extension-count table over suffix windows for one system.
 
@@ -161,6 +177,35 @@ class _WindowDP:
             seeds.append([sum([prev[pat[nxt]] for nxt in succ[sid]]) for sid in reps])
         self.tables = [CountTable._seeded(sys, col) for col in zip(*seeds)]
         self.rows: list[tuple[int, ...]] = []  # rows[r][p]: the tables' counts at r
+
+    @cached_property
+    def cell_ids(self) -> list[int] | None:
+        """range(len(step)) as a list, for reduce's cells to share, built on
+        the first reduce; None past _SHARED_CELLS cells."""
+        return list(range(len(self.step))) if len(self.step) <= _SHARED_CELLS else None
+
+    def reduce(self, s: Sequence[int], row: int = 0) -> MutableSequence[int]:
+        """The cells sid * q + c of s's root, c after window sid, by root's
+        stack rule, walked from the empty window.  From another window,
+        whose row sid * q is given and which a square may reach back into,
+        the walk stops at the first symbol that closes a square instead: the
+        cells of the longest prefix of s that extends the window.  A cell
+        past 256 is an int object, so the cells are a list of cell_ids'
+        shared ints, or past _SHARED_CELLS cells an array of machine ints."""
+        step, ids, stop = self.step, self.cell_ids, row != 0
+        cells = [] if ids is not None else _int_array()
+        for c in s:
+            cell = row + c
+            nxt = step[cell]
+            if nxt >= 0:
+                cells.append(cell if ids is None else ids[cell])
+                row = nxt
+            elif stop:
+                break
+            elif nxt < -1:
+                del cells[nxt + 1:]
+                row = step[cells[-1]]
+        return cells
 
     def window_sid(self, symbols: tuple[int, ...]) -> int:
         w = symbols if len(symbols) <= self.width else symbols[-self.width:]

@@ -12,15 +12,50 @@ q**ell <= delta_min_degree(m), the minimum out-degree of the graph.
 The graph is never materialized: a step picks the neighbor digit by
 digit from extension counts on the boundary window and carries the
 window id on to the next state (O(m) big-int operations per step).
+Decoding reads the walk back from its cells (window, symbol), which the
+window DP's one table walk gives: a received strand is reduced to its
+root's cells in one pass, with no root word built, and each level of
+every state is then read in one pass over that level's cells.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from functools import cache
+from itertools import repeat
+from operator import add, mod
+from typing import Iterable, Sequence
 
 from .enumeration import FseParams, _dp, _index, _kth, delta_min_degree
 from .errors import CorruptInputError, DomainError, show_int
-from .words import Word, _check_alphabet
+from .words import DupSystem, Word, _check_alphabet
+
+
+@cache
+def _classes(sys: DupSystem) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The decoder's cell classes, built in one pass over the window DP's
+    successor rows when a decode first walks more symbols than the step
+    table has cells.  table[sid * q + c] is the class of window sid's
+    successors before c: the multiset of their patterns, which is all that
+    a lexicographic index reads of them (37 classes at q = 4, k = 3, 145 at
+    q = 8).  keys[i] holds class i's patterns, sorted; class 0 is empty."""
+    dp = _dp(sys)
+    q, last, pat, width = sys.q, dp.last, dp.pat, len(dp.tables)
+    table = [0] * len(dp.step)
+    keys: list[tuple[int, ...]] = [()]
+    grow = [0] * width  # grow[i * width + p]: class i with one more p, times width; 0 until met
+    for row, nexts in zip(range(0, len(table), q), dp.succ):
+        i = 0  # the class of the successors so far, times width
+        for before, nxt in zip(nexts, nexts[1:]):
+            at = i + pat[before]
+            i = grow[at]
+            if not i:
+                key = tuple(sorted(keys[at // width] + (at % width,)))
+                if key not in keys:
+                    keys.append(key)
+                    grow += [0] * width
+                i = grow[at] = keys.index(key) * width
+            table[row + last[nxt]] = i // width
+    return table, keys
 
 
 class FseCodec:
@@ -59,25 +94,73 @@ class FseCodec:
 
     def decode_values(self, x: Word) -> list[int]:
         """Invert encode_values, reading x one state at a time; raises
-        CorruptInputError on damaged input."""
+        CorruptInputError on damaged input: a length that is not a multiple
+        of m, else the first state with an index past q**ell or, before it,
+        the state and offset where a square closes."""
         params = self.params
-        q, ell, m = params.sys.q, params.ell, params.m
         _check_alphabet(x, params.sys)
         s = x.symbols
-        if len(s) % m != 0:
+        self._check_length(len(s))
+        return self._values(_dp(params.sys).reduce(s, self._start_sid * params.sys.q), len(s))
+
+    def decode_received(self, y: Sequence[int]) -> list[int]:
+        """decode_values(root(y)) for symbols y in range(q), errors
+        included, in one reduce of y.  A square can close against the start
+        state only in the root's first 2k - 1 symbols, and only there does
+        the walk from the start state differ from the reduce's, so only
+        they are walked again."""
+        dp = _dp(self.params.sys)
+        cells = dp.reduce(y)
+        n = len(cells)
+        self._check_length(n)
+        head = min(n, dp.width)
+        q = dp.sys.q
+        walked = dp.reduce([c % q for c in cells[:head]], self._start_sid * q)
+        if len(walked) < head:  # a square closes against the start state
+            return self._values(walked, n)
+        cells[:head] = walked
+        return self._values(cells, n)
+
+    def _check_length(self, n: int) -> None:
+        if n % self.params.m != 0:
             raise CorruptInputError(
-                f"length {len(s)} is not a multiple of the state length {m}"
+                f"length {n} is not a multiple of the state length {self.params.m}"
             )
-        labeled = q**ell
-        steps = (s[b:b + m] for b in range(0, len(s), m))
-        values, sid = _index(_dp(params.sys), self._start_sid, m, steps)
-        for n, v in enumerate(values[:-1] if sid < 0 else values, start=1):
-            if v >= labeled:
-                raise CorruptInputError(
-                    f"state {n}: edge index exceeds the labeled range {q}**{ell}"
-                )
-        if sid < 0:  # values ends with the offset in the last state
+
+    def _values(self, cells: Sequence[int], n: int) -> list[int]:
+        """The block values of a walk of n symbols from the start state,
+        whose cells are cells unless the walk stopped short at a square.
+        A walk longer than the step table repeats its cells, so level i of
+        every state is read in one pass over cells[i::m]: each cell's class,
+        then its class's sum of the level's counts, taken once per class if
+        there are more states than classes.  A shorter walk, whose cells are
+        mostly distinct, is read one state at a time, scanning each window's
+        successors as the encoder's walk does."""
+        sys, ell, m = self.params.sys, self.params.ell, self.params.m
+        dp = _dp(sys)
+        end = len(cells) - len(cells) % m  # the states walked whole
+        if len(cells) <= len(dp.step):
+            symbols = (bytes if sys.q <= 256 else list)(map(mod, cells, repeat(sys.q)))
+            values, _ = _index(dp, self._start_sid, m,
+                               (symbols[b:b + m] for b in range(0, end, m)))
+        else:
+            table, keys = _classes(sys)
+            values = [0] * (end // m)
+            for i, row in enumerate(dp.level_rows(m)):
+                column = map(table.__getitem__, cells[i:end:m])
+                count = row.__getitem__
+                if end // m > len(keys):
+                    sums = map(list(map(sum, map(map, repeat(count), keys))).__getitem__, column)
+                else:
+                    sums = map(sum, map(map, repeat(count), map(keys.__getitem__, column)))
+                values = list(map(add, values, sums))
+        labeled = sys.q**ell
+        if values and max(values) >= labeled:
+            state = next(b for b, v in enumerate(values, start=1) if v >= labeled)
             raise CorruptInputError(
-                f"state {len(values)}: not an edge, a square ends at offset {values[-1]}"
+                f"state {state}: edge index exceeds the labeled range {sys.q}**{ell}"
             )
+        if end < n:
+            raise CorruptInputError(f"state {end // m + 1}: not an edge, a square ends at "
+                                    f"offset {len(cells) - end}")
         return values

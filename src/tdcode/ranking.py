@@ -30,8 +30,9 @@ rank of a short word is its window id less the length's first id.  A
 level costs a few list lookups and big-integer multiplies, compares and
 adds by one-digit numbers; levels run in blocks whose width products fit
 one digit, and unrank divides once per block, not once per level.
-Rank's window pass reduces squares as words.root does, so decoding finds
-a root and ranks it in one walk.
+Rank reads the cells of the window DP's one table walk (its reduce),
+which strips squares as words.root does, so code-mode decoding finds a
+root and ranks it in one walk.
 """
 
 from __future__ import annotations
@@ -192,28 +193,15 @@ class _WalkTables:
             s += tails[branch[code]][sid]
         return s
 
-    def reduce(self, s: Sequence[int]) -> list[int]:
-        """The cells sid * q + c of s's root, c after window sid, by root's stack rule."""
-        step, row, cells = self.dp.step, 0, []  # window 0 is the empty window
-        for c in s:
-            nxt = step[row + c]
-            if nxt >= 0:
-                cells.append(row + c)
-                row = nxt
-            elif nxt < -1:
-                del cells[nxt + 1:]
-                row = step[cells[-1]]
-        return cells
-
     def rank(self, p: tuple[int, ...], x: Word) -> int:
         """Rank of x, which starts with p, in p's class; DomainError if x is reducible."""
-        cells = self.reduce(x.symbols)
+        cells = self.dp.reduce(x.symbols)
         if len(cells) < len(x.symbols):  # the walk dropped a square
             raise DomainError(f"{x} is not irreducible for k = {self.sys.k}")
         return self.rank_cells(p, cells)
 
-    def rank_cells(self, p: tuple[int, ...], cells: list[int]) -> int:
-        """Rank within p's class of the word with these cells (reduce's).  As
+    def rank_cells(self, p: tuple[int, ...], cells: Sequence[int]) -> int:
+        """Rank within p's class of the word with these cells (dp.reduce's).  As
         in unrank's blocks, a level's lower blocks and free index are scaled
         by the product of the widths above it in its block, and the rank
         below costs one multiply per block."""

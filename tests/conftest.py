@@ -47,14 +47,19 @@ def s43() -> DupSystem:
     return DupSystem(q=4, k=3)
 
 
+def clear_tables() -> None:
+    """Empty the per-system table caches, as in a fresh process."""
+    from tdcode import enumeration, fse, ranking
+
+    for build in (ranking._walk_tables, fse._classes, enumeration._dp,
+                  enumeration._degree_table, enumeration.count_table):
+        build.cache_clear()
+
+
 @pytest.fixture
 def fresh_tables() -> None:
     """Empty the per-system table caches, so a test sees what it builds."""
-    from tdcode import enumeration, ranking
-
-    for build in (ranking._walk_tables, enumeration._dp, enumeration._degree_table,
-                  enumeration.count_table):
-        build.cache_clear()
+    clear_tables()
 
 
 def window_dp(dp, rows: int) -> list[list[int]]:

@@ -34,6 +34,7 @@ from tdcode import (
     encode_codeword,
 )
 from tdcode import enumeration, ranking
+from tdcode.cli import main
 from tdcode.ranking import _WalkTables, _walk_tables
 
 
@@ -482,20 +483,63 @@ class TestWindowWalk:
 
     @pytest.mark.parametrize("q, k", ENGINE_SYSTEMS)
     def test_reduce_walks_to_the_root(self, q, k):
+        # the window DP's one table walk, which code-mode decode, rank and the
+        # FSE decoder share: from the empty window it reduces to the root;
+        # from a full window it stops at the first square instead
         sys_, rng = DupSystem(q, k), random.Random(q * 10 + k)
-        walk = _walk_tables(sys_)
-        for n in range(40):
+        dp = enumeration._dp(sys_)
+        for n in [*range(40), 3 * len(dp.step)]:
             y = Word(tuple(rng.randrange(q) for _ in range(n)), q)
-            cells = walk.reduce(y.symbols)
+            cells = dp.reduce(y.symbols)
             assert tuple(c % q for c in cells) == root(y, sys_).symbols
             # each cell's row is the window after the cells before it
-            rows = [0, *(walk.dp.step[c] for c in cells)][:len(cells)]
+            rows = [0, *(dp.step[c] for c in cells)][:len(cells)]
+            assert [c - c % q for c in cells] == rows
+            assert all(c is dp.cell_ids[c] for c in cells)  # one int per cell
+            start = rng.randrange(dp.offsets[dp.width], len(dp.states))
+            cells = dp.reduce(y.symbols, start * q)
+            extends = 0
+            while extends < n and is_irreducible(
+                    Word(dp.states[start] + y.symbols[:extends + 1], q), k):
+                extends += 1
+            assert tuple(c % q for c in cells) == y.symbols[:extends]
+            rows = [start * q, *(dp.step[c] for c in cells)][:len(cells)]
             assert [c - c % q for c in cells] == rows
 
-    def test_counting_and_the_fse_never_build_the_tables(self, s43, fresh_tables):
+    def test_reduce_shares_the_ints_of_small_tables_only(self):
+        # past 2**15 cells a shared int is a cache miss, dearer than a new
+        # one, so the cells are machine ints in an array there; code-mode
+        # decode ranks them as it ranks a list
+        assert len(enumeration._dp(DupSystem(6, 3)).cell_ids) == 26322
+        sys_ = DupSystem(8, 3)
+        dp, rng = enumeration._dp(sys_), random.Random(83)
+        assert dp.cell_ids is None
+        spec = CodeSpec(sys_, 40)
+        for j in (1, 12345, code_size(40, sys_)):
+            y = encode_codeword(j, spec).symbols
+            y += tuple(rng.randrange(8) for _ in range(300))
+            cells = dp.reduce(y)
+            assert not isinstance(cells, list)
+            x = root(Word(y, 8), sys_)
+            assert tuple(c % 8 for c in cells) == x.symbols
+            assert _walk_tables(sys_).rank_cells((), cells) == rank_irr(x, sys_)
+
+    def test_counting_and_the_fse_never_build_the_tables(self, s43, fresh_tables, tmp_path):
         assert code_size(500, s43) > 0
         codec = FseCodec(FseParams(s43, 13, 19))
-        assert codec.decode_values(codec.encode_values([0, 5, 4**13 - 1])) == [0, 5, 4**13 - 1]
+        strand = codec.encode_values([0, 5, 4**13 - 1])
+        msg, enc, noisy, out = (tmp_path / f for f in ("msg", "enc", "noisy", "out"))
+        msg.write_bytes(bytes(range(256)) * 4)
+        assert main(["encode", "--mode", "fse", "-q", "4", "-k", "3", "-e", "0.05",
+                     "-i", str(msg), "-o", str(enc)]) == 0
+        # counting and encoding reduce nothing, so build no table of the step
+        # table's size either
+        assert "cell_ids" not in vars(enumeration._dp(s43))
+        assert codec.decode_values(strand) == [0, 5, 4**13 - 1]
+        # nor does the CLI's fse decode path build the walker's tables
+        assert main(["channel", "-t", "500", "-i", str(enc), "-o", str(noisy)]) == 0
+        assert main(["decode", "-i", str(noisy), "-o", str(out)]) == 0
+        assert out.read_bytes() == msg.read_bytes()
         assert ranking._walk_tables.cache_info().misses == 0
         assert decode_codeword(encode_codeword(7, CodeSpec(s43, 12)), CodeSpec(s43, 12)) == 7
         assert ranking._walk_tables.cache_info().misses == 1
