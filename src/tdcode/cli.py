@@ -396,7 +396,7 @@ def _fse(f: dict, params):
     codec, chunk = FseCodec(params), f["chunk"]
 
     def to_values(received):
-        values = codec.decode_received(received[0])
+        values = codec._decode_received(received[0])
         for v in () if f["digits"] else values:
             if v >= 1 << chunk:
                 raise CorruptInputError(

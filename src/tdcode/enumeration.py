@@ -112,7 +112,8 @@ def _append_ok(w: tuple[int, ...], c: int, k: int) -> bool:
 # 400k-symbol reduce took 56-62 ms sharing 72674 cells at q = 7, k = 3,
 # against 44-49 ms with new ints, and 133-159 against 64-114 ms at q = 8,
 # on a 2-vCPU host under Python 3.11.7), and a new int would cost 32 bytes
-# a cell where the array costs 8.
+# a cell where the array costs 8.  The array makes an int at every read, so
+# it does not serve the small tables too: there it made decode 4-9% slower.
 _SHARED_CELLS = 1 << 15
 
 
@@ -247,12 +248,9 @@ def _kth(dp: _WindowDP, sid: int, r: int, js: Iterable[int], out: list[int]) -> 
     return sid
 
 
-def _index(
-    dp: _WindowDP, sid: int, r: int, steps: Iterable[Sequence[int]]
-) -> tuple[list[int], int]:
+def _index(dp: _WindowDP, sid: int, r: int, steps: Iterable[Sequence[int]]) -> list[int]:
     """The 0-indexed positions of consecutive length-r extensions, starting
-    at window sid, and the final window id.  If a symbol closes a square the
-    id is -1 and the list ends with that symbol's offset in its step."""
+    at window sid.  Needs steps that close no square (a reduce's cells)."""
     succ, last, pat = dp.succ, dp.last, dp.pat
     view = dp.level_rows(r)
     out: list[int] = []
@@ -263,12 +261,9 @@ def _index(
                 if last[nxt] == c:
                     break
                 idx += row[pat[nxt]]
-            else:  # c closes a square; its offset is its row's position
-                out.append([v is row for v in view].index(True))
-                return out, -1
             sid = nxt
         out.append(idx)
-    return out, sid
+    return out
 
 
 # ------------------------------------------------------- minimum out-degree

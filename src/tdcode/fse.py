@@ -31,17 +31,21 @@ from .words import DupSystem, Word, _check_alphabet
 
 
 @cache
-def _classes(sys: DupSystem) -> tuple[list[int], list[tuple[int, ...]]]:
+def _classes(sys: DupSystem) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
     """The decoder's cell classes, built in one pass over the window DP's
     successor rows when a decode first walks more symbols than the step
     table has cells.  table[sid * q + c] is the class of window sid's
     successors before c: the multiset of their patterns, which is all that
     a lexicographic index reads of them (37 classes at q = 4, k = 3, 145 at
-    q = 8).  keys[i] holds class i's patterns, sorted; class 0 is empty."""
+    q = 8).  Classes are numbered by size, class 0 the empty one, and each
+    other class is a smaller one with one more pattern: sizes[s - 1] holds
+    the smaller classes and the patterns of the classes of size s, so a
+    level's class sums cost one addition each."""
     dp = _dp(sys)
     q, last, pat, width = sys.q, dp.last, dp.pat, len(dp.tables)
     table = [0] * len(dp.step)
-    keys: list[tuple[int, ...]] = [()]
+    keys: list[tuple[int, ...]] = [()]  # each class's patterns, sorted, in the order met
+    made = [(0, 0)]  # made[i]: the smaller class and the pattern that class i was met as
     grow = [0] * width  # grow[i * width + p]: class i with one more p, times width; 0 until met
     for row, nexts in zip(range(0, len(table), q), dp.succ):
         i = 0  # the class of the successors so far, times width
@@ -52,10 +56,21 @@ def _classes(sys: DupSystem) -> tuple[list[int], list[tuple[int, ...]]]:
                 key = tuple(sorted(keys[at // width] + (at % width,)))
                 if key not in keys:
                     keys.append(key)
+                    made.append(divmod(at, width))
                     grow += [0] * width
                 i = grow[at] = keys.index(key) * width
             table[row + last[nxt]] = i // width
-    return table, keys
+    order = sorted(range(len(keys)), key=lambda c: len(keys[c]))
+    renumber = [0] * len(keys)
+    for new, c in enumerate(order):
+        renumber[c] = new
+    sizes: list[tuple[list[int], list[int]]] = [([], []) for _ in keys[order[-1]]]
+    for c in order[1:]:
+        smaller, p = made[c]
+        smalls, pats = sizes[len(keys[c]) - 1]
+        smalls.append(renumber[smaller])
+        pats.append(p)
+    return list(map(renumber.__getitem__, table)), sizes
 
 
 class FseCodec:
@@ -103,12 +118,12 @@ class FseCodec:
         self._check_length(len(s))
         return self._values(_dp(params.sys).reduce(s, self._start_sid * params.sys.q), len(s))
 
-    def decode_received(self, y: Sequence[int]) -> list[int]:
-        """decode_values(root(y)) for symbols y in range(q), errors
-        included, in one reduce of y.  A square can close against the start
-        state only in the root's first 2k - 1 symbols, and only there does
-        the walk from the start state differ from the reduce's, so only
-        they are walked again."""
+    def _decode_received(self, y: Sequence[int]) -> list[int]:
+        """decode_values(root(y)), errors included, in one reduce of y: the
+        CLI's decode, whose parser has put every symbol in range(q).  A
+        square can close against the start state only in the root's first
+        2k - 1 symbols, and only there does the walk from the start state
+        differ from the reduce's, so only they are walked again."""
         dp = _dp(self.params.sys)
         cells = dp.reduce(y)
         n = len(cells)
@@ -132,28 +147,25 @@ class FseCodec:
         whose cells are cells unless the walk stopped short at a square.
         A walk longer than the step table repeats its cells, so level i of
         every state is read in one pass over cells[i::m]: each cell's class,
-        then its class's sum of the level's counts, taken once per class if
-        there are more states than classes.  A shorter walk, whose cells are
-        mostly distinct, is read one state at a time, scanning each window's
-        successors as the encoder's walk does."""
+        then its class's sum of the level's counts, one addition per class
+        and level.  A shorter walk, whose cells are mostly distinct, is read
+        one state at a time, scanning each window's successors as the
+        encoder's walk does."""
         sys, ell, m = self.params.sys, self.params.ell, self.params.m
         dp = _dp(sys)
         end = len(cells) - len(cells) % m  # the states walked whole
         if len(cells) <= len(dp.step):
             symbols = (bytes if sys.q <= 256 else list)(map(mod, cells, repeat(sys.q)))
-            values, _ = _index(dp, self._start_sid, m,
-                               (symbols[b:b + m] for b in range(0, end, m)))
+            values = _index(dp, self._start_sid, m, (symbols[b:b + m] for b in range(0, end, m)))
         else:
-            table, keys = _classes(sys)
+            table, sizes = _classes(sys)
             values = [0] * (end // m)
             for i, row in enumerate(dp.level_rows(m)):
+                sums = [0]  # each class's sum of the level's counts, a size at a time
+                for smaller, pats in sizes:  # the smaller classes' sums are in already
+                    sums += map(add, map(sums.__getitem__, smaller), map(row.__getitem__, pats))
                 column = map(table.__getitem__, cells[i:end:m])
-                count = row.__getitem__
-                if end // m > len(keys):
-                    sums = map(list(map(sum, map(map, repeat(count), keys))).__getitem__, column)
-                else:
-                    sums = map(sum, map(map, repeat(count), map(keys.__getitem__, column)))
-                values = list(map(add, values, sums))
+                values = list(map(add, values, map(sums.__getitem__, column)))
         labeled = sys.q**ell
         if values and max(values) >= labeled:
             state = next(b for b, v in enumerate(values, start=1) if v >= labeled)

@@ -229,7 +229,7 @@ class _WalkTables:
                 r -= b
             blocks.append((scale, high + low))
         if p:
-            (rank,), _ = _index(dp, dp.window_sid(p), r, ([c % q for c in cells[len(p):n]],))
+            (rank,) = _index(dp, dp.window_sid(p), r, ([c % q for c in cells[len(p):n]],))
         else:  # the window after the first n cells, among the length-n windows
             rank = (dp.step[cells[n - 1]] // q if n else 0) - dp.offsets[n]
         for scale, add in reversed(blocks):

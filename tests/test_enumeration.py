@@ -151,15 +151,17 @@ class TestExtensions:
         sid = dp.window_sid(word.symbols)
         for j, ext in enumerate(walk_extensions(word, 4, s33)):
             end = dp.window_sid(word.symbols + ext.symbols)
-            assert _index(dp, sid, 4, (ext.symbols,)) == ([j], end)
+            assert _index(dp, sid, 4, (ext.symbols,)) == [j]
+            assert dp.step[dp.reduce(ext.symbols, sid * s33.q)[-1]] == end * s33.q
 
     def test_extension_index_rejects_square(self, s32):
         # appending 10 to 010 creates the square 0101 at its first symbol,
-        # offset 0; appending 22 creates 22 at offset 1
+        # offset 0; appending 22 creates 22 at offset 1: the walk from the
+        # window stops there
         dp = _dp(s32)
         sid = dp.window_sid((0, 1, 0))
-        assert _index(dp, sid, 2, ((1, 0),)) == ([0], -1)
-        assert _index(dp, sid, 2, ((2, 2),)) == ([1], -1)
+        assert len(dp.reduce((1, 0), sid * s32.q)) == 0
+        assert len(dp.reduce((2, 2), sid * s32.q)) == 1
 
     def test_counts_from_empty_word(self, s32, s33):
         assert extension_count(Word((), 3), 5, s32) == count_irr(5, s32)

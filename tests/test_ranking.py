@@ -660,4 +660,4 @@ class TestBlocks:
                 out: list[int] = []
                 assert enumeration._kth(dp, empty, r, (j,), out) == ends[r] + j
                 assert tuple(out) == state
-                assert enumeration._index(dp, empty, r, (state,)) == ([j], ends[r] + j)
+                assert enumeration._index(dp, empty, r, (state,)) == [j]
