@@ -31,10 +31,9 @@ MAX_TABLE_LENGTH = 1 << 15
 # pattern (at most 21) and for delta_min_degree: at the cap, 0.1 s and 43 MB RSS (q = 8, k = 3).
 MAX_STATE_LENGTH = 1 << 11
 
-# The most full suffix windows (irreducible words of length 2k - 1) a
-# command may build the window DP over; the DP's time and memory grow with
-# them (q = 8, k = 3: 18480 windows, `rate` in under a second at 40 MB).
-# This admits q <= 8 at k = 3 and q <= 27 at k = 2.
+# The most full suffix windows (irreducible words of length 2k - 1) a command may build
+# the window DP over, whose time and memory grow with them (q = 8, k = 3: 18480 windows,
+# 0.3 s with the walk tables): q <= 8 at k = 3, q <= 27 at k = 2.  Rates take any q.
 MAX_WINDOWS = 20_000
 
 # The most root samples verify may draw.  Each costs an unrank, a channel
@@ -185,7 +184,7 @@ def _window_system(q: int, k: int) -> DupSystem:
     from .enumeration import count_table
 
     sys_ = DupSystem(q, k)
-    windows = count_table(sys_).count(2 * k - 1)  # a closed-form base value
+    windows = count_table(sys_).count(2 * k - 1)  # a pattern DP seed: no window built
     if windows > MAX_WINDOWS:
         raise DomainError(
             f"q={q}, k={k} has {windows} full windows, over the window cap {MAX_WINDOWS}"
@@ -331,18 +330,21 @@ def _cmd_rate(args) -> int:
 
     from .enumeration import asymptotic_rate
 
-    sys_ = _window_system(args.q, args.k)
-    info = asymptotic_rate(sys_)
-    out: dict[str, object] = {
-        "q": args.q,
-        "k": args.k,
-        "lambda": info.lam,
-        "rate": info.rate,
-        "kappa": info.kappa,
-    }
-    if args.epsilon is not None:
-        params = _choose_params(args.epsilon, sys_)
-        out.update({"epsilon": args.epsilon, "ell": params.ell, "m": params.m})
+    sys_ = DupSystem(args.q, args.k)
+    try:  # lambda and kappa are floats: past q = 10**44 at k = 3, one overflows
+        info = asymptotic_rate(sys_)
+        out: dict[str, object] = {
+            "q": args.q,
+            "k": args.k,
+            "lambda": info.lam,
+            "rate": info.rate,
+            "kappa": info.kappa,
+        }
+        if args.epsilon is not None:
+            params = _choose_params(args.epsilon, sys_)
+            out.update({"epsilon": args.epsilon, "ell": params.ell, "m": params.m})
+    except OverflowError:
+        raise DomainError(f"q={show_int(args.q)} is too large for a float rate") from None
     print(json.dumps(out))
     return 0
 

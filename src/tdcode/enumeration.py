@@ -5,15 +5,14 @@ counts that rank, unrank and the encoder walk on, minimum out-degrees of
 the irreducible-word overlap graph, asymptotic growth rates, and encoder
 parameter selection.
 
-The workhorse is a suffix-window dynamic program: a square that ends at
-a freshly appended symbol spans at most the last 2k symbols, so the
-number of valid length-r extensions of a word depends only on its last
-min(len, 2k-1) symbols.  States are the irreducible words of length at
-most 2k-1, listed length by length in lexicographic order; their one
-transition table is the data of the lexicographic walks and of ranking.
-Their extension counts, which those walks, the prefix classes and the
-minimum out-degree read, are kept once per equality pattern (at most 21
-for any q).  Each per-system table is built once, on first use.
+A square that ends at a freshly appended symbol spans at most the last
+2k symbols, so the number of valid length-r extensions of a word depends
+only on its window, its last min(len, 2k-1) symbols, and only on the
+window's equality pattern (at most 21 for any q).  Every count is seeded
+from one small DP over the patterns, which builds no window.  The
+suffix-window DP lists the windows, length by length in lexicographic
+order; its one transition table is the data of the lexicographic walks
+and of ranking.  Each per-system table is built once, on first use.
 """
 
 from __future__ import annotations
@@ -37,33 +36,14 @@ def _coefficients(sys: DupSystem) -> tuple[int, ...]:
 
 
 class CountTable:
-    """Memoized class sizes for one system, exact: base values, then the
-    count recursion.  CountTable(sys) holds the counts I(n) of irreducible
-    words, with closed-form base values for n <= 3 (k = 2) resp. n <= 5
-    (k = 3); _seeded starts another class from its own base values.
+    """Memoized class sizes for one system, exact: 2k base values from the
+    pattern DP, then the count recursion.  CountTable(sys) holds the counts
+    I(n) of irreducible words; CountTable(sys, values) starts another class.
     """
 
-    def __init__(self, sys: DupSystem):
+    def __init__(self, sys: DupSystem, values: Sequence[int] | None = None):
         self.sys = sys
-        q = sys.q
-        if sys.k == 2:
-            self._values = [1, q, q * (q - 1), q * (q - 1) ** 2]
-        else:
-            self._values = [
-                1,
-                q,
-                q * (q - 1),
-                q * (q - 1) ** 2,
-                q * q * (q - 1) * (q - 2),
-                q * (q - 1) * (q - 2) * (q * q - q - 1),
-            ]
-
-    @classmethod
-    def _seeded(cls, sys: DupSystem, values: Sequence[int]) -> CountTable:
-        # at least one base value per recursion coefficient
-        table = cls(sys)
-        table._values = list(values)
-        return table
+        self._values = list(count_table(sys)._values[:2 * sys.k] if values is None else values)
 
     def count(self, n: int) -> int:
         if n < 0:
@@ -76,7 +56,48 @@ class CountTable:
         return v[n]
 
 
-count_table = cache(CountTable)
+def _append_ok(w: tuple[int, ...], c: int, k: int) -> bool:
+    # reject iff some square of half-length t <= k ends at the new symbol
+    full = w + (c,)
+    n = len(full)
+    for t in range(1, k + 1):
+        if n >= 2 * t and full[n - 2 * t:n - t] == full[n - t:]:
+            return False
+    return True
+
+
+@cache
+def _patterns(sys: DupSystem) -> tuple[dict[tuple[int, ...], int], list[CountTable]]:
+    """The ids of the windows' equality patterns and each one's extension
+    counts.  A window w's pattern, tuple(map(w.index, w)), is a window with
+    w's counts, as renaming symbols maps squares to squares.  Ids follow the
+    window DP's order, so pattern 0, the empty window's, counts I(n).  A
+    pattern extends by each of its d symbols and by a new one standing for
+    q - d symbols; rows 0 .. 2k - 1 of the DP on these moves seed the tables."""
+    q, k = sys.q, sys.k
+    width = 2 * k - 1
+    keys: list[tuple[int, ...]] = [()]  # length by length, in lexicographic order
+    moves: list[list[tuple[int, int]]] = []  # (multiplicity, next pattern) per valid append
+    for w in keys:
+        own = sorted(set(w))
+        out = []
+        for c, times in [(c, 1) for c in own] + [(len(w), q - len(own))]:
+            if times and _append_ok(w, c, k):
+                nxt = (w + (c,))[-width:]
+                key = tuple(map(nxt.index, nxt))
+                if key not in keys:
+                    keys.append(key)
+                out.append((times, keys.index(key)))
+        moves.append(out)
+    rows = [[1] * len(keys)]
+    for _ in range(width):
+        rows.append([sum([times * rows[-1][p] for times, p in out]) for out in moves])
+    return {key: p for p, key in enumerate(keys)}, [CountTable(sys, col) for col in zip(*rows)]
+
+
+def count_table(sys: DupSystem) -> CountTable:
+    """count_irr's table, pattern 0's: the window DP's table of the empty window."""
+    return _patterns(sys)[1][0]
 
 
 def count_irr(n: int, sys: DupSystem) -> int:
@@ -94,16 +115,6 @@ def code_size(n: int, sys: DupSystem) -> int:
 
 
 # -------------------------------------------------------------- window DP
-
-
-def _append_ok(w: tuple[int, ...], c: int, k: int) -> bool:
-    # reject iff some square of half-length t <= k ends at the new symbol
-    full = w + (c,)
-    n = len(full)
-    for t in range(1, k + 1):
-        if n >= 2 * t and full[n - 2 * t:n - t] == full[n - t:]:
-            return False
-    return True
 
 
 # The most cells whose ints a reduce shares (1.2 MB of them).  A larger step
@@ -124,22 +135,21 @@ def _int_array():
 
 
 class _WindowDP:
-    """Extension-count table over suffix windows for one system.
+    """The transition table over suffix windows for one system.
 
     The windows are listed length by length, each length in lexicographic
     order; offsets[r] is the id of the first length-r window, so window 0
     is the empty window.  step[sid * q + c] is q times the window after
     appending c to window sid, or -t where c closes a square: at most one
     square ends at c, of half-length t, and the last earlier c is t back.
-    Renaming symbols maps squares to squares, so a window's extension counts
-    are its equality pattern's: tables[pat[sid]], the count recursion from
-    a DP of the patterns' first 2k rows.
+    A window's extension counts are its pattern's, tables[pat[sid]] (_patterns).
     """
 
     def __init__(self, sys: DupSystem):
         self.sys = sys
         self.width = width = 2 * sys.k - 1
         q, k = sys.q, sys.k
+        patterns, self.tables = _patterns(sys)
         # the length-r windows, in order, each extended by every symbol in
         # turn: the next length's windows, in lexicographic order again
         states: list[tuple[int, ...]] = [()]
@@ -158,8 +168,6 @@ class _WindowDP:
         step: list[int] = []
         succ: list[tuple[int, ...]] = []
         last: list[int] = []
-        pat: list[int] = []
-        patterns: dict[tuple[int, ...], int] = {}
         for w in states:
             full = len(w) == width
             keep = w[1:] if full else w
@@ -168,16 +176,9 @@ class _WindowDP:
             step += [qids[nxt] if nxt >= 0 else -1 - w[::-1].index(c) for c, nxt in enumerate(row)]
             succ.append(tuple([nxt for nxt in row if nxt >= 0]))
             last.append(w[-1] if w else -1)
-            # the equality pattern: each symbol's first position in w
-            pat.append(patterns.setdefault(tuple(map(w.index, w)), len(patterns)))
-        self.step, self.succ, self.last, self.pat = step, succ, last, pat
-        # rows 0 .. 2k - 1 of the DP over the patterns, one window of each
-        seeds, reps = [[1] * len(patterns)], [pat.index(p) for p in range(len(patterns))]
-        for _ in range(width):
-            prev = seeds[-1]
-            seeds.append([sum([prev[pat[nxt]] for nxt in succ[sid]]) for sid in reps])
-        self.tables = [CountTable._seeded(sys, col) for col in zip(*seeds)]
-        self.rows: list[tuple[int, ...]] = []  # rows[r][p]: the tables' counts at r
+        self.step, self.succ, self.last = step, succ, last
+        # each window's equality pattern: each symbol's first position in w
+        self.pat = [patterns[tuple(map(w.index, w))] for w in states]
 
     @cached_property
     def cell_ids(self) -> list[int] | None:
@@ -216,15 +217,15 @@ class _WindowDP:
         return sid
 
     def counts(self, sid: int) -> CountTable:
-        """Window sid's extension counts, kept like count_table(sys)."""
+        """Window sid's extension counts: its pattern's table."""
         return self.tables[self.pat[sid]]
 
     def level_rows(self, r: int) -> list[tuple[int, ...]]:
         """The rows a walk of r symbols reads, its first symbol's first:
         level_rows(r)[i][p] is pattern p's count of length r - 1 - i."""
-        rows = self.rows
-        rows += [tuple([table.count(i) for table in self.tables]) for i in range(len(rows), r)]
-        return rows[:r][::-1]
+        for table in self.tables:
+            table.count(r)
+        return list(zip(*[table._values[:r] for table in self.tables]))[::-1]
 
 
 _dp = cache(_WindowDP)
@@ -272,11 +273,10 @@ def _index(dp: _WindowDP, sid: int, r: int, steps: Iterable[Sequence[int]]) -> l
 @cache
 def _degree_table(sys: DupSystem) -> CountTable:
     # delta_min_degree(2k-1 + i) at index i: minima over the full windows' patterns
-    dp = _dp(sys)
-    full = [dp.tables[p] for p in set(dp.pat[dp.offsets[dp.width]:])]
-    return CountTable._seeded(
-        sys, [min(t.count(b) for t in full) for b in range(dp.width, 3 * sys.k - 1)]
-    )
+    patterns, tables = _patterns(sys)
+    width = 2 * sys.k - 1
+    full = [tables[p] for w, p in patterns.items() if len(w) == width]
+    return CountTable(sys, [min(t.count(b) for t in full) for b in range(width, 3 * sys.k - 1)])
 
 
 def delta_min_degree(m: int, sys: DupSystem) -> int:
@@ -299,15 +299,14 @@ def delta_min_degree(m: int, sys: DupSystem) -> int:
 class RateInfo(_Record):
     """Asymptotic data for one system: growth factor, rate, degree constant."""
 
-    __slots__ = ("sys", "lam", "rate", "__dict__")  # __dict__ holds kappa once read
+    __slots__ = ("sys", "lam", "rate")
     sys: DupSystem
     lam: float  # dominant growth factor of count_irr(n)
     rate: float  # log_q(lam), symbols of information per code symbol
 
-    @cached_property
+    @property
     def kappa(self) -> float:
-        """The largest constant with delta_min_degree(m) >= kappa * lam**m;
-        built from the window DP on first read."""
+        """The largest constant with delta_min_degree(m) >= kappa * lam**m."""
         sys, lam = self.sys, self.lam
         return min(delta_min_degree(m, sys) / lam**m for m in range(2 * sys.k - 1, 3 * sys.k - 1))
 

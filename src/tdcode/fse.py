@@ -155,7 +155,7 @@ class FseCodec:
         dp = _dp(sys)
         end = len(cells) - len(cells) % m  # the states walked whole
         if len(cells) <= len(dp.step):
-            symbols = (bytes if sys.q <= 256 else list)(map(mod, cells, repeat(sys.q)))
+            symbols = bytes(map(mod, cells, repeat(sys.q)))
             values = _index(dp, self._start_sid, m, (symbols[b:b + m] for b in range(0, end, m)))
         else:
             table, sizes = _classes(sys)

@@ -86,8 +86,8 @@ def _require_prefix(p: Word, sys: DupSystem) -> None:
 
 class _WalkTables:
     """The recursive order as lookups on window ids, for one system, and
-    the rest of what rank and unrank read, built once: the window DP, the
-    branch widths (the count coefficients) and the plain class sizes.
+    the rest of what rank and unrank read, built once: the window DP and
+    the branch widths (the count coefficients).
 
     Step code starts[b - 1] + i (0 <= i < c[b - 1]) names branch b with
     free index i + 1.  apply[sid * span + code] is the window after that
@@ -100,17 +100,15 @@ class _WalkTables:
     plain class's base words are windows, listed in lexicographic order
     within each length: the j-th (0-indexed) length-r word is window
     dp.offsets[r] + j.  A branch-b step appends tails[b][sid], window sid's
-    last b symbols, to unrank's self.pack: bytes to a bytearray up to q = 256.
+    last b symbols as bytes, to unrank's bytearray.
     """
 
     def __init__(self, sys: DupSystem):
         q, k = sys.q, sys.k
         self.sys = sys
         self.dp = dp = _dp(sys)
-        self.plain = count_table(sys)
         step, states = dp.step, dp.states
-        self.pack, tail = (bytearray, bytes) if q <= 256 else (list, tuple)
-        packed, share = list(map(tail, states)), {}.setdefault  # equal tails: one object
+        packed, share = list(map(bytes, states)), {}.setdefault  # equal tails: one object
         self.tails = [None] + [[share(t, t) for t in map(itemgetter(slice(-b, None)), packed)]
                                for b in range(1, k + 1)]
         self.widths = widths = _coefficients(sys)
@@ -146,12 +144,12 @@ class _WalkTables:
 
     def class_sizes(self, p: tuple[int, ...], n: int) -> list[int]:
         # v[r]: the size of p's class at length len(p) + r, for r <= n - len(p)
-        table = self.dp.counts(self.dp.window_sid(p)) if p else self.plain
+        table = self.dp.counts(self.dp.window_sid(p))
         table.count(n - len(p))
         return table._values
 
     def unrank(self, p: tuple[int, ...], n: int, j: int):
-        """The j-th length-n word of p's class (j in range) as a self.pack of
+        """The j-th length-n word of p's class (j in range) as a bytearray of
         its symbols.  A block of levels runs on y = j * scale + digits, scale
         the product of the widths it picked; one divmod at its end gives the
         next j and its free indices, the first pick's the least significant digit."""
@@ -182,11 +180,11 @@ class _WalkTables:
                 digits, i = divmod(digits, w)
                 codes.append(start + i)
         if p:
-            s = self.pack(p)
+            s = bytearray(p)
             sid = _kth(dp, dp.window_sid(p), r, (y,), s)
         else:
             sid = dp.offsets[r] + y
-            s = self.pack(dp.states[sid])
+            s = bytearray(dp.states[sid])
         apply, span, branch, tails = self.apply, self.span, self.branch, self.tails
         for code in reversed(codes):
             sid = apply[sid * span + code]

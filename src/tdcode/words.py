@@ -59,17 +59,17 @@ class _Record:
     record decorator would import inspect and compile source for each
     class, a large share of every command's start-up; this base does not.
 
-    The fields are the subclass's __slots__ (a "__dict__" slot excepted),
-    taken by position or keyword; then __post_init__ checks them.  Equality
-    holds within one class, the hash is the field tuple's, assignment
-    raises AttributeError, and copy and pickle rebuild through __init__.
+    The fields are the subclass's __slots__, taken by position or
+    keyword; then __post_init__ checks them.  Equality holds within one
+    class, the hash is the field tuple's, assignment raises
+    AttributeError, and copy and pickle rebuild through __init__.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...]
 
     def __init_subclass__(cls) -> None:
-        cls._fields = fields = tuple(f for f in cls.__slots__ if f != "__dict__")
+        cls._fields = fields = cls.__slots__
         # a plain callable, not a method: self._values(self) is the field
         # tuple (every record has two or more fields)
         cls._values = attrgetter(*fields)

@@ -52,7 +52,7 @@ def clear_tables() -> None:
     from tdcode import enumeration, fse, ranking
 
     for build in (ranking._walk_tables, fse._classes, enumeration._dp,
-                  enumeration._degree_table, enumeration.count_table):
+                  enumeration._degree_table, enumeration._patterns):
         build.cache_clear()
 
 

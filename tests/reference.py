@@ -178,6 +178,16 @@ def extensions(x: Word, r: int, sys_: DupSystem) -> list[Word]:
             if not _has_square(x.symbols + e, sys_.k)]
 
 
+def count_closed_form(n: int, sys_: DupSystem) -> int:
+    """I(n), the number of irreducible words of length n, by its closed
+    form for the base lengths n = 0 .. 2k - 1."""
+    q = sys_.q
+    forms = [1, q, q * (q - 1), q * (q - 1) ** 2]
+    if sys_.k == 3:
+        forms += [q * q * (q - 1) * (q - 2), q * (q - 1) * (q - 2) * (q * q - q - 1)]
+    return forms[n]
+
+
 def delta_closed_form(m: int, sys_: DupSystem) -> Optional[int]:
     """The closed forms recorded for the base out-degrees delta(m),
     m = 2k - 1 .. 3k - 2; None where none is recorded.  The k = 3, m = 7

@@ -202,14 +202,13 @@ class TestFlagBounds:
         assert "is too small" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv, rc_expected", [
-        (("rate", "-q", "40", "-k", "3"), 2),
         (("rank", "-q", "9", "-k", "3", "-w", "012"), 2),
         (("unrank", "-q", "28", "-k", "2", "-n", "3", "-j", "1"), 2),
         (("encode", "--mode", "fse", "-q", "9", "-k", "3", "--ell", "1", "--m", "5"), 2),
         (("encode", "--mode", "code", "-q", "9", "-k", "3", "-n", "5"), 2),
         (("decode",), 1),  # a header's q is corrupt input
         (("verify", "-q", "40", "-k", "2"), 2),
-    ], ids=["rate", "rank", "unrank", "encode-fse", "encode-code", "decode-header", "verify"])
+    ], ids=["rank", "unrank", "encode-fse", "encode-code", "decode-header", "verify"])
     def test_alphabet_past_the_window_cap_fails_before_the_dp(
         self, argv, rc_expected, tmp_path, capsys, monkeypatch
     ):
@@ -224,6 +223,23 @@ class TestFlagBounds:
         rc, _, err = run(capsys, *argv)
         assert rc == rc_expected
         assert f"over the window cap {MAX_WINDOWS}" in err and "Traceback" not in err
+
+    def test_rate_past_the_window_cap_builds_no_window_dp(self, capsys, monkeypatch):
+        # rates and parameters count on equality patterns alone, at any q
+        def building(*args):
+            raise AssertionError("rate built the window DP")
+
+        monkeypatch.setattr("tdcode.enumeration._WindowDP.__init__", building)  # as _dp calls it
+        rc, out, err = run(capsys, "rate", "-q", "40", "-k", "3", "-e", "0.01")
+        assert rc == 0 and err == ""
+        assert '"ell": 99, "m": 100' in out
+
+    @pytest.mark.parametrize("q, k", [(10**45, 3), (10**78, 2), (10**155, 2), (10**309, 3)])
+    def test_alphabet_past_float_range_is_a_domain_error(self, q, k, capsys):
+        # with no window cap, rate's float lambda and kappa bound q instead
+        rc, out, err = run(capsys, "rate", "-q", str(q), "-k", str(k), "-e", "0.01")
+        assert rc == 2 and out == ""
+        assert "is too large for a float rate" in err and "Traceback" not in err
 
     def test_duplication_count_past_the_cap_fails_before_reading(self, capsys, monkeypatch):
         def reading(*args):

@@ -93,6 +93,14 @@ class TestCountIrr:
                 + (q - 2) * count_irr(n - 3, sys_)
             )
 
+    @pytest.mark.parametrize("q", [*range(3, 11), 40, 1000])
+    def test_base_lengths_match_closed_forms(self, q):
+        # the pattern DP seeds I(n) for n < 2k at any q, with no window built
+        for k in (2, 3):
+            sys_ = DupSystem(q, k)
+            for n in range(2 * k):
+                assert count_irr(n, sys_) == ref.count_closed_form(n, sys_), (q, k, n)
+
     def test_large_n_is_fast_and_exact_integer(self, s32):
         value = count_irr(2000, s32)
         assert isinstance(value, int)
@@ -167,6 +175,22 @@ class TestExtensions:
         assert extension_count(Word((), 3), 5, s32) == count_irr(5, s32)
         assert extension_count(Word((), 3), 5, s33) == count_irr(5, s33)
 
+    def test_level_rows_count_once_per_table(self, monkeypatch):
+        # a walk at the state-length cap reads every table's list in place
+        # (it made 43046 count calls when the rows were filled one at a time)
+        dp = _dp(DupSystem(8, 3))
+        calls = []
+        count = enumeration.CountTable.count
+        monkeypatch.setattr(enumeration.CountTable, "count",
+                            lambda table, n: calls.append(n) or count(table, n))
+        rows = dp.level_rows(2048)
+        assert len(calls) <= len(dp.tables)
+        monkeypatch.undo()
+        assert len(rows) == 2048
+        for i in (0, 1, 1000, 2047):
+            assert rows[i] == tuple(t.count(2047 - i) for t in dp.tables)
+        assert dp.level_rows(0) == []
+
     def test_reducible_stem_rejected(self, s32):
         with pytest.raises(DomainError):
             extension_count(w("00"), 2, s32)
@@ -235,6 +259,14 @@ class TestDeltaMinDegree:
         for sys_ in (s32, s42):
             for m in (3, 4):
                 assert ref.delta_closed_form(m, sys_) == delta_min_degree(m, sys_), (sys_, m)
+
+    @pytest.mark.parametrize("q", [40, 1000])
+    def test_closed_forms_at_large_alphabets(self, q):
+        # the pattern DP's minima hold past the window cap; k = 3, m = 7's
+        # recorded form is left out, since it disagrees with exhaustive counting
+        for k, m in ((2, 3), (2, 4), (3, 5), (3, 6)):
+            sys_ = DupSystem(q, k)
+            assert delta_min_degree(m, sys_) == ref.delta_closed_form(m, sys_), (q, k, m)
 
     def test_closed_form_m7_disagrees_k3(self, s33):
         # the recorded degree polynomial for the longest k=3 base window is
@@ -348,15 +380,17 @@ class TestAsymptoticRate:
         assert asymptotic_rate(s32).kappa == pytest.approx(3 / phi**3)
 
     def test_rate_alone_builds_no_window_dp(self, fresh_tables):
-        # kappa needs the window DP; rate and lam do not
-        sys_ = DupSystem(6, 3)
-        info = asymptotic_rate(sys_)
-        assert info.rate == pytest.approx(math.log(info.lam, 6))
+        # rates, kappa, minimum out-degrees and parameters read the pattern
+        # DP only, so they answer past the window cap (q = 40)
+        for q, eps in ((6, 0.01), (8, 0.005), (40, 0.01)):
+            sys_ = DupSystem(q, 3)
+            info = asymptotic_rate(sys_)
+            assert info.rate == pytest.approx(math.log(info.lam, q))
+            kappa = info.kappa
+            assert kappa == min(delta_min_degree(m, sys_) / info.lam**m for m in (5, 6, 7))
+            params = choose_params(eps, sys_)
+            assert sys_.q**params.ell <= delta_min_degree(params.m, sys_)
         assert enumeration._dp.cache_info().misses == 0
-        kappa = info.kappa
-        assert enumeration._dp.cache_info().misses == 1
-        assert kappa == min(delta_min_degree(m, sys_) / info.lam**m for m in (5, 6, 7))
-        assert info.kappa is kappa
 
     def test_rate_matches_count_growth(self, s32):
         empirical = math.log(count_irr(400, s32), 3) / 400

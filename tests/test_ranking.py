@@ -310,12 +310,14 @@ class TestUnrankRank:
                     assert ops_r <= 8 * n
 
     def test_plain_path_keeps_the_window_table_small(self, s42, fresh_tables):
-        # plain rank/unrank count through count_table(sys); the window DP's
-        # pattern tables stay at their 2k seed rows
+        # plain rank/unrank count through count_table(sys), the empty
+        # window's table; the other pattern tables stay at their 2k seed rows
         j = count_irr(4000, s42) // 3
         assert rank_irr(unrank_irr(4000, j, s42), s42) == j
         assert enumeration._dp.cache_info().misses == 1  # the walker's, shared
-        assert all(len(t._values) <= 2 * s42.k for t in enumeration._dp(s42).tables)
+        dp = enumeration._dp(s42)
+        assert dp.counts(0) is enumeration.count_table(s42)
+        assert all(len(t._values) == 2 * s42.k for t in dp.tables[1:])
 
     def test_prefix_path_keeps_the_window_table_small(self, fresh_tables):
         # prefix classes count through the table of the prefix's pattern; the

@@ -456,9 +456,11 @@ class TestRecords:
         assert OracleBudget() == OracleBudget(2_000_000, 12)
         assert OracleBudget(max_depth=3) == OracleBudget(2_000_000, 3)
 
-    def test_rate_info_computes_kappa_once(self):
+    def test_rate_info_reads_kappa_as_a_property(self):
+        # kappa is derived from the fields, so a record holds only those
         info = asymptotic_rate(_S43)
-        assert info.kappa is info.kappa
+        assert info.kappa == info.kappa
+        assert not hasattr(info, "__dict__")
         assert copy.deepcopy(info) == info
 
     def test_checks_run_on_every_construction(self):
