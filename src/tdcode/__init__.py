@@ -26,8 +26,8 @@ _EXPORTS = {
     "oracle": "OracleBudget RootOracle all_descendants all_roots_bfs "
               "enumerate_irr_bruteforce min_outdegree_bruteforce",
     "ranking": "rank_irr rank_irr_prefix unrank_irr unrank_irr_prefix",
-    "words": "DNA_ALPHABET DuplicationEvent DupSystem Word is_irreducible "
-             "random_descendant root tandem_duplicate",
+    "words": "DNA_ALPHABET DupSystem Word is_irreducible random_descendant root "
+             "tandem_duplicate",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -22,7 +22,9 @@ HEADER_PREFIX = "# tdcode"
 # every count up to its length n, about rate * log2(q) * n**2 / 2 bits
 # (100 MB at q = 4, k = 2, n = 2**15): count -n, unrank -n, rank -w and
 # encode -n set n, and -e sets the state length m up to which
-# delta_min_degree counts.  A stream's strands bound its header.  It
+# delta_min_degree counts.  n * n * q.bit_length() may not pass its value
+# at q = 27, the window cap's largest alphabet, and n = 2**15, which binds
+# count and rate alone (q >= 32).  A stream's strands bound its header.  It
 # also caps channel -t: each duplication moves the strand's tail, so the
 # channel's time grows as t**2 (-t 32768 on a 175k-symbol strand: 0.2 s).
 MAX_TABLE_LENGTH = 1 << 15
@@ -37,8 +39,9 @@ MAX_STATE_LENGTH = 1 << 11
 MAX_WINDOWS = 20_000
 
 # The most root samples verify may draw.  Each costs an unrank, a channel
-# draw and a root at length up to -n, and the oracle's search, which the
-# budget bounds over all samples (10000 samples at -n 8: about 0.6 s).
+# draw and two roots at length up to min(-n, --budget // --samples), and
+# the oracle's search, which the budget bounds over all samples (10000
+# samples at -n 8: about 0.6 s).
 _MAX_SAMPLES = 10_000
 
 
@@ -174,9 +177,13 @@ def _check_render(q: int, dna: bool) -> None:
         raise DomainError("digit rendering requires q <= 10; use --dna for q=4")
 
 
-def _check_length(n: int, what: str, cap: int = MAX_TABLE_LENGTH) -> None:
+def _check_length(n: int, what: str, cap: int = MAX_TABLE_LENGTH, q: int = 3) -> None:
+    # the bits bind from q = 32 on, which only count and rate take (no window DP)
     if n > cap:
         raise DomainError(f"{what} {n} exceeds the counting cap {cap}")
+    if n * n * q.bit_length() > MAX_TABLE_LENGTH**2 * 5:
+        raise DomainError(f"{what} {n} at q={show_int(q)} exceeds the counting cap: "
+                          f"n * n * bits(q) must stay <= {MAX_TABLE_LENGTH**2 * 5}")
 
 
 def _window_system(q: int, k: int) -> DupSystem:
@@ -197,7 +204,8 @@ def _choose_params(epsilon: float, sys_: DupSystem, cap: int = MAX_TABLE_LENGTH)
 
     info = asymptotic_rate(sys_)
     if 0 < epsilon < info.rate:  # else choose_params rejects epsilon
-        _check_length(_estimate(epsilon, info)[1], f"epsilon {epsilon}: state length", cap)
+        _check_length(_estimate(epsilon, info)[1], f"epsilon {epsilon}: state length",
+                      cap, sys_.q)
     return choose_params(epsilon, sys_)
 
 
@@ -315,7 +323,7 @@ def _cmd_count(args) -> int:
     from .enumeration import count_irr
 
     sys_ = DupSystem(args.q, args.k)
-    _check_length(args.n, "length")
+    _check_length(args.n, "length", q=args.q)
     value = count_irr(args.n, sys_)
     with _all_digits():
         if args.json:
@@ -524,7 +532,7 @@ def _default_delta_lengths(sys_: DupSystem) -> tuple[int, ...]:
 def _cmd_verify(args) -> int:
     import json
 
-    from .enumeration import count_irr, delta_min_degree
+    from .enumeration import _dp, count_irr, delta_min_degree
     from .oracle import (
         OracleBudget,
         RootOracle,
@@ -580,15 +588,17 @@ def _cmd_verify(args) -> int:
             fast = delta_min_degree(m, sys_)
             record(f"delta m={m}", fast == brute, f"degree {fast} vs brute {brute}")
     if args.scope in ("roots", "all"):
-        rng = random.Random(args.seed)
+        rng, walk, q = random.Random(args.seed), _dp(sys_).reduce, sys_.q
         oracle = RootOracle(sys_, budget)  # one memo: the budget bounds every sample's search
         ok, detail = True, f"{args.samples} samples at depth {args.depth}"
+        longest = max(1, min(args.n, args.budget // args.samples))  # unranks within the budget
         for i in range(args.samples):
-            n = rng.randint(1, args.n)
+            n = rng.randint(1, longest)
             x = unrank_irr(n, rng.randint(1, count_irr(n, sys_)), sys_)
-            y, _events = random_descendant(x, args.depth, sys_, rng.getrandbits(48))
-            try:
-                ok = root(y, sys_) == x and oracle.roots(y) == {x}
+            y, _ = random_descendant(x, args.depth, sys_, rng.getrandbits(48))
+            try:  # words.root, decode's window walk, and the oracle
+                ok = (root(y, sys_) == x and tuple(c % q for c in walk(y.symbols)) == x.symbols
+                      and oracle.roots(y) == {x})
             except BudgetExceededError:
                 detail = f"skipped: budget after {i} of {args.samples} samples"
                 break

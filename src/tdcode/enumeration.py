@@ -181,26 +181,26 @@ class _WindowDP:
         self.pat = [patterns[tuple(map(w.index, w))] for w in states]
 
     @cached_property
-    def cell_ids(self) -> list[int] | None:
-        """range(len(step)) as a list, for reduce's cells to share, built on
-        the first reduce; None past _SHARED_CELLS cells."""
-        return list(range(len(self.step))) if len(self.step) <= _SHARED_CELLS else None
+    def cell_ids(self) -> Sequence[int]:
+        """The ints of reduce's cells, built on the first reduce: a list of
+        shared ints up to _SHARED_CELLS cells, else a range whose new ints an
+        array of machine ints stores."""
+        n = len(self.step)
+        return list(range(n)) if n <= _SHARED_CELLS else range(n)
 
     def reduce(self, s: Sequence[int], row: int = 0) -> MutableSequence[int]:
         """The cells sid * q + c of s's root, c after window sid, by root's
         stack rule, walked from the empty window.  From another window,
         whose row sid * q is given and which a square may reach back into,
         the walk stops at the first symbol that closes a square instead: the
-        cells of the longest prefix of s that extends the window.  A cell
-        past 256 is an int object, so the cells are a list of cell_ids'
-        shared ints, or past _SHARED_CELLS cells an array of machine ints."""
+        cells of the longest prefix of s that extends the window."""
         step, ids, stop = self.step, self.cell_ids, row != 0
-        cells = [] if ids is not None else _int_array()
+        cells = _int_array() if type(ids) is range else []
         for c in s:
             cell = row + c
             nxt = step[cell]
             if nxt >= 0:
-                cells.append(cell if ids is None else ids[cell])
+                cells.append(ids[cell])
                 row = nxt
             elif stop:
                 break

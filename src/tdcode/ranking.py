@@ -44,7 +44,7 @@ from typing import Sequence
 
 from .enumeration import _coefficients, _dp, _index, _kth, count_table
 from .errors import DomainError, show_int
-from .words import DupSystem, Word, _check_alphabet, is_irreducible
+from .words import DupSystem, Word, _check_alphabet
 
 # --------------------------------------------------------- the suffix maps
 
@@ -77,7 +77,7 @@ def _require_prefix(p: Word, sys: DupSystem) -> None:
         raise DomainError(f"prefix alphabet q={p.q} does not match system q={sys.q}")
     if len(p) < 1:
         raise DomainError("prefix must be nonempty")
-    if not is_irreducible(p, sys.k):
+    if len(_dp(sys).reduce(p.symbols)) < len(p):  # the walk dropped a square
         raise DomainError(f"prefix {p} is not irreducible for k = {sys.k}")
 
 

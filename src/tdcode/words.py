@@ -164,28 +164,6 @@ class Word(_Record):
         return ".".join(str(s) for s in self.symbols)
 
 
-class DuplicationEvent(_Record):
-    """One tandem duplication: copy x[position : position+length] in place."""
-
-    __slots__ = ("position", "length")
-    position: int
-    length: int
-
-    def __post_init__(self) -> None:
-        if self.position < 0:
-            raise DomainError(f"duplication position must be >= 0, got {self.position}")
-        if self.length < 1:
-            raise DomainError(f"duplication length must be >= 1, got {self.length}")
-
-    @classmethod
-    def _unchecked(cls, position: int, length: int) -> "DuplicationEvent":
-        """An event already known to be valid, built without the checks."""
-        e = object.__new__(cls)
-        object.__setattr__(e, "position", position)
-        object.__setattr__(e, "length", length)
-        return e
-
-
 class DupSystem(_Record):
     """A duplication system: alphabet size q >= 3 and root-unique k in {2, 3}."""
 
@@ -205,65 +183,61 @@ def _check_alphabet(x: Word, sys: DupSystem) -> None:
         raise DomainError(f"word alphabet q={x.q} does not match system q={sys.q}")
 
 
-def tandem_duplicate(x: Word, e: DuplicationEvent) -> Word:
-    """Apply one duplication event: x = uvw -> uvvw with v = the copied block."""
-    end = e.position + e.length
+def tandem_duplicate(x: Word, e: tuple[int, int]) -> Word:
+    """Apply one duplication e = (position, length), a draw of _duplicate:
+    x = uvw -> uvvw with v = x[position : position + length]."""
+    position, length = e
+    if position < 0:
+        raise DomainError(f"duplication position must be >= 0, got {position}")
+    if length < 1:
+        raise DomainError(f"duplication length must be >= 1, got {length}")
+    end = position + length
     if end > len(x):
-        raise DomainError(
-            f"event copies [{e.position}:{end}] but the word has length {len(x)}"
-        )
+        raise DomainError(f"event copies [{position}:{end}] but the word has length {len(x)}")
     s = x.symbols
-    return Word(s[:end] + s[e.position:end] + s[end:], x.q)
+    return Word(s[:end] + s[position:end] + s[end:], x.q)
 
 
-def is_irreducible(x: Word, k: int) -> bool:
-    """True when x contains no substring ww with |w| <= k.
-
-    A square ww with |w| = t is a run of t consecutive positions i with
-    s[i] == s[i - t], so one pass per half-length t decides it.
-    """
-    if k < 1:
-        raise DomainError(f"repeat length bound must be >= 1, got {k}")
-    s = x.symbols
-    n = len(s)
-    for t in range(1, min(k, n // 2) + 1):
-        run = 0
-        for i in range(t, n):
-            run = run + 1 if s[i] == s[i - t] else 0
-            if run == t:
-                return False
-    return True
-
-
-def root(y: Word, sys: DupSystem) -> Word:
-    """The irreducible root of y, by stack reduction in O(n*k).
-
-    Push the symbols of y one at a time.  The stack before a push is
-    irreducible, so a square ww with |w| = t <= k can only appear ending
-    at the new symbol; then drop its second copy (pop t - 1 symbols and
-    skip the push).  What remains is a prefix of an irreducible stack,
-    hence irreducible again, and every step is a deduplication of the
-    whole word.  For k in {2, 3} the root is unique (Jain, Farnoud,
-    Schwartz and Bruck, IEEE T-IT 2017), so this order reaches it.  x1..x3
-    copy the stack's top three; five sentinels below it spare length tests.
-    """
-    _check_alphabet(y, sys)
-    st = bytearray(range(251, 256)) if y.q <= 251 else list(range(-5, 0))
+def _stack(s, q: int, k: int):
+    """root's stack over s, five sentinels first: push the symbols one at a
+    time.  The stack before a push is irreducible, so a square ww with
+    |w| = t <= k can only appear ending at the new symbol; then drop its
+    second copy (pop t - 1 symbols and skip the push).  What remains is a
+    prefix of an irreducible stack, hence irreducible again, and every step
+    is a deduplication of the whole word.  x1..x3 copy the stack's top
+    three; the sentinels below it spare length tests."""
+    st = bytearray(range(251, 256)) if q <= 251 else list(range(-5, 0))
     push, pop = st.append, st.pop
     x3, x2, x1 = st[-3:]
-    for c in y.symbols:
+    for c in s:
         if c == x1:
             continue
         if c == x2 and x3 == x1:
             pop()
             x1, x2, x3 = x2, x3, st[-3]
-        elif c == x3 and sys.k == 3 and st[-4] == x1 and st[-5] == x2:
+        elif c == x3 and k == 3 and st[-4] == x1 and st[-5] == x2:
             del st[-2:]
             x1, x2, x3 = x3, x1, x2
         else:
             push(c)
             x1, x2, x3 = c, x1, x2
-    return Word._unchecked(tuple(st[5:]), y.q)
+    return st
+
+
+def is_irreducible(x: Word, k: int) -> bool:
+    """True when x contains no substring ww with |w| <= k, k in {2, 3}:
+    root's stack drops nothing from x."""
+    if k not in (2, 3):
+        raise DomainError(f"duplication bound k must be 2 or 3, got {k}")
+    return len(_stack(x.symbols, x.q, k)) == len(x) + 5
+
+
+def root(y: Word, sys: DupSystem) -> Word:
+    """The irreducible root of y, by _stack's reduction in O(n*k).  For k
+    in {2, 3} the root is unique (Jain, Farnoud, Schwartz and Bruck, IEEE
+    T-IT 2017), so the stack's order reaches it."""
+    _check_alphabet(y, sys)
+    return Word._unchecked(tuple(_stack(y.symbols, y.q, sys.k)[5:]), y.q)
 
 
 def _duplicate(buf, t: int, k: int, seed: int) -> list[tuple[int, int]]:
@@ -296,12 +270,11 @@ def _duplicate(buf, t: int, k: int, seed: int) -> list[tuple[int, int]]:
 
 def random_descendant(
     x: Word, t: int, sys: DupSystem, seed: int
-) -> tuple[Word, list[DuplicationEvent]]:
-    """Apply t random duplications and return the result with its event trace.
-
-    The draws are _duplicate's, so the same seed always yields the same
-    trace.  The symbols live in a bytearray when they fit a byte, so each
-    insertion moves one byte per symbol.
+) -> tuple[Word, list[tuple[int, int]]]:
+    """Apply t random duplications and return the result with its
+    (position, length) draws, _duplicate's, so the same seed always yields
+    the same draws.  The symbols live in a bytearray when they fit a byte,
+    so each insertion moves one byte per symbol.
     """
     _check_alphabet(x, sys)
     if t < 0:
@@ -309,6 +282,5 @@ def random_descendant(
     if len(x) == 0 and t > 0:
         raise DomainError("cannot duplicate within the empty word")
     syms = bytearray(x.symbols) if x.q <= 256 else list(x.symbols)
-    event = DuplicationEvent._unchecked
-    events = [event(pos, length) for pos, length in _duplicate(syms, t, sys.k, seed)]
-    return Word._unchecked(tuple(syms), x.q), events
+    draws = _duplicate(syms, t, sys.k, seed)
+    return Word._unchecked(tuple(syms), x.q), draws

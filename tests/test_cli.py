@@ -255,6 +255,38 @@ class TestFlagBounds:
         with pytest.raises(DomainError):
             _check_length(MAX_TABLE_LENGTH + 1, "length")
 
+    @pytest.mark.parametrize("argv, what", [
+        (("count", "-q", str(10**300), "-k", "2", "-n", str(MAX_TABLE_LENGTH)),
+         f"length {MAX_TABLE_LENGTH} at q=<997-bit integer>"),
+        (("rate", "-q", str(10**20), "-k", "2", "-e", "1e-4"),
+         "epsilon 0.0001: state length 9999 at q=<67-bit integer>"),
+    ], ids=["count", "rate"])
+    def test_table_bits_past_the_cap_fail_before_counting(self, argv, what, capsys, monkeypatch):
+        # a count table holds about n * n * log2(q) bits: its length alone
+        # does not bound it once q has hundreds of digits
+        def counting(*args):
+            raise AssertionError("counting started before the table's bits were checked")
+
+        for name in ("count_irr", "choose_params"):  # rate's kappa counts 3k - 1 symbols
+            monkeypatch.setattr(f"tdcode.enumeration.{name}", counting)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == (f"error: {what} exceeds the counting cap: n * n * bits(q) must stay "
+                       f"<= {MAX_TABLE_LENGTH**2 * 5}\n")
+
+    def test_table_bits_of_every_alphabet_below_32_are_allowed(self, capsys, monkeypatch):
+        # q = 27 at the length cap sets the bound, and q = 31 has as many bits
+        _check_length(MAX_TABLE_LENGTH, "length", q=31)
+        with pytest.raises(DomainError):
+            _check_length(MAX_TABLE_LENGTH, "length", q=32)
+
+        def counting(*args):
+            raise Counted
+
+        monkeypatch.setattr("tdcode.enumeration.count_irr", counting)
+        with pytest.raises(Counted):
+            main(["count", "-q", "31", "-k", "2", "-n", str(MAX_TABLE_LENGTH)])
+
 
 class Counted(Exception):
     """Raised by the counting entry points the header walk stubs out."""
@@ -1048,6 +1080,69 @@ class TestVerify:
         [check] = json.loads(out)["checks"]
         assert check["ok"] and re.fullmatch(r"skipped: budget after \d+ of 50 samples",
                                             check["detail"])
+
+    @pytest.mark.parametrize("flags, longest", [
+        ((), 8),  # the default budget and samples draw from [1, -n] as before
+        (("-n", "30", "--samples", "10", "--budget", "100"), 10),
+        (("-n", "30", "--samples", "300", "--budget", "100"), 1),
+    ], ids=["defaults", "budget-binds", "below-one-symbol-a-sample"])
+    def test_roots_draw_lengths_the_budget_holds(self, flags, longest, capsys, monkeypatch):
+        # each sample's length is drawn from [1, min(-n, --budget // --samples)]
+        import tdcode.ranking
+
+        seen, unrank = [], tdcode.ranking.unrank_irr
+
+        def recording(n, j, sys_):
+            seen.append((n, j))
+            return unrank(n, j, sys_)
+
+        monkeypatch.setattr("tdcode.ranking.unrank_irr", recording)
+        rc, out, _ = run(capsys, "verify", "--scope", "roots", "-q", "3", "-k", "2",
+                         "--depth", "0", *flags)
+        assert rc == 0
+        samples = int(dict(zip(flags[::2], flags[1::2])).get("--samples", 50))
+        rng, s32, expected = random.Random(0), DupSystem(3, 2), []
+        for _ in range(samples):
+            n = rng.randint(1, longest)
+            expected.append((n, rng.randint(1, count_irr(n, s32))))
+            rng.getrandbits(48)
+        assert seen == expected
+
+    def test_roots_at_the_length_cap_end_fast_and_small(self, tmp_path):
+        # 10000 samples at -n 32768 and the default budget: each draws at
+        # most 200 symbols, so the run ends in seconds, not 16 s at 386 MB
+        status = Path("/proc/self/status")
+        if not status.exists():
+            pytest.skip("needs /proc/self/status for the child's own peak RSS")
+        src = Path(__file__).resolve().parent.parent / "src"
+        argv = ["verify", "-q", "27", "-k", "2", "-n", str(MAX_TABLE_LENGTH), "--scope", "roots",
+                "--samples", str(_MAX_SAMPLES), "--depth", "0"]
+        # VmHWM is this process's own peak: ru_maxrss would carry the launcher's
+        code = ("import sys; from tdcode.cli import main; "
+                f"rc = main({argv!r}); "
+                "print(rc, next(l.split()[1] for l in open('/proc/self/status') "
+                "if l.startswith('VmHWM')), file=sys.stderr)")
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        elapsed = time.perf_counter() - start
+        rc, peak_kb = map(int, done.stderr.split())
+        assert (rc, done.stdout) == (0, f"ok roots: {_MAX_SAMPLES} samples at depth 0\n"
+                                        "all checks passed\n")
+        assert elapsed < 5, f"verify took {elapsed:.1f} s"
+        assert peak_kb < 60 * 1024, f"verify peaked at {peak_kb / 1024:.0f} MB"
+
+    def test_roots_check_the_window_walk(self, capsys, monkeypatch):
+        # decode reduces in the window walk, so each sample checks its root too
+        from tdcode.enumeration import _WindowDP
+
+        reduce = _WindowDP.reduce
+        monkeypatch.setattr(_WindowDP, "reduce", lambda self, s, row=0: reduce(self, s, row)[:-1])
+        rc, out, _ = run(capsys, "verify", "--scope", "roots", "-q", "3", "-k", "2", "-n", "6",
+                         "--samples", "5")
+        assert rc == 1
+        assert out.startswith("FAIL roots: root mismatch for a descendant of ")
+        assert out.endswith("verification failed\n")
 
     def test_counts_skip_from_the_first_length_past_the_budget(self, capsys):
         # 3**3 = 27 fits a budget of 27, 3**4 does not

@@ -25,7 +25,6 @@ from tdcode import (
     random_descendant,
     root,
     tandem_duplicate,
-    DuplicationEvent,
 )
 from tdcode.codec import decode_codewords, encode_codewords
 
@@ -111,8 +110,8 @@ class TestDecodeCodeword:
     def test_decodes_any_descendant(self, s32):
         spec = CodeSpec(s32, 4)
         c = encode_codeword(30, spec)
-        y = tandem_duplicate(c, DuplicationEvent(0, 2))
-        y = tandem_duplicate(y, DuplicationEvent(3, 1))
+        y = tandem_duplicate(c, (0, 2))
+        y = tandem_duplicate(y, (3, 1))
         assert decode_codeword(y, spec) == 30
 
     @pytest.mark.parametrize("t", [1, 5, 25])
@@ -135,7 +134,8 @@ class TestDecodeCodeword:
         def refuse(*args):
             raise AssertionError("root or is_irreducible called while decoding")
 
-        monkeypatch.setattr("tdcode.ranking.is_irreducible", refuse)
+        # root and is_irreducible both run words._stack
+        monkeypatch.setattr("tdcode.words._stack", refuse)
         monkeypatch.setattr("tdcode.words.root", refuse)
         monkeypatch.setattr("tdcode.codec.root", refuse, raising=False)
         assert decode_codeword(y, spec) == j
@@ -168,7 +168,7 @@ class TestDecodeCodeword:
                 for word in frontier:
                     for length in (1, 2):
                         for pos in range(len(word) - length + 1):
-                            child = tandem_duplicate(word, DuplicationEvent(pos, length))
+                            child = tandem_duplicate(word, (pos, length))
                             nxt.add(child)
                 frontier = nxt
                 for child in frontier:

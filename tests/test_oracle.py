@@ -11,7 +11,6 @@ from tdcode import (
     BudgetExceededError,
     DomainError,
     DupSystem,
-    DuplicationEvent,
     OracleBudget,
     RootOracle,
     Word,
@@ -111,7 +110,7 @@ class TestAllDescendants:
         expected = {x}
         for length in (1, 2):
             for pos in range(len(x) - length + 1):
-                expected.add(tandem_duplicate(x, DuplicationEvent(pos, length)))
+                expected.add(tandem_duplicate(x, (pos, length)))
         assert all_descendants(x, 1, s32) == expected
 
     def test_monotone_in_depth(self, s33):

@@ -515,7 +515,7 @@ class TestWindowWalk:
         assert len(enumeration._dp(DupSystem(6, 3)).cell_ids) == 26322
         sys_ = DupSystem(8, 3)
         dp, rng = enumeration._dp(sys_), random.Random(83)
-        assert dp.cell_ids is None
+        assert isinstance(dp.cell_ids, range)
         spec = CodeSpec(sys_, 40)
         for j in (1, 12345, code_size(40, sys_)):
             y = encode_codeword(j, spec).symbols

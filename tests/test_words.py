@@ -1,4 +1,4 @@
-"""Tests for words, duplication events, and root extraction."""
+"""Tests for words, tandem duplications, and root extraction."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from tdcode import (
     CodeSpec,
     DomainError,
     DupSystem,
-    DuplicationEvent,
     FseParams,
     OracleBudget,
     RateInfo,
@@ -32,6 +31,7 @@ from tdcode import (
     tandem_duplicate,
     unrank_irr,
 )
+from tdcode.enumeration import _dp
 from tdcode.oracle import _has_square
 from tdcode.words import _text_codec
 
@@ -63,7 +63,7 @@ def random_descendant_reference(x: Word, t: int, k: int, seed: int):
         length = rng.randint(1, min(k, len(syms)))
         pos = rng.randint(0, len(syms) - length)
         syms[pos + length:pos + length] = syms[pos:pos + length]
-        events.append(DuplicationEvent(pos, length))
+        events.append((pos, length))
     return Word(tuple(syms), x.q), events
 
 
@@ -176,18 +176,20 @@ class TestTandemDuplicate:
         ("0121", 1, 2, "012121"),
     ])
     def test_inserts_copy_after_original(self, x, pos, length, expected):
-        got = tandem_duplicate(w(x), DuplicationEvent(pos, length))
+        got = tandem_duplicate(w(x), (pos, length))
         assert str(got) == expected
 
     def test_out_of_range_event(self):
         with pytest.raises(DomainError):
-            tandem_duplicate(w("012"), DuplicationEvent(2, 2))
+            tandem_duplicate(w("012"), (2, 2))
 
     def test_event_fields_validated(self):
-        with pytest.raises(DomainError):
-            DuplicationEvent(-1, 1)
-        with pytest.raises(DomainError):
-            DuplicationEvent(0, 0)
+        with pytest.raises(DomainError, match="^duplication position must be >= 0, got -1$"):
+            tandem_duplicate(w("012"), (-1, 1))
+        with pytest.raises(DomainError, match="^duplication length must be >= 1, got 0$"):
+            tandem_duplicate(w("012"), (0, 0))
+        with pytest.raises(DomainError, match=r"^event copies \[2:4\] but the word has length 3$"):
+            tandem_duplicate(w("012"), (2, 2))
 
 
 class TestIsIrreducible:
@@ -208,21 +210,42 @@ class TestIsIrreducible:
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_agrees_with_scan_and_oracle(self, data):
-        q = data.draw(st.integers(2, 5))
-        k = data.draw(st.integers(1, 4))
-        x = Word(tuple(data.draw(st.lists(st.integers(0, q - 1), max_size=24))), q)
-        assert is_irreducible(x, k) == (not _has_square(x.symbols, k))
+        # is_irreducible runs root's stack; the window walk decides the same,
+        # and so does the oracle's scan, on words with squares and without
+        q = data.draw(st.integers(2, 8))
+        k = data.draw(st.sampled_from([2, 3]))
+        if q > 2 and data.draw(st.booleans()):  # an irreducible word, maybe duplicated
+            sys_ = DupSystem(q, k)
+            n = data.draw(st.integers(0, 24))
+            x = unrank_irr(n, data.draw(st.integers(1, count_irr(n, sys_))), sys_)
+            for _ in range(data.draw(st.integers(0, 2)) if n else 0):
+                length = data.draw(st.integers(1, min(k, len(x))))
+                x = tandem_duplicate(x, (data.draw(st.integers(0, len(x) - length)), length))
+        else:
+            x = Word(tuple(data.draw(st.lists(st.integers(0, q - 1), max_size=24))), q)
+        expected = not _has_square(x.symbols, k)
+        assert is_irreducible(x, k) == expected
+        if q > 2:  # root and the walk need a system, q >= 3
+            sys_ = DupSystem(q, k)
+            assert (len(root(x, sys_)) == len(x)) == expected
+            assert (len(_dp(sys_).reduce(x.symbols)) == len(x)) == expected
 
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(DomainError):
             is_irreducible(w("01"), 0)
 
+    @pytest.mark.parametrize("k", [-1, 1, 4, 7])
+    def test_takes_the_bounds_of_a_system(self, k):
+        # the stack decides squares of half-length up to 3, as DupSystem's k
+        with pytest.raises(DomainError, match=f"^duplication bound k must be 2 or 3, got {k}$"):
+            is_irreducible(w("0120"), k)
+
 
 class TestRoot:
     def test_worked_chain(self, s33):
         x = w("01210")
-        y = tandem_duplicate(x, DuplicationEvent(1, 3))
-        z = tandem_duplicate(y, DuplicationEvent(0, 2))
+        y = tandem_duplicate(x, (1, 3))
+        z = tandem_duplicate(y, (0, 2))
         assert str(z) == "0101211210"
         assert root(z, s33) == x
 
@@ -252,7 +275,7 @@ class TestRoot:
         for _ in range(data.draw(st.integers(0, 4))):
             length = data.draw(st.integers(1, min(k, len(word))))
             pos = data.draw(st.integers(0, len(word) - length))
-            word = tandem_duplicate(word, DuplicationEvent(pos, length))
+            word = tandem_duplicate(word, (pos, length))
         assert is_irreducible(root(word, sys_), k)
         assert root(word, sys_) == root(w(base), sys_)
 
@@ -389,14 +412,12 @@ _S43 = DupSystem(4, 3)
 
 
 class TestRecords:
-    """The seven frozen records behave as frozen dataclasses would: fields
+    """The six frozen records behave as frozen dataclasses would: fields
     by position or keyword, equality within one class, the field tuple's
     hash, the same repr, no assignment, and copy and pickle round trips."""
 
     RECORDS = [
         (Word, ("symbols", "q"), ((0, 1), 3), "Word(symbols=(0, 1), q=3)"),
-        (DuplicationEvent, ("position", "length"), (2, 3),
-         "DuplicationEvent(position=2, length=3)"),
         (DupSystem, ("q", "k"), (4, 3), "DupSystem(q=4, k=3)"),
         (CodeSpec, ("sys", "n"), (_S43, 8), "CodeSpec(sys=DupSystem(q=4, k=3), n=8)"),
         (FseParams, ("sys", "ell", "m"), (_S43, 3, 7),
@@ -431,10 +452,9 @@ class TestRecords:
 
     def test_no_equality_across_classes(self):
         # the same field tuple in two classes
-        assert DupSystem(3, 2) != DuplicationEvent(3, 2)
-        assert DuplicationEvent(3, 2) != OracleBudget(3, 2)
+        assert DupSystem(3, 2) != OracleBudget(3, 2)
         assert DupSystem(3, 2) != (3, 2)
-        assert len({DupSystem(3, 2), DuplicationEvent(3, 2), OracleBudget(3, 2)}) == 3
+        assert len({DupSystem(3, 2), OracleBudget(3, 2)}) == 2
 
     @pytest.mark.parametrize("cls, names, values, text", RECORDS, ids=IDS)
     def test_assignment_raises(self, cls, names, values, text):
