@@ -532,7 +532,7 @@ def _default_delta_lengths(sys_: DupSystem) -> tuple[int, ...]:
 def _cmd_verify(args) -> int:
     import json
 
-    from .enumeration import _dp, count_irr, delta_min_degree
+    from .enumeration import _dp, code_size, count_irr, delta_min_degree
     from .oracle import (
         OracleBudget,
         RootOracle,
@@ -564,14 +564,20 @@ def _cmd_verify(args) -> int:
         skip_from, power = 1, sys_.q  # the first n with q**n > budget, and its q**n
         while power <= args.budget:
             skip_from, power = skip_from + 1, power * sys_.q
+        words = 0  # the brute-force words of lengths 1 .. n: code_size(n)
         for n in range(1, args.n + 1):
             if n >= skip_from:
                 record(f"counts n={n}", True, "skipped: budget")
                 continue
             brute = enumerate_irr_bruteforce(n, sys_, budget)
+            words += len(brute)
             fast_n = count_irr(n, sys_)
             if fast_n != len(brute):
                 record(f"counts n={n}", False, f"count {fast_n} vs brute {len(brute)}")
+                continue
+            size = code_size(n, sys_)
+            if size != words:
+                record(f"counts n={n}", False, f"code size {size} vs brute {words}")
                 continue
             ranks = [rank_irr(w, sys_) for w in brute]
             ok = sorted(ranks) == list(range(1, fast_n + 1)) and all(

@@ -7,13 +7,15 @@ words with distinct irreducible roots, and duplication never changes the
 root, so the decoder recovers the message from any descendant: strip
 duplications back to the root and rank it, in one window walk of the
 received word (the window DP's reduce, which the FSE decoder also runs),
-and add the size of all shorter root classes.
+and add the size of all shorter root classes, CountTable.total's sum.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
+from .enumeration import code_size, count_table
 from .errors import DomainError, NotADescendantError, show_int
 from .ranking import _walk_tables
 from .words import DupSystem, Word, _check_alphabet, _Record
@@ -35,13 +37,12 @@ def encode_codewords(js: Iterable[int], spec: CodeSpec) -> Iterator[bytearray]:
     """The j-th codeword (1-indexed) for each j in js, as its symbols: roots
     are taken in order of length, each length ordered by rank, then padded to n.
 
-    The class sizes, their total and the walker are looked up once per
-    stream.  The root length is found walking down from n, where most roots
-    are; a root of length 1 costs n subtractions, about one unrank.
+    The class sizes, their total (code_size) and the walker are looked up
+    once per stream.  The root length is found walking down from n, where
+    most roots are; a root of length 1 costs n subtractions, about one unrank.
     """
     n, walk = spec.n, _walk_tables(spec.sys)
-    v = walk.class_sizes((), n)  # v[i]: the roots of length i
-    total = sum(v[1:n + 1])  # code_size(n)
+    v, total = walk.class_sizes((), n), code_size(n, spec.sys)  # v[i]: the roots of length i
     for j in js:
         if not 1 <= j <= total:
             raise DomainError(f"message index {show_int(j)} outside [1, {show_int(total)}]")
@@ -56,10 +57,9 @@ def encode_codewords(js: Iterable[int], spec: CodeSpec) -> Iterator[bytearray]:
 def decode_codewords(ys: Iterable[Word | Sequence[int]], spec: CodeSpec) -> Iterator[int]:
     """The message index of each received word, given as a Word (its alphabet
     checked) or as symbols in range(q), as decode_codeword gives it, with the
-    per-system lookups made once."""
+    per-system lookups made once; it counts only to its longest root."""
     n, walk = spec.n, _walk_tables(spec.sys)
-    v = walk.class_sizes((), n)
-    total = sum(v[1:n + 1])
+    shorter = cache(count_table(spec.sys).total)  # shorter(m - 1): the roots shorter than m
     for y in ys:
         if type(y) is Word:
             _check_alphabet(y, spec.sys)
@@ -71,7 +71,7 @@ def decode_codewords(ys: Iterable[Word | Sequence[int]], spec: CodeSpec) -> Iter
         m = len(cells)
         if m > n:
             raise NotADescendantError(f"root length {m} exceeds the code length {n}")
-        yield total - sum(v[m:n + 1]) + walk.rank_cells((), cells)  # shorter roots first
+        yield shorter(m - 1) + walk.rank_cells((), cells)  # shorter roots first
 
 
 def encode_codeword(j: int, spec: CodeSpec) -> Word:

@@ -55,6 +55,18 @@ class CountTable:
                 v.append(sum(map(mul, c, reversed(v))))
         return v[n]
 
+    def total(self, n: int) -> int:
+        """count(1) + ... + count(n), from the first 2k counts and the top k.
+        For b = 2k <= n the recursion, summed over lengths b .. n, telescopes:
+        (sum(c) - 1) * (count(b) + ... + count(n)) is the sum over i < k of
+        w[i] * (count(n - i) - count(b - 1 - i)), w[i] = c[i] + ... + c[-1]."""
+        self.count(n)
+        v, c, b = self._values, _coefficients(self.sys), 2 * self.sys.k
+        if n < b:
+            return sum(v[1:n + 1])
+        tops = sum(sum(c[i:]) * (v[n - i] - v[b - 1 - i]) for i in range(len(c)))
+        return sum(v[1:b]) + tops // (sum(c) - 1)  # by 2q - 5 or 3q - 8, exactly
+
 
 def _append_ok(w: tuple[int, ...], c: int, k: int) -> bool:
     # reject iff some square of half-length t <= k ends at the new symbol
@@ -106,12 +118,10 @@ def count_irr(n: int, sys: DupSystem) -> int:
 
 
 def code_size(n: int, sys: DupSystem) -> int:
-    """Size of the length-n run-padded code: sum of count_irr(i) for i <= n."""
+    """Size of the length-n run-padded code: count_table(sys).total(n)."""
     if n < 1:
         raise DomainError(f"codeword length must be >= 1, got {n}")
-    table = count_table(sys)
-    table.count(n)
-    return sum(table._values[1:n + 1])
+    return count_table(sys).total(n)
 
 
 # -------------------------------------------------------------- window DP

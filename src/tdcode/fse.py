@@ -31,21 +31,20 @@ from .words import DupSystem, Word, _check_alphabet
 
 
 @cache
-def _classes(sys: DupSystem) -> tuple[list[int], list[tuple[list[int], list[int]]]]:
+def _classes(sys: DupSystem) -> tuple[list[int], list[tuple[int, int]]]:
     """The decoder's cell classes, built in one pass over the window DP's
     successor rows when a decode first walks more symbols than the step
     table has cells.  table[sid * q + c] is the class of window sid's
     successors before c: the multiset of their patterns, which is all that
     a lexicographic index reads of them (37 classes at q = 4, k = 3, 145 at
-    q = 8).  Classes are numbered by size, class 0 the empty one, and each
-    other class is a smaller one with one more pattern: sizes[s - 1] holds
-    the smaller classes and the patterns of the classes of size s, so a
-    level's class sums cost one addition each."""
+    q = 8).  Classes are numbered in the order met from class 0, the empty
+    one: class i is made[i - 1] = (an earlier class, one more pattern), so
+    a level's class sums, taken in that order, cost one addition each."""
     dp = _dp(sys)
     q, last, pat, width = sys.q, dp.last, dp.pat, len(dp.tables)
     table = [0] * len(dp.step)
     keys: list[tuple[int, ...]] = [()]  # each class's patterns, sorted, in the order met
-    made = [(0, 0)]  # made[i]: the smaller class and the pattern that class i was met as
+    made: list[tuple[int, int]] = []
     grow = [0] * width  # grow[i * width + p]: class i with one more p, times width; 0 until met
     for row, nexts in zip(range(0, len(table), q), dp.succ):
         i = 0  # the class of the successors so far, times width
@@ -60,17 +59,7 @@ def _classes(sys: DupSystem) -> tuple[list[int], list[tuple[list[int], list[int]
                     grow += [0] * width
                 i = grow[at] = keys.index(key) * width
             table[row + last[nxt]] = i // width
-    order = sorted(range(len(keys)), key=lambda c: len(keys[c]))
-    renumber = [0] * len(keys)
-    for new, c in enumerate(order):
-        renumber[c] = new
-    sizes: list[tuple[list[int], list[int]]] = [([], []) for _ in keys[order[-1]]]
-    for c in order[1:]:
-        smaller, p = made[c]
-        smalls, pats = sizes[len(keys[c]) - 1]
-        smalls.append(renumber[smaller])
-        pats.append(p)
-    return list(map(renumber.__getitem__, table)), sizes
+    return table, made
 
 
 class FseCodec:
@@ -158,12 +147,12 @@ class FseCodec:
             symbols = bytes(map(mod, cells, repeat(sys.q)))
             values = _index(dp, self._start_sid, m, (symbols[b:b + m] for b in range(0, end, m)))
         else:
-            table, sizes = _classes(sys)
+            table, made = _classes(sys)
             values = [0] * (end // m)
             for i, row in enumerate(dp.level_rows(m)):
-                sums = [0]  # each class's sum of the level's counts, a size at a time
-                for smaller, pats in sizes:  # the smaller classes' sums are in already
-                    sums += map(add, map(sums.__getitem__, smaller), map(row.__getitem__, pats))
+                sums = [0]  # each class's sum of the level's counts, in the order met
+                for earlier, p in made:
+                    sums.append(sums[earlier] + row[p])
                 column = map(table.__getitem__, cells[i:end:m])
                 values = list(map(add, values, map(sums.__getitem__, column)))
         labeled = sys.q**ell

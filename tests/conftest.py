@@ -87,6 +87,49 @@ def walk_extensions(x: Word, r: int, sys_: DupSystem) -> list[Word]:
     return found
 
 
+def counting_int() -> type:
+    """A fresh int subclass that counts the arithmetic and compares made on
+    its values in its `ops` attribute.
+
+    A sum, difference, product or compare with a counted operand adds one,
+    and the sum, difference or product is counted again.  divmod adds one
+    and returns a counted quotient and a plain remainder, so a block's
+    mixed-radix digits (under 2**30) stay uncounted.
+    """
+
+    class Counted(int):
+        ops = 0
+
+        def __divmod__(self, other):
+            Counted.ops += 1
+            quotient, remainder = int.__divmod__(self, other)
+            return Counted(quotient), remainder
+
+        def __rdivmod__(self, other):
+            Counted.ops += 1
+            quotient, remainder = int.__rdivmod__(self, other)
+            return Counted(quotient), remainder
+
+    def counting(plain):
+        def op(self, other):
+            Counted.ops += 1
+            result = plain(self, other)
+            return result if isinstance(result, bool) else Counted(result)
+
+        return op
+
+    for name in ("add", "radd", "sub", "rsub", "mul", "rmul", "lt", "le", "gt", "ge"):
+        setattr(Counted, f"__{name}__", counting(getattr(int, f"__{name}__")))
+    return Counted
+
+
+def count_ops(counted: type, call, *args):
+    """call(*args), and the operations its counted numbers made."""
+    counted.ops = 0
+    result = call(*args)
+    return result, counted.ops
+
+
 class ValidationCounter:
     """Counts the per-symbol checks Word.__post_init__ runs."""
 

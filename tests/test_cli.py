@@ -840,6 +840,19 @@ class TestEncodeDecodeRoundTrip:
         assert rc == 0, err
         assert out.read_bytes() == b"hi"
 
+    def test_short_roots_decode_without_counting_to_n(self, tmp_path, capsys, fresh_tables):
+        # 32 strands of zeros, each the codeword of value 0: with chunk in
+        # the header, decode counts class sizes only to the one-symbol root
+        from tdcode import enumeration
+
+        enc = tmp_path / "enc.txt"
+        enc.write_text("# tdcode mode=code q=4 k=2 n=32768 chunk=64\n" + ("0" * 32768 + "\n") * 32)
+        out = tmp_path / "out.bin"
+        rc, _, err = run(capsys, "decode", "-i", str(enc), "-o", str(out))
+        assert rc == 0, err
+        assert out.read_bytes() == b""
+        assert len(enumeration.count_table(DupSystem(4, 2))._values) < 100
+
 
 CHUNK_WIDTHS = [1, 7, 26, 61, 64, 100]
 
@@ -1153,6 +1166,18 @@ class TestVerify:
         assert details[:3] == ["3 words, bijection ok", "6 words, bijection ok",
                                "12 words, bijection ok"]
         assert details[3:] == ["skipped: budget"] * 3
+
+    def test_counts_check_the_code_size(self, capsys, monkeypatch):
+        # code_size(n), the telescoped sum, against the brute-force words of
+        # lengths 1 .. n
+        from tdcode import enumeration
+
+        code_size = enumeration.code_size
+        monkeypatch.setattr("tdcode.enumeration.code_size", lambda n, sys_: code_size(n, sys_) + 1)
+        rc, out, _ = run(capsys, "verify", "--scope", "counts", "-q", "3", "-k", "2", "-n", "2")
+        assert rc == 1
+        assert out == ("FAIL counts n=1: code size 4 vs brute 3\n"
+                       "FAIL counts n=2: code size 10 vs brute 9\nverification failed\n")
 
     def test_budget_skips_are_reported(self, capsys):
         rc, out, _ = run(capsys, "verify", "--scope", "delta", "-q", "3", "-k", "2",

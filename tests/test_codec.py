@@ -26,6 +26,7 @@ from tdcode import (
     root,
     tandem_duplicate,
 )
+from tdcode import enumeration
 from tdcode.codec import decode_codewords, encode_codewords
 
 
@@ -225,6 +226,13 @@ class TestStreams:
         assert list(decode_codewords([bytes(y.symbols) for y in noisy], spec)) == js
         assert [decode_codeword(y, spec) for y in noisy] == js
         assert [index_reference(y, spec) for y in noisy] == js
+
+    def test_decode_counts_only_to_the_longest_root(self, fresh_tables):
+        # shorter roots are one telescoped sum, so strands whose root is one
+        # symbol count no class size past it, not 32768 of them
+        spec = CodeSpec(DupSystem(4, 2), 32768)
+        assert list(decode_codewords([bytes(32768)] * 32, spec)) == [1] * 32
+        assert len(enumeration.count_table(spec.sys)._values) < 100
 
     @pytest.mark.parametrize("bad, error, message", [
         (w("012"), NotADescendantError, "received length 3 is shorter than the code length 4"),

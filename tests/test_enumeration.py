@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from conftest import walk_extensions, window_dp
+from conftest import count_ops, counting_int, walk_extensions, window_dp
 from tdcode import (
     DomainError,
     DupSystem,
@@ -125,6 +125,30 @@ class TestCodeSize:
     def test_requires_positive_length(self, s32):
         with pytest.raises(DomainError):
             code_size(0, s32)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("q", range(3, 9))
+    def test_total_is_the_sum_of_counts(self, q, k):
+        # the telescoped sum, for every pattern's class, at every length; on
+        # copies of the seeds, so the shared tables do not grow
+        sys_ = DupSystem(q, k)
+        for seeded in enumeration._patterns(sys_)[1]:
+            table, running = enumeration.CountTable(sys_, seeded._values[:2 * k]), 0
+            for n in range(301):
+                running += table.count(n) if n else 0
+                assert table.total(n) == running, (q, k, n)
+
+    @pytest.mark.parametrize("sysname", ["s42", "s43"])
+    def test_total_costs_the_same_at_any_length(self, sysname, request):
+        # once the counts are in, a sum reads the first 2k and the top k of them
+        table = enumeration.CountTable(request.getfixturevalue(sysname))
+        table.count(8000)
+        counted = counting_int()
+        table._values[:] = map(counted, table._values)
+        at_1000, ops_1000 = count_ops(counted, table.total, 1000)
+        at_8000, ops_8000 = count_ops(counted, table.total, 8000)
+        assert (at_1000, at_8000) == (sum(table._values[1:1001]), sum(table._values[1:8001]))
+        assert ops_1000 == ops_8000
 
     def test_keeps_one_list_of_counts(self, fresh_tables):
         # the counts are O(n**2) bits; a second list, of their prefix sums,

@@ -445,17 +445,17 @@ class TestCliDecodePath:
 
     @pytest.mark.parametrize("q, k", [(3, 2), (4, 3), (8, 3)])
     def test_class_sums_are_the_successor_scans(self, q, k):
-        # each cell's class sum, built a size at a time from smaller classes,
-        # is the sum over the window's successors before its symbol that
-        # _index scans, on a row whose sums tell multisets apart
+        # each cell's class sum, built in the order met from an earlier
+        # class, is the sum over the window's successors before its symbol
+        # that _index scans, on a row whose sums tell multisets apart
         dp = _dp(DupSystem(q, k))
-        table, sizes = fse._classes(dp.sys)
+        table, made = fse._classes(dp.sys)
         width = len(dp.tables)
         row = [16**p for p in range(width)]  # a multiset holds a pattern at most q - 1 times
         sums = [0]
-        for smaller, pats in sizes:
-            assert all(s < len(sums) for s in smaller)
-            sums += [sums[s] + row[p] for s, p in zip(smaller, pats)]
+        for earlier, p in made:
+            assert earlier < len(sums)  # the smaller class comes first
+            sums.append(sums[earlier] + row[p])
         assert len(sums) == max(table) + 1 == {(3, 2): 6, (4, 3): 37, (8, 3): 145}[q, k]
         assert len(set(sums)) == len(sums)  # one class per multiset
         for sid, nexts in enumerate(dp.succ):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference as ref
-from conftest import window_dp
+from conftest import count_ops, counting_int, window_dp
 from tdcode import (
     DomainError,
     DupSystem,
@@ -49,58 +49,15 @@ def all_irr(n: int, sys_: DupSystem) -> list[Word]:
 # ------------------------------------- counting big-integer operations
 
 
-def _counting_int() -> type:
-    """A fresh int subclass that counts the arithmetic and compares made on
-    its values in its `ops` attribute.
-
-    A sum, difference, product or compare with a counted operand adds one,
-    and the sum, difference or product is counted again.  divmod adds one
-    and returns a counted quotient and a plain remainder, so a block's
-    mixed-radix digits (under 2**30) stay uncounted.
-    """
-
-    class Counted(int):
-        ops = 0
-
-        def __divmod__(self, other):
-            Counted.ops += 1
-            quotient, remainder = int.__divmod__(self, other)
-            return Counted(quotient), remainder
-
-        def __rdivmod__(self, other):
-            Counted.ops += 1
-            quotient, remainder = int.__rdivmod__(self, other)
-            return Counted(quotient), remainder
-
-    def counting(plain):
-        def op(self, other):
-            Counted.ops += 1
-            result = plain(self, other)
-            return result if isinstance(result, bool) else Counted(result)
-
-        return op
-
-    for name in ("add", "radd", "sub", "rsub", "mul", "rmul", "lt", "le", "gt", "ge"):
-        setattr(Counted, f"__{name}__", counting(getattr(int, f"__{name}__")))
-    return Counted
-
-
 @pytest.fixture
 def counted(monkeypatch) -> type:
     """A counting int; every class size that rank and unrank read is one,
     for the plain class and for prefix classes alike."""
-    counted = _counting_int()
+    counted = counting_int()
     sizes = _WalkTables.class_sizes
     monkeypatch.setattr(_WalkTables, "class_sizes",
                         lambda walk, p, n: [counted(v) for v in sizes(walk, p, n)])
     return counted
-
-
-def _ops(counted: type, call, *args):
-    """call(*args), and the operations its counted numbers made."""
-    counted.ops = 0
-    result = call(*args)
-    return result, counted.ops
 
 
 def _unrank_word(walk: _WalkTables, p: tuple[int, ...], n: int, j: int) -> Word:
@@ -303,8 +260,8 @@ class TestUnrankRank:
             for n in (100, 300, 500):
                 total = ref.size(p, n, sys_)
                 for j in (1, total // 2 + 1, total):
-                    word, ops_u = _ops(counted, _unrank_word, walk, p.symbols, n, counted(j))
-                    j_back, ops_r = _ops(counted, walk.rank, p.symbols, word)
+                    word, ops_u = count_ops(counted, _unrank_word, walk, p.symbols, n, counted(j))
+                    j_back, ops_r = count_ops(counted, walk.rank, p.symbols, word)
                     assert j_back == j
                     assert ops_u <= 8 * n
                     assert ops_r <= 8 * n
@@ -635,14 +592,14 @@ class TestBlocks:
             for levels in (blocks - 1, blocks, blocks + 1, 2 * blocks):
                 divmods = -(-levels // blocks)
                 n = len(p) + base + levels
-                word, ops = _ops(counted, _unrank_word, walk, p.symbols, n, counted(1))
+                word, ops = count_ops(counted, _unrank_word, walk, p.symbols, n, counted(1))
                 assert ops == 1 + 2 * levels + divmods + first_walk
-                assert _ops(counted, walk.rank, p.symbols, word) == (1, 0)
+                assert count_ops(counted, walk.rank, p.symbols, word) == (1, 0)
                 n = len(p) + base + k * levels
                 total = ref.size(p, n, sys_)
-                word, ops = _ops(counted, _unrank_word, walk, p.symbols, n, counted(total))
+                word, ops = count_ops(counted, _unrank_word, walk, p.symbols, n, counted(total))
                 assert ops == 1 + 3 * lower * levels + divmods + last_walk
-                ranked = _ops(counted, walk.rank, p.symbols, word)
+                ranked = count_ops(counted, walk.rank, p.symbols, word)
                 assert ranked == (total, 2 * lower * levels + 3 * divmods)
 
     @pytest.mark.parametrize("q, k", BLOCK_SYSTEMS)
