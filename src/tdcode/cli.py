@@ -6,6 +6,7 @@ import argparse
 import random
 import sys as _sys
 from contextlib import contextmanager
+from math import isqrt
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import BudgetExceededError, CorruptInputError, DomainError, TandemCodeError, show_int
@@ -18,15 +19,11 @@ if TYPE_CHECKING:
 
 HEADER_PREFIX = "# tdcode"
 
-# The longest class a flag may make the CLI count.  A CountTable keeps
-# every count up to its length n, about rate * log2(q) * n**2 / 2 bits
-# (100 MB at q = 4, k = 2, n = 2**15): count -n, unrank -n, rank -w and
-# encode -n set n, and -e sets the state length m up to which
-# delta_min_degree counts.  n * n * q.bit_length() may not pass its value
-# at q = 27, the window cap's largest alphabet, and n = 2**15, which binds
-# count and rate alone (q >= 32).  A stream's strands bound its header.  It
-# also caps channel -t: each duplication moves the strand's tail, so the
-# channel's time grows as t**2 (-t 32768 on a 175k-symbol strand: 0.2 s).
+# The longest class a command may count.  A CountTable keeps every count up
+# to its length n, about rate * log2(q) * n**2 / 2 bits (100 MB at q = 4,
+# k = 2, n = 2**15).  It also caps channel -t: each duplication moves the
+# strand's tail, so the channel's time grows as t**2 (-t 32768 on a
+# 175k-symbol strand: 0.2 s).
 MAX_TABLE_LENGTH = 1 << 15
 
 # The longest FSE state a flag, -e or a header may ask for.  FseCodec counts to m per window
@@ -45,22 +42,78 @@ MAX_WINDOWS = 20_000
 _MAX_SAMPLES = 10_000
 
 
+# Every bounded number a command reads, declared once: its noun; its least
+# value (None where the engine checks it, exit 2 from a header too: the
+# records hold q >= 3, k in {2, 3}, n >= 1, ell >= 1, m >= 2k - 1, and
+# unrank_irr a rank's range); its greatest, a number or a function of what
+# the command read before it; and the greatest's name.  _check holds each
+# before anything counts, reads or builds the window DP.
+_BOUNDS: dict[str, tuple] = {
+    # count, unrank, encode and decode -n, rank -w, a header's n, rate -e's state length.
+    # A table of length n holds about n * n * log2(q) bits: n * n * max(q.bit_length(), 5)
+    # <= 5 * MAX_TABLE_LENGTH**2, so n <= 2**15 below q = 32 (only count and rate take more)
+    "n": ("length", None, lambda q: isqrt(5 * MAX_TABLE_LENGTH**2 // max(q.bit_length(), 5)),
+          "counting cap"),
+    # --m, a header's m, encode and decode -e's state length (the window cap keeps q <= 27)
+    "m": ("state length", None, MAX_STATE_LENGTH, "counting cap"),
+    # set by -q and -k or a header's q and k, where a command builds the window DP
+    "q": ("full window count", None, MAX_WINDOWS, "window cap"),
+    # unrank -j's digits, read before int() parses them: every rank of a length-n class
+    # is at most count_irr(n) < q**max(n, 1), so it has at most max(n, 1) * len(str(q))
+    "j": ("rank digits", None, lambda q, n: max(n, 1) * len(str(q)), "digit cap"),
+    "t": ("duplication count", 0, MAX_TABLE_LENGTH, "duplication cap"),
+    # verify's flags: -n, and the oracle's budgets
+    "max_n": ("maximum word length", 1, MAX_TABLE_LENGTH, "counting cap"),
+    "budget": ("budget", 1, lambda oracle: oracle.max_words, "oracle's word budget"),
+    "depth": ("depth", 0, lambda oracle: oracle.max_depth, "oracle's search depth"),
+    "samples": ("samples", 1, _MAX_SAMPLES, "sample cap"),
+}
+
+
+@contextmanager
+def _source(header: bool):
+    """The one rule for a value past its bound: from a header it is corrupt
+    input that says so (exit 1), from a flag a domain error (exit 2)."""
+    try:
+        yield
+    except DomainError as exc:
+        if header:
+            raise CorruptInputError(f"header {exc}") from exc
+        raise
+
+
+def _check(key: str, value: int, header: bool = False, of: str = "", **given) -> None:
+    """Hold value to its entry of _BOUNDS, given what that entry's greatest
+    value depends on; of names what the value belongs to."""
+    noun, least, greatest, name = _BOUNDS[key]
+    high = greatest(**given) if callable(greatest) else greatest
+    if (least is None or least <= value) and value <= high:
+        return
+    past = (f"exceeds the {name} {high}" if least is None
+            else f"outside [{least}, {high}], the {name}")
+    with _source(header):
+        raise DomainError(f"{of}{noun} {show_int(value)} {past}")
+
+
+def _window_count(sys_: DupSystem) -> int:
+    from .enumeration import count_table
+
+    return count_table(sys_).count(2 * sys_.k - 1)  # a pattern DP seed: no window built
+
+
 # The stream header's fields, declared once in the order encode writes them:
-# the type of a value; the values a header may give it (else exit 1); and
-# the cap on the length it makes decode count to, past which a header's
-# value exits 1 and a flag's 2.  DupSystem, CodeSpec and FseParams hold the
-# engine's domains (q >= 3, k in {2, 3}, n >= 1, ell >= 1, m >= 2k - 1),
-# exit 2 from either; _stream checks the bounds between fields and strands.
+# the type of a value, and the values a header may give it (else exit 1).
+# _BOUNDS caps n, m and q; _stream checks the bounds between fields and strands.
 _FIELDS: dict[str, tuple] = {
-    "mode": (str, ("fse", "code"), None),
-    "q": (int, None, None),
-    "k": (int, None, None),
-    "n": (int, None, (MAX_TABLE_LENGTH, "code length")),
-    "ell": (int, None, None),
-    "m": (int, None, (MAX_STATE_LENGTH, "state length")),
-    "chunk": (int, None, None),
-    "digits": (int, (0, 1), None),
-    "dna": (int, (0, 1), None),
+    "mode": (str, ("fse", "code")),
+    "q": (int, None),
+    "k": (int, None),
+    "n": (int, None),
+    "ell": (int, None),
+    "m": (int, None),
+    "chunk": (int, None),
+    "digits": (int, (0, 1)),
+    "dna": (int, (0, 1)),
 }
 
 
@@ -76,7 +129,7 @@ def parse_header(line: str) -> Optional[dict[str, object]]:
             raise CorruptInputError(f"malformed header token {tok!r}")
         if key not in _FIELDS:
             raise CorruptInputError(f"unknown header field {tok!r}")
-        kind, values, _ = _FIELDS[key]
+        kind, values = _FIELDS[key]
         try:
             value = kind(val)
         except ValueError as exc:
@@ -170,42 +223,13 @@ def _join_chunks(values: list[int], chunk: int) -> bytes:
     return payload.to_bytes(bit_len // 8, "big")
 
 
-def _check_render(q: int, dna: bool) -> None:
-    if dna and q != 4:
-        raise DomainError("--dna requires q=4")
-    if not dna and q > 10:
-        raise DomainError("digit rendering requires q <= 10; use --dna for q=4")
-
-
-def _check_length(n: int, what: str, cap: int = MAX_TABLE_LENGTH, q: int = 3) -> None:
-    # the bits bind from q = 32 on, which only count and rate take (no window DP)
-    if n > cap:
-        raise DomainError(f"{what} {n} exceeds the counting cap {cap}")
-    if n * n * q.bit_length() > MAX_TABLE_LENGTH**2 * 5:
-        raise DomainError(f"{what} {n} at q={show_int(q)} exceeds the counting cap: "
-                          f"n * n * bits(q) must stay <= {MAX_TABLE_LENGTH**2 * 5}")
-
-
-def _window_system(q: int, k: int) -> DupSystem:
-    # for every command that builds the window DP, before it does
-    from .enumeration import count_table
-
-    sys_ = DupSystem(q, k)
-    windows = count_table(sys_).count(2 * k - 1)  # a pattern DP seed: no window built
-    if windows > MAX_WINDOWS:
-        raise DomainError(
-            f"q={q}, k={k} has {windows} full windows, over the window cap {MAX_WINDOWS}"
-        )
-    return sys_
-
-
-def _choose_params(epsilon: float, sys_: DupSystem, cap: int = MAX_TABLE_LENGTH) -> FseParams:
+def _choose_params(epsilon: float, sys_: DupSystem, key: str) -> FseParams:
+    # the state length choose_params starts its search from, held to _BOUNDS[key] first
     from .enumeration import _estimate, asymptotic_rate, choose_params
 
     info = asymptotic_rate(sys_)
     if 0 < epsilon < info.rate:  # else choose_params rejects epsilon
-        _check_length(_estimate(epsilon, info)[1], f"epsilon {epsilon}: state length",
-                      cap, sys_.q)
+        _check(key, _estimate(epsilon, info)[1], of=f"epsilon {epsilon}: ", q=sys_.q)
     return choose_params(epsilon, sys_)
 
 
@@ -214,7 +238,8 @@ def _stream(args, header: dict, strands: Optional[list[str]] = None):
     (a header field wins, a flag or -e fills its gap); its parameters; and
     its strands' symbols, lazily in code mode, so the first bad strand fails
     in stream order.  strands is None when encoding; a stream without
-    strands gets every check that needs none, and decodes to nothing."""
+    strands gets every check that needs none, and decodes to nothing.
+    channel gets the fields, the system and the strand codec."""
     flags = vars(args)
     f = {key: header[key] if key in header else flags.get(key) for key in _FIELDS}
     f["digits"], f["dna"] = int(bool(f["digits"])), int(bool(f["dna"]))
@@ -224,40 +249,18 @@ def _stream(args, header: dict, strands: Optional[list[str]] = None):
     if f["q"] is None or f["k"] is None:  # encode requires -q and -k
         raise DomainError(f"{who} needs -q and -k or a stream header")
     sys_ = DupSystem(f["q"], f["k"])  # the engine's domain: exit 2 from a header too
-    # past a bound, a header's value is corrupt input that names its field,
-    # and a flag's keeps the check's DomainError
-    try:
-        if who != "channel":  # duplicating strands builds no window DP
-            _window_system(sys_.q, sys_.k)
-    except DomainError as exc:
-        if "q" in header:
-            raise CorruptInputError(f"header {exc}") from exc
-        raise
-    try:
-        _check_render(sys_.q, f["dna"])
-    except DomainError as exc:
-        if f["dna"] and "dna" in header:
-            raise CorruptInputError("header dna=1 requires q=4") from exc
-        if not f["dna"] and "q" in header:
-            raise CorruptInputError(f"header q={sys_.q}: digit rendering requires q <= 10") from exc
-        raise
+    if who != "channel":  # duplicating strands builds no window DP
+        _check("q", _window_count(sys_), "q" in header, of=f"q={show_int(sys_.q)}, k={sys_.k}: ")
+    with _source(("dna" if f["dna"] else "q") in header):  # the text codec's rule
+        render, parse = _strand_codec(sys_.q, f["dna"])
     if who == "channel":  # duplicating strands needs only q, k and dna
-        return f, sys_, None
-    parse = _strand_codec(sys_.q, f["dna"])[1]
-
-    def check_cap(key: str) -> None:
-        cap, what = _FIELDS[key][2]
-        if f[key] > cap:
-            error = CorruptInputError if key in header else DomainError
-            raise error(f"{what} {f[key]} exceeds the counting cap {cap}")
-
+        return f, sys_, (render, parse)
     if f["mode"] == "code":
         from .codec import CodeSpec
 
         if f["digits"]:  # encode writes digits=0
-            if "digits" in header:
-                raise CorruptInputError("header digits=1 applies only to mode=fse")
-            raise DomainError("--digits applies only to --mode fse")
+            with _source("digits" in header):
+                raise DomainError("digits=1 applies only to mode=fse")
         if f["n"] is None:
             raise DomainError(
                 "code mode needs -n" + ("" if strands is None else " or a stream header"))
@@ -270,17 +273,17 @@ def _stream(args, header: dict, strands: Optional[list[str]] = None):
         # duplications only lengthen strands; check before code_size(n) costs O(n**2) bits
         if strands and params.n > min(map(len, strands)):
             raise CorruptInputError(f"code length n={params.n} exceeds the shortest strand")
-        check_cap("n")
+        _check("n", params.n, "n" in header, of="code ", q=sys_.q)
         return f, params, strands and map(parse, strands)
     from .enumeration import FseParams
 
     epsilon = flags.get("epsilon")
     if epsilon is not None and not ("ell" in header and "m" in header):
-        chosen = _choose_params(epsilon, sys_, MAX_STATE_LENGTH)
+        chosen = _choose_params(epsilon, sys_, "m")
         f["ell"], f["m"] = header.get("ell", chosen.ell), header.get("m", chosen.m)
     if f["ell"] is None or f["m"] is None:
         raise DomainError("fse mode needs -e, or both --ell and --m")
-    check_cap("m")
+    _check("m", f["m"], "m" in header)
     params = FseParams(sys_, f["ell"], f["m"])
     ell, m, received = f["ell"], f["m"], None
     # q**ell <= delta_min_degree(m) < q**m: checked before q**ell is formed
@@ -323,7 +326,7 @@ def _cmd_count(args) -> int:
     from .enumeration import count_irr
 
     sys_ = DupSystem(args.q, args.k)
-    _check_length(args.n, "length", q=args.q)
+    _check("n", args.n, q=args.q)
     value = count_irr(args.n, sys_)
     with _all_digits():
         if args.json:
@@ -349,7 +352,7 @@ def _cmd_rate(args) -> int:
             "kappa": info.kappa,
         }
         if args.epsilon is not None:
-            params = _choose_params(args.epsilon, sys_)
+            params = _choose_params(args.epsilon, sys_, "n")
             out.update({"epsilon": args.epsilon, "ell": params.ell, "m": params.m})
     except OverflowError:
         raise DomainError(f"q={show_int(args.q)} is too large for a float rate") from None
@@ -360,10 +363,10 @@ def _cmd_rate(args) -> int:
 def _cmd_rank(args) -> int:
     from .ranking import rank_irr
 
-    sys_ = _window_system(args.q, args.k)
-    _check_render(args.q, args.dna)
-    word = Word.from_dna(args.word) if args.dna else Word.from_string(args.word, args.q)
-    _check_length(len(word), "word length")
+    sys_ = DupSystem(args.q, args.k)
+    _check("q", _window_count(sys_), of=f"q={show_int(args.q)}, k={args.k}: ")
+    word = Word(tuple(_text_codec(args.q, args.dna)[1](args.word)), args.q)
+    _check("n", len(word), of="word ", q=args.q)
     with _all_digits():
         print(rank_irr(word, sys_))
     return 0
@@ -372,10 +375,17 @@ def _cmd_rank(args) -> int:
 def _cmd_unrank(args) -> int:
     from .ranking import unrank_irr
 
-    sys_ = _window_system(args.q, args.k)
-    _check_render(args.q, args.dna)
-    _check_length(args.n, "length")
-    print((Word.to_dna if args.dna else str)(unrank_irr(args.n, args.j, sys_)))
+    sys_ = DupSystem(args.q, args.k)
+    _check("q", _window_count(sys_), of=f"q={show_int(args.q)}, k={args.k}: ")
+    render = _text_codec(args.q, args.dna)[0]
+    _check("n", args.n, q=args.q)
+    _check("j", len(args.j), q=args.q, n=args.n)  # before int() reads the digits
+    with _all_digits():
+        try:
+            j = int(args.j)
+        except ValueError:
+            raise DomainError(f"rank {args.j!r} is not an integer") from None
+    print(bytes(unrank_irr(args.n, j, sys_).symbols).translate(render).decode("ascii"))
     return 0
 
 
@@ -505,16 +515,12 @@ def _cmd_channel(args) -> int:
         except ImportError:
             from hashlib import sha256
 
-    if args.t < 0:
-        raise DomainError(f"duplication count must be >= 0, got {args.t}")
-    if args.t > MAX_TABLE_LENGTH:
-        raise DomainError(f"duplication count {args.t} exceeds the cap {MAX_TABLE_LENGTH}")
+    _check("t", args.t)
     header, lines, strands = _read_stream(args.input)
     # every line that is not a strand as it was; strands fill their slots below
     out = [None if i in strands else raw.encode() for i, raw in enumerate(lines)]
     if strands:
-        f, sys_, _ = _stream(args, header)
-        render, parse = _strand_codec(sys_.q, f["dna"])
+        f, sys_, (render, parse) = _stream(args, header)
     for idx, (i, line) in enumerate(strands.items()):
         # duplicate the symbols: the draws depend only on lengths
         buf = bytearray(parse(line))
@@ -541,20 +547,13 @@ def _cmd_verify(args) -> int:
     )
     from .ranking import rank_irr, unrank_irr
 
-    sys_ = _window_system(args.q, args.k)
-    if args.n < 1:
-        raise DomainError(f"maximum word length must be >= 1, got {args.n}")
-    _check_length(args.n, "maximum word length")
-    cap = OracleBudget().max_words
-    if not 1 <= args.budget <= cap:
-        raise DomainError(f"budget {args.budget} outside [1, {cap}], the oracle's word budget")
+    sys_ = DupSystem(args.q, args.k)
+    _check("q", _window_count(sys_), of=f"q={show_int(args.q)}, k={args.k}: ")
+    _check("max_n", args.n)
+    _check("budget", args.budget, oracle=OracleBudget())
     budget = OracleBudget(max_words=args.budget)
-    if not 0 <= args.depth <= budget.max_depth:
-        raise DomainError(
-            f"depth {args.depth} outside [0, {budget.max_depth}], the oracle's search depth"
-        )
-    if not 1 <= args.samples <= _MAX_SAMPLES:
-        raise DomainError(f"samples {args.samples} outside [1, {_MAX_SAMPLES}]")
+    _check("depth", args.depth, oracle=budget)
+    _check("samples", args.samples)
     checks: list[dict] = []
 
     def record(name: str, ok: bool, detail: str) -> None:
@@ -654,7 +653,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("unrank", help="irreducible word at a given position")
     p.add_argument("-n", type=int, required=True, help="word length")
-    p.add_argument("-j", type=int, required=True, help="1-indexed position")
+    p.add_argument("-j", required=True, help="1-indexed position")
     add_system(p)
     p.add_argument("--dna", action="store_true", help="write the word as ACGT (q=4)")
     p.set_defaults(func=_cmd_unrank)

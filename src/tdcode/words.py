@@ -198,15 +198,15 @@ def tandem_duplicate(x: Word, e: tuple[int, int]) -> Word:
     return Word(s[:end] + s[position:end] + s[end:], x.q)
 
 
-def _stack(s, q: int, k: int):
-    """root's stack over s, five sentinels first: push the symbols one at a
+def _stack(s, k: int):
+    """root's stack over s, sentinels -5..-1 first: push the symbols one at a
     time.  The stack before a push is irreducible, so a square ww with
     |w| = t <= k can only appear ending at the new symbol; then drop its
     second copy (pop t - 1 symbols and skip the push).  What remains is a
     prefix of an irreducible stack, hence irreducible again, and every step
     is a deduplication of the whole word.  x1..x3 copy the stack's top
     three; the sentinels below it spare length tests."""
-    st = bytearray(range(251, 256)) if q <= 251 else list(range(-5, 0))
+    st = list(range(-5, 0))
     push, pop = st.append, st.pop
     x3, x2, x1 = st[-3:]
     for c in s:
@@ -229,7 +229,7 @@ def is_irreducible(x: Word, k: int) -> bool:
     root's stack drops nothing from x."""
     if k not in (2, 3):
         raise DomainError(f"duplication bound k must be 2 or 3, got {k}")
-    return len(_stack(x.symbols, x.q, k)) == len(x) + 5
+    return len(_stack(x.symbols, k)) == len(x) + 5
 
 
 def root(y: Word, sys: DupSystem) -> Word:
@@ -237,7 +237,7 @@ def root(y: Word, sys: DupSystem) -> Word:
     in {2, 3} the root is unique (Jain, Farnoud, Schwartz and Bruck, IEEE
     T-IT 2017), so the stack's order reaches it."""
     _check_alphabet(y, sys)
-    return Word._unchecked(tuple(_stack(y.symbols, y.q, sys.k)[5:]), y.q)
+    return Word._unchecked(tuple(_stack(y.symbols, sys.k)[5:]), y.q)
 
 
 def _duplicate(buf, t: int, k: int, seed: int) -> list[tuple[int, int]]:

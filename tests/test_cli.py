@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flag_probes import PROBES, cases
 from tdcode import (
     CodeSpec,
     DomainError,
@@ -31,9 +33,12 @@ from tdcode.cli import (
     MAX_STATE_LENGTH,
     MAX_TABLE_LENGTH,
     MAX_WINDOWS,
+    _BOUNDS,
     _FIELDS,
     _MAX_SAMPLES,
-    _check_length,
+    _all_digits,
+    _build_parser,
+    _check,
     _frame_bits,
     _join_chunks,
     _split_chunks,
@@ -89,6 +94,25 @@ class TestSimpleCommands:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv, message", [
+        (("rank", "-q", "3", "-k", "2", "--dna", "-w", "ACG"), "DNA rendering requires q = 4"),
+        (("rank", "-q", "11", "-k", "2", "-w", "012"),
+         "digit strings only cover alphabets up to q = 10"),
+        (("unrank", "-q", "5", "-k", "2", "--dna", "-n", "3", "-j", "1"),
+         "DNA rendering requires q = 4"),
+        (("unrank", "-q", "11", "-k", "2", "-n", "3", "-j", "1"),
+         "digit strings only cover alphabets up to q = 10"),
+    ], ids=["rank-dna", "rank-digits", "unrank-dna", "unrank-digits"])
+    def test_rendering_is_the_text_codecs_rule(self, argv, message, capsys, monkeypatch):
+        def ranking(*args):
+            raise AssertionError("ranking started before the rendering was checked")
+
+        for name in ("rank_irr", "unrank_irr"):
+            monkeypatch.setattr(f"tdcode.ranking.{name}", ranking)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_domain_error_is_exit_two(self, capsys):
         rc, _, err = run(capsys, "count", "-n", "5", "-q", "2", "-k", "2")
         assert rc == 2
@@ -170,16 +194,24 @@ class TestNonAsciiInput:
 class TestFlagBounds:
     OVER = str(MAX_TABLE_LENGTH + 1)
 
-    @pytest.mark.parametrize("argv", [
-        ("count", "-q", "4", "-k", "2", "-n", OVER),
-        ("unrank", "-q", "4", "-k", "2", "-n", OVER, "-j", "1"),
-        ("rank", "-q", "3", "-k", "2", "-w", ("012" * MAX_TABLE_LENGTH)[:MAX_TABLE_LENGTH + 1]),
-        ("encode", "--mode", "code", "-q", "4", "-k", "2", "-n", OVER),
-        ("rate", "-q", "4", "-k", "3", "-e", "1e-6"),
-        ("encode", "--mode", "fse", "-q", "4", "-k", "3", "-e", "1e-6"),
-        ("decode", "--mode", "fse", "-q", "3", "-k", "2", "-e", "1e-6"),
+    @pytest.mark.parametrize("argv, message", [
+        (("count", "-q", "4", "-k", "2", "-n", OVER), f"length {OVER} exceeds the counting cap 32768"),
+        (("unrank", "-q", "4", "-k", "2", "-n", OVER, "-j", "1"),
+         f"length {OVER} exceeds the counting cap 32768"),
+        (("rank", "-q", "3", "-k", "2", "-w", ("012" * MAX_TABLE_LENGTH)[:MAX_TABLE_LENGTH + 1]),
+         f"word length {OVER} exceeds the counting cap 32768"),
+        (("encode", "--mode", "code", "-q", "4", "-k", "2", "-n", OVER),
+         f"code length {OVER} exceeds the counting cap 32768"),
+        (("rate", "-q", "4", "-k", "3", "-e", "1e-6"),
+         "epsilon 1e-06: length 925243 exceeds the counting cap 32768"),
+        (("encode", "--mode", "fse", "-q", "4", "-k", "3", "-e", "1e-6"),
+         "epsilon 1e-06: state length 925243 exceeds the counting cap 2048"),
+        (("decode", "--mode", "fse", "-q", "3", "-k", "2", "-e", "1e-6"),
+         "epsilon 1e-06: state length 752073 exceeds the counting cap 2048"),
     ], ids=["count", "unrank", "rank", "encode-code", "rate", "encode-fse", "decode-fse"])
-    def test_flag_past_the_cap_fails_before_counting(self, argv, tmp_path, capsys, monkeypatch):
+    def test_flag_past_the_cap_fails_before_counting(
+        self, argv, message, tmp_path, capsys, monkeypatch
+    ):
         def counting(*args):
             raise AssertionError("counting started before the flag was checked")
 
@@ -192,7 +224,7 @@ class TestFlagBounds:
             argv += ("-i", str(src), "-o", str(tmp_path / "out"))
         rc, _, err = run(capsys, *argv)
         assert rc == 2
-        assert "exceeds the counting cap" in err and "Traceback" not in err
+        assert err == f"error: {message}\n"
 
     def test_subnormal_epsilon_is_a_domain_error(self, capsys, monkeypatch):
         # its ell overflows a float before there is a state length to cap
@@ -201,16 +233,19 @@ class TestFlagBounds:
         assert rc == 2
         assert "is too small" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("argv, rc_expected", [
-        (("rank", "-q", "9", "-k", "3", "-w", "012"), 2),
-        (("unrank", "-q", "28", "-k", "2", "-n", "3", "-j", "1"), 2),
-        (("encode", "--mode", "fse", "-q", "9", "-k", "3", "--ell", "1", "--m", "5"), 2),
-        (("encode", "--mode", "code", "-q", "9", "-k", "3", "-n", "5"), 2),
-        (("decode",), 1),  # a header's q is corrupt input
-        (("verify", "-q", "40", "-k", "2"), 2),
+    @pytest.mark.parametrize("argv, rc_expected, message", [
+        (("rank", "-q", "9", "-k", "3", "-w", "012"), 2, "q=9, k=3: full window count 35784"),
+        (("unrank", "-q", "28", "-k", "2", "-n", "3", "-j", "1"), 2,
+         "q=28, k=2: full window count 20412"),
+        (("encode", "--mode", "fse", "-q", "9", "-k", "3", "--ell", "1", "--m", "5"), 2,
+         "q=9, k=3: full window count 35784"),
+        (("encode", "--mode", "code", "-q", "9", "-k", "3", "-n", "5"), 2,
+         "q=9, k=3: full window count 35784"),
+        (("decode",), 1, "header q=40, k=3: full window count 92417520"),  # corrupt input
+        (("verify", "-q", "40", "-k", "2"), 2, "q=40, k=2: full window count 60840"),
     ], ids=["rank", "unrank", "encode-fse", "encode-code", "decode-header", "verify"])
     def test_alphabet_past_the_window_cap_fails_before_the_dp(
-        self, argv, rc_expected, tmp_path, capsys, monkeypatch
+        self, argv, rc_expected, message, tmp_path, capsys, monkeypatch
     ):
         def building(*args):
             raise AssertionError("the window DP was built before q was checked")
@@ -222,7 +257,7 @@ class TestFlagBounds:
             argv += ("-i", str(src), "-o", str(tmp_path / "out"))
         rc, _, err = run(capsys, *argv)
         assert rc == rc_expected
-        assert f"over the window cap {MAX_WINDOWS}" in err and "Traceback" not in err
+        assert err == f"error: {message} exceeds the window cap {MAX_WINDOWS}\n"
 
     def test_rate_past_the_window_cap_builds_no_window_dp(self, capsys, monkeypatch):
         # rates and parameters count on equality patterns alone, at any q
@@ -248,18 +283,21 @@ class TestFlagBounds:
         monkeypatch.setattr("tdcode.cli._read_text", reading)
         rc, _, err = run(capsys, "channel", "-q", "4", "-k", "2", "-t", self.OVER)
         assert rc == 2
-        assert f"exceeds the cap {MAX_TABLE_LENGTH}" in err and "Traceback" not in err
+        assert err == (f"error: duplication count {self.OVER} outside [0, {MAX_TABLE_LENGTH}], "
+                       "the duplication cap\n")
 
     def test_the_cap_itself_is_allowed(self):
-        _check_length(MAX_TABLE_LENGTH, "length")
+        _check("n", MAX_TABLE_LENGTH, q=3)
         with pytest.raises(DomainError):
-            _check_length(MAX_TABLE_LENGTH + 1, "length")
+            _check("n", MAX_TABLE_LENGTH + 1, q=3)
 
+    # n * n * max(q.bit_length(), 5) <= 5 * MAX_TABLE_LENGTH**2: the cap at q is
+    # isqrt(5 * 2**30 // 997) = 2320 and isqrt(5 * 2**30 // 67) = 8951
     @pytest.mark.parametrize("argv, what", [
         (("count", "-q", str(10**300), "-k", "2", "-n", str(MAX_TABLE_LENGTH)),
-         f"length {MAX_TABLE_LENGTH} at q=<997-bit integer>"),
+         f"length {MAX_TABLE_LENGTH} exceeds the counting cap 2320"),
         (("rate", "-q", str(10**20), "-k", "2", "-e", "1e-4"),
-         "epsilon 0.0001: state length 9999 at q=<67-bit integer>"),
+         "epsilon 0.0001: length 9999 exceeds the counting cap 8951"),
     ], ids=["count", "rate"])
     def test_table_bits_past_the_cap_fail_before_counting(self, argv, what, capsys, monkeypatch):
         # a count table holds about n * n * log2(q) bits: its length alone
@@ -271,14 +309,13 @@ class TestFlagBounds:
             monkeypatch.setattr(f"tdcode.enumeration.{name}", counting)
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, "")
-        assert err == (f"error: {what} exceeds the counting cap: n * n * bits(q) must stay "
-                       f"<= {MAX_TABLE_LENGTH**2 * 5}\n")
+        assert err == f"error: {what}\n"
 
     def test_table_bits_of_every_alphabet_below_32_are_allowed(self, capsys, monkeypatch):
         # q = 27 at the length cap sets the bound, and q = 31 has as many bits
-        _check_length(MAX_TABLE_LENGTH, "length", q=31)
+        _check("n", MAX_TABLE_LENGTH, q=31)
         with pytest.raises(DomainError):
-            _check_length(MAX_TABLE_LENGTH, "length", q=32)
+            _check("n", MAX_TABLE_LENGTH, q=32)
 
         def counting(*args):
             raise Counted
@@ -322,12 +359,13 @@ HEADER_PROBES = [
     probe("code", "q", 2, 2, "alphabet size must be at least 3, got 2", flag=True),
     probe("code", "q", 8, k=3),
     probe("code", "q", 9, 1,
-          f"header q=9, k=3 has 35784 full windows, over the window cap {MAX_WINDOWS}", k=3),
-    probe("code", "q", 9, 2, f"q=9, k=3 has 35784 full windows, over the window cap {MAX_WINDOWS}",
+          f"header q=9, k=3: full window count 35784 exceeds the window cap {MAX_WINDOWS}", k=3),
+    probe("code", "q", 9, 2,
+          f"q=9, k=3: full window count 35784 exceeds the window cap {MAX_WINDOWS}",
           k=3, flag=True),
     probe("code", "q", 10),
-    probe("code", "q", 11, 1, "header q=11: digit rendering requires q <= 10"),
-    probe("code", "q", 11, 2, "digit rendering requires q <= 10; use --dna for q=4", flag=True),
+    probe("code", "q", 11, 1, "header digit strings only cover alphabets up to q = 10"),
+    probe("code", "q", 11, 2, "digit strings only cover alphabets up to q = 10", flag=True),
     probe("code", "k", 3),
     probe("code", "k", 4, 2, "duplication bound k must be 2 or 3, got 4"),
     probe("code", "k", 4, 2, "argument -k: invalid choice: 4", flag=True),
@@ -341,13 +379,13 @@ HEADER_PROBES = [
     probe("code", "n", MAX_TABLE_LENGTH, length=MAX_TABLE_LENGTH + 1),
     probe("code", "n", MAX_TABLE_LENGTH, length=MAX_TABLE_LENGTH + 1, flag=True),
     probe("code", "n", MAX_TABLE_LENGTH + 1, 1,
-          f"code length {MAX_TABLE_LENGTH + 1} exceeds the counting cap {MAX_TABLE_LENGTH}",
+          f"header code length {MAX_TABLE_LENGTH + 1} exceeds the counting cap {MAX_TABLE_LENGTH}",
           length=MAX_TABLE_LENGTH + 1),
     probe("code", "n", MAX_TABLE_LENGTH + 1, 2,
           f"code length {MAX_TABLE_LENGTH + 1} exceeds the counting cap {MAX_TABLE_LENGTH}",
           length=MAX_TABLE_LENGTH + 1, flag=True),
     probe("code", "n", MAX_TABLE_LENGTH + 1, 1,
-          f"code length {MAX_TABLE_LENGTH + 1} exceeds the counting cap {MAX_TABLE_LENGTH}",
+          f"header code length {MAX_TABLE_LENGTH + 1} exceeds the counting cap {MAX_TABLE_LENGTH}",
           length=0, name="code-n-32769-no-strand"),
     probe("code", "chunk", 1),
     probe("code", "chunk", 0, 1, "header chunk=0 outside [1, 22]"),
@@ -357,12 +395,13 @@ HEADER_PROBES = [
           name="code-chunk-0-no-strand"),
     probe("code", "digits", 0),
     probe("code", "digits", 1, 1, "header digits=1 applies only to mode=fse"),
-    probe("code", "digits", 1, 2, "--digits applies only to --mode fse", flag=True),
+    probe("code", "digits", 1, 2, "digits=1 applies only to mode=fse", flag=True),
     probe("code", "digits", 2, 1, "header field 'digits=2' is not 0 or 1"),
     probe("code", "dna", 1, q=4),
     probe("code", "dna", 1, q=4, flag=True),
-    probe("code", "dna", 1, 1, "header dna=1 requires q=4", name="code-dna-1-q3"),
-    probe("code", "dna", 1, 2, "--dna requires q=4", flag=True, name="code-dna-1-q3-flag"),
+    probe("code", "dna", 1, 1, "header DNA rendering requires q = 4", name="code-dna-1-q3"),
+    probe("code", "dna", 1, 2, "DNA rendering requires q = 4", flag=True,
+          name="code-dna-1-q3-flag"),
     probe("code", "dna", 2, 1, "header field 'dna=2' is not 0 or 1"),
     probe("fse", "mode", "fse"),
     probe("fse", "ell", 1),
@@ -387,10 +426,10 @@ HEADER_PROBES = [
     probe("fse", "m", 1000, 1, "ell=1, m=1000 do not satisfy ell < m <= 312, the strand length"),
     probe("fse", "m", MAX_STATE_LENGTH, length=MAX_STATE_LENGTH + 1),
     probe("fse", "m", MAX_STATE_LENGTH + 1, 1,
-          f"state length {MAX_STATE_LENGTH + 1} exceeds the counting cap {MAX_STATE_LENGTH}",
+          f"header state length {MAX_STATE_LENGTH + 1} exceeds the counting cap {MAX_STATE_LENGTH}",
           length=MAX_STATE_LENGTH + 1),
     probe("fse", "m", MAX_STATE_LENGTH + 1, 1,
-          f"state length {MAX_STATE_LENGTH + 1} exceeds the counting cap {MAX_STATE_LENGTH}",
+          f"header state length {MAX_STATE_LENGTH + 1} exceeds the counting cap {MAX_STATE_LENGTH}",
           length=0, name="fse-m-2049-no-strand"),
     probe("fse", "m", MAX_STATE_LENGTH + 1, 2,
           f"state length {MAX_STATE_LENGTH + 1} exceeds the counting cap {MAX_STATE_LENGTH}",
@@ -468,18 +507,118 @@ class TestHeaderBounds:
         assert ("error:" in err) == (rc_expected == 1)
 
 
+class TestBoundTable:
+    # numeric flags that no entry of cli._BOUNDS bounds, and why
+    UNBOUNDED = {
+        "--seed": "any int seeds the draws",
+        "-q": "the records hold q >= 3, the window-count entry q bounds it where the window DP "
+              "is built, and count and rate take any q",
+        "-k": "the records and argparse's choices hold k in {2, 3}",
+        "--ell": "FseParams holds ell >= 1, and the check ell < m bounds it from above",
+    }
+    WALK = [pytest.param(key, flag, argv, v, ok, id=f"{flag}-{v}".replace(" ", "-")[:40])
+            for key, probes in PROBES.items() for flag, argv, at in probes
+            for v, ok in cases(key, at)]
+
+    def test_every_entry_has_probes(self):
+        assert set(PROBES) == set(_BOUNDS)
+        assert all(PROBES.values())
+        # an entry a header field gives is probed from the header too, passing and failing
+        for key in set(_BOUNDS) & set(_FIELDS):
+            outcomes = {p.values[4] for p in HEADER_PROBES
+                        if next(iter(p.values[1])) == key and not p.values[2]}
+            assert {None, 1} <= outcomes, key
+
+    def test_every_numeric_flag_names_an_entry(self):
+        probed = {flag for probes in PROBES.values() for flag, _, _ in probes}
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        numeric = [(command, action.option_strings[0]) for command, parser in sub.choices.items()
+                   for action in parser._actions if action.type in (int, float)]
+        assert len(numeric) > 20
+        for command, flag in numeric:
+            assert f"{command} {flag}" in probed or flag in self.UNBOUNDED, (command, flag)
+
+    @pytest.mark.parametrize("key, flag, argv, value, accepted", WALK)
+    def test_flag_at_and_past_its_bound(
+        self, key, flag, argv, value, accepted, tmp_path, capsys, monkeypatch
+    ):
+        def counting(*args):
+            raise Counted
+
+        for name in ("enumeration.count_irr", "enumeration.code_size",
+                     "enumeration.choose_params", "ranking.rank_irr", "ranking.unrank_irr",
+                     "fse.FseCodec", "oracle.enumerate_irr_bruteforce",
+                     "oracle.min_outdegree_bruteforce", "oracle.RootOracle"):
+            monkeypatch.setattr(f"tdcode.{name}", counting)
+        # -e's value is the state length its estimate gives
+        monkeypatch.setattr("tdcode.enumeration._estimate", lambda *args: (1, value))
+        (tmp_path / "empty").write_bytes(b"")
+        args = argv(value).replace("INPUT", str(tmp_path / "empty")).split()
+        if accepted:
+            try:
+                assert main(args) == 0
+            except Counted:
+                pass
+            return
+        rc, out, err = run(capsys, *args)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        noun = _BOUNDS[key][0]  # for -q, the full window count of the probe's q, at k = 3
+        assert (f"q={value}, k=3: {noun} " if key == "q" else f"{noun} {value} ") in err
+
+    def test_a_rank_past_the_str_digit_limit_reads_back(self, capsys):
+        # rank prints ranks of thousands of digits, and unrank -j reads them
+        s42 = DupSystem(4, 2)
+        j = 3**12000 + 5
+        word = unrank_irr(20000, j, s42)
+        with _all_digits():
+            text = str(j)
+        assert len(text) == 5726
+        rc, out, _ = run(capsys, "unrank", "-q", "4", "-k", "2", "-n", "20000", "-j", text)
+        assert (rc, out) == (0, f"{word}\n")
+        rc, out, _ = run(capsys, "rank", "-q", "4", "-k", "2", "-w", str(word))
+        assert (rc, out) == (0, f"{text}\n")
+
+    def test_a_million_digit_rank_fails_before_it_is_read(self, capsys, monkeypatch):
+        def unranking(*args):
+            raise AssertionError("the rank was unranked before its digits were checked")
+
+        monkeypatch.setattr("tdcode.ranking.unrank_irr", unranking)
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "unrank", "-q", "4", "-k", "2", "-n", "20000", "-j", "7" * 10**6)
+        assert time.perf_counter() - start < 0.1  # int() of 10**6 digits takes seconds
+        assert (rc, out) == (2, "")
+        assert err == "error: rank digits 1000000 exceeds the digit cap 20000\n"
+
+    def test_a_value_past_64_bits_is_shown_by_its_length(self, capsys):
+        # the window count of q = 10**1000 has over 4300 digits, which str() refuses
+        rc, out, err = run(capsys, "rank", "-q", str(10**1000), "-k", "3", "-w", "0")
+        assert (rc, out) == (2, "")
+        assert err == ("error: q=<3322-bit integer>, k=3: full window count <16610-bit integer> "
+                       f"exceeds the window cap {MAX_WINDOWS}\n")
+
+    @pytest.mark.parametrize("text", ["abc", "1.5", ""])
+    def test_a_rank_that_is_no_integer_is_a_domain_error(self, text, capsys):
+        rc, out, err = run(capsys, "unrank", "-q", "4", "-k", "2", "-n", "5", "-j", text)
+        assert (rc, out) == (2, "")
+        assert err == f"error: rank {text!r} is not an integer\n"
+
+
 class TestStateCap:
     # the FSE's state length m, from --m, -e or a header, is checked against
     # MAX_STATE_LENGTH before FseCodec is built or anything counts
     HEADER = "# tdcode mode=fse q=10 k=2 ell=1 m=4000 chunk=3 digits=0 dna=0\n"
 
-    @pytest.mark.parametrize("argv, rc_expected", [
-        (("encode", "--mode", "fse", "-q", "4", "-k", "3", "--ell", "1", "--m", "40000"), 2),
-        (("encode", "--mode", "fse", "-q", "4", "-k", "3", "-e", "1e-4"), 2),
-        (("decode",), 1),
+    @pytest.mark.parametrize("argv, rc_expected, message", [
+        (("encode", "--mode", "fse", "-q", "4", "-k", "3", "--ell", "1", "--m", "40000"), 2,
+         "state length 40000"),
+        (("encode", "--mode", "fse", "-q", "4", "-k", "3", "-e", "1e-4"), 2,
+         "epsilon 0.0001: state length 9253"),
+        (("decode",), 1, "header state length 4000"),
     ], ids=["m-flag", "epsilon", "header"])
     def test_state_length_past_the_cap_fails_before_counting(
-        self, argv, rc_expected, tmp_path, capsys, monkeypatch
+        self, argv, rc_expected, message, tmp_path, capsys, monkeypatch
     ):
         def counting(*args):
             raise AssertionError("counting started before m was checked")
@@ -490,8 +629,7 @@ class TestStateCap:
         src.write_text(self.HEADER + "0" * 4000 + "\n")
         rc, _, err = run(capsys, *argv, "-i", str(src), "-o", str(tmp_path / "out"))
         assert rc == rc_expected
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"exceeds the counting cap {MAX_STATE_LENGTH}" in err
+        assert err == f"error: {message} exceeds the counting cap {MAX_STATE_LENGTH}\n"
 
     def test_the_cap_itself_is_allowed(self, tmp_path, capsys):
         src = tmp_path / "in.bin"
@@ -1035,10 +1173,12 @@ class TestVerify:
     SAMPLES = _MAX_SAMPLES
 
     @pytest.mark.parametrize("flags, message", [
-        (("-k", "2", "-n", "0"), "maximum word length must be >= 1, got 0"),
-        (("-k", "2", "-n", "-5"), "maximum word length must be >= 1, got -5"),
+        (("-k", "2", "-n", "0"),
+         f"maximum word length 0 outside [1, {MAX_TABLE_LENGTH}], the counting cap"),
+        (("-k", "2", "-n", "-5"),
+         f"maximum word length -5 outside [1, {MAX_TABLE_LENGTH}], the counting cap"),
         (("-k", "2", "-n", "200000", "--scope", "roots", "--samples", "1"),
-         f"maximum word length 200000 exceeds the counting cap {MAX_TABLE_LENGTH}"),
+         f"maximum word length 200000 outside [1, {MAX_TABLE_LENGTH}], the counting cap"),
         (("-k", "3", "--depth", "3000"), f"depth 3000 outside [0, {DEPTH}], the oracle's search depth"),
         (("-k", "3", "--depth", "20"), f"depth 20 outside [0, {DEPTH}], the oracle's search depth"),
         (("-k", "3", "--depth", "-1"), f"depth -1 outside [0, {DEPTH}], the oracle's search depth"),
@@ -1048,10 +1188,10 @@ class TestVerify:
          f"budget {WORDS + 1} outside [1, {WORDS}], the oracle's word budget"),
         (("-k", "2", "--budget", "0"), f"budget 0 outside [1, {WORDS}], the oracle's word budget"),
         (("-k", "2", "-n", "4", "--scope", "roots", "--samples", "1000000000"),
-         f"samples 1000000000 outside [1, {SAMPLES}]"),
+         f"samples 1000000000 outside [1, {SAMPLES}], the sample cap"),
         (("-k", "2", "-n", "4", "--scope", "roots", "--samples", "-3"),
-         f"samples -3 outside [1, {SAMPLES}]"),
-        (("-k", "2", "--samples", "0"), f"samples 0 outside [1, {SAMPLES}]"),
+         f"samples -3 outside [1, {SAMPLES}], the sample cap"),
+        (("-k", "2", "--samples", "0"), f"samples 0 outside [1, {SAMPLES}], the sample cap"),
     ], ids=["n-0", "n-negative", "n-past-the-cap", "depth-3000", "depth-20", "depth-negative",
             "budget-10**12", "budget-past-the-cap", "budget-0", "samples-10**9",
             "samples-negative", "samples-0"])

@@ -293,8 +293,8 @@ class TestRoot:
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_oracle_on_random_words(self, data):
-        # root's stack is a bytearray with sentinels 251..255 up to q = 251
-        # and a list with negative sentinels above
+        # root's stack holds negative sentinels below every symbol, at any q:
+        # draws around 256 check that no symbol is taken for one
         q = data.draw(st.one_of(st.integers(3, 6),
                                 st.sampled_from([250, 251, 252, 256, 257, 300])))
         sys_ = DupSystem(q, data.draw(st.sampled_from([2, 3])))
