@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import _random
 import argparse
 import random
 import sys as _sys
@@ -23,7 +24,7 @@ HEADER_PREFIX = "# tdcode"
 # to its length n, about rate * log2(q) * n**2 / 2 bits (100 MB at q = 4,
 # k = 2, n = 2**15).  It also caps channel -t: each duplication moves the
 # strand's tail, so the channel's time grows as t**2 (-t 32768 on a
-# 175k-symbol strand: 0.2 s).
+# 175k-symbol strand: 0.08 s of work, 0.19 s in a fresh process).
 MAX_TABLE_LENGTH = 1 << 15
 
 # The longest FSE state a flag, -e or a header may ask for.  FseCodec counts to m per window
@@ -521,11 +522,15 @@ def _cmd_channel(args) -> int:
     out = [None if i in strands else raw.encode() for i, raw in enumerate(lines)]
     if strands:
         f, sys_, (render, parse) = _stream(args, header)
+    # one generator, reseeded per strand: random.Random's C core, whose seed(int)
+    # sets the state Random(int) starts in, without Random.seed's type checks
+    rng = _random.Random()
+    reseed, bits = rng.seed, rng.getrandbits
     for idx, (i, line) in enumerate(strands.items()):
         # duplicate the symbols: the draws depend only on lengths
         buf = bytearray(parse(line))
-        seed = int.from_bytes(sha256(f"{args.seed}:{idx}".encode()).digest()[:8], "big")
-        _duplicate(buf, args.t, sys_.k, seed)
+        reseed(int.from_bytes(sha256(f"{args.seed}:{idx}".encode()).digest()[:8], "big"))
+        _duplicate(buf, args.t, sys_.k, bits)
         out[i] = buf.translate(render)
     _write_bytes(args.output, b"\n".join(out) + (b"\n" if out else b""))
     return 0

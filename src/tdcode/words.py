@@ -240,32 +240,34 @@ def root(y: Word, sys: DupSystem) -> Word:
     return Word._unchecked(tuple(_stack(y.symbols, sys.k)[5:]), y.q)
 
 
-def _duplicate(buf, t: int, k: int, seed: int) -> list[tuple[int, int]]:
+def _duplicate(buf, t: int, k: int, bits, draws: list | None = None) -> None:
     """Apply t random duplications to the mutable sequence buf in place.
 
     Each step draws the block length uniformly from [1, min(k, current
     length)] and the position uniformly over valid starts, both as
-    Random.randint draws them: getrandbits of the range's bit length,
-    drawn again while the value is out of range.  The draws depend only on
-    the seed and the lengths, so duplicating a bytearray of rendered
-    characters gives the rendering of the duplicated symbols.  Returns the
-    (position, length) draws.  buf must be non-empty when t > 0.
+    Random.randint draws them: bits (a Random's getrandbits) of the range's
+    bit length, drawn again while the value is out of range.  The draws
+    depend only on the generator and the lengths, so duplicating a bytearray
+    of rendered characters gives the rendering of the duplicated symbols.
+    Appends each (position, length) draw to draws if given; buf must be
+    non-empty when t > 0.
     """
-    bits = random.Random(seed).getrandbits
-    draws = []
+    n, kb = len(buf), k.bit_length()
     for _ in range(t):
-        w = min(k, len(buf))  # length - 1 is drawn below w
-        length = bits(w.bit_length())
+        w, b = (k, kb) if n >= k else (n, n.bit_length())  # length - 1 is drawn below w
+        length = bits(b)
         while length >= w:
-            length = bits(w.bit_length())
+            length = bits(b)
         length += 1
-        w = len(buf) - length + 1  # pos is drawn below w
-        pos = bits(w.bit_length())
+        w = n - length + 1  # pos is drawn below w
+        b = w.bit_length()
+        pos = bits(b)
         while pos >= w:
-            pos = bits(w.bit_length())
+            pos = bits(b)
         buf[pos + length:pos + length] = buf[pos:pos + length]
-        draws.append((pos, length))
-    return draws
+        n += length
+        if draws is not None:
+            draws.append((pos, length))
 
 
 def random_descendant(
@@ -282,5 +284,6 @@ def random_descendant(
     if len(x) == 0 and t > 0:
         raise DomainError("cannot duplicate within the empty word")
     syms = bytearray(x.symbols) if x.q <= 256 else list(x.symbols)
-    draws = _duplicate(syms, t, sys.k, seed)
+    draws: list[tuple[int, int]] = []
+    _duplicate(syms, t, sys.k, random.Random(seed).getrandbits, draws)
     return Word._unchecked(tuple(syms), x.q), draws

@@ -3,13 +3,14 @@
 Nothing here reads the package's suffix maps, counting tables or walks.
 Squares come from the oracle's own scan, the suffix maps from the suffix
 shape that names each branch, and class sizes from brute force up to the
-base length, then from the count recursion.  The tests compare the
-engine against these.
+base length, then from the count recursion.  The channel's duplications
+are drawn by Random.randint.  The tests compare the engine against these.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from functools import cache
 from typing import Optional
 
@@ -202,3 +203,18 @@ def delta_closed_form(m: int, sys_: DupSystem) -> Optional[int]:
     }
     form = forms.get((sys_.k, m))
     return form() if form else None
+
+
+def random_descendant(x: Word, t: int, k: int, seed: int) -> tuple[Word, list[tuple[int, int]]]:
+    """t random duplications of x by Random(seed).randint, on a list: each
+    length from 1 .. min(k, len), then its start over the valid positions;
+    the word and the (position, length) draws."""
+    rng = random.Random(seed)
+    syms = list(x.symbols)
+    events = []
+    for _ in range(t):
+        length = rng.randint(1, min(k, len(syms)))
+        pos = rng.randint(0, len(syms) - length)
+        syms[pos + length:pos + length] = syms[pos:pos + length]
+        events.append((pos, length))
+    return Word(tuple(syms), x.q), events

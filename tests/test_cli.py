@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from flag_probes import PROBES, cases
 from tdcode import (
     CodeSpec,
@@ -25,7 +26,6 @@ from tdcode import (
     Word,
     count_irr,
     encode_codeword,
-    random_descendant,
     unrank_irr,
 )
 from tdcode import OracleBudget
@@ -1090,8 +1090,8 @@ class TestChannel:
 
     @pytest.mark.parametrize("seed", ["0", "5", "123456789"])
     def test_strand_seeds_are_sha256_of_seed_and_index(self, seed, tmp_path, capsys):
-        # each noisy strand is random_descendant's at the strand's sha256 seed:
-        # DNA (lower case too) and digit streams, q 3..10 x k 2..3
+        # each noisy strand is the randint reference's at the strand's sha256
+        # seed: DNA (lower case too) and digit streams, q 3..10 x k 2..3
         rng = random.Random(seed)
         systems = [(4, k, True) for k in (2, 3)]
         systems += [(q, k, False) for q in range(3, 11) for k in (2, 3)]
@@ -1105,12 +1105,37 @@ class TestChannel:
             rc, _, _ = run(capsys, "channel", "-t", "5", "--seed", seed,
                            "-i", str(enc), "-o", str(noisy))
             assert rc == 0
-            sys_ = DupSystem(q, k)
             for idx, (strand, got) in enumerate(zip(strands, noisy.read_text().splitlines()[1:])):
                 digest = hashlib.sha256(f"{seed}:{idx}".encode()).digest()
                 word = Word.from_dna(strand) if dna else Word.from_string(strand, q)
-                y, _ = random_descendant(word, 5, sys_, int.from_bytes(digest[:8], "big"))
+                y, _ = ref.random_descendant(word, 5, k, int.from_bytes(digest[:8], "big"))
                 assert got == (y.to_dna() if dna else str(y))
+
+    @pytest.mark.parametrize("t", [0, 1, 8, 50])
+    @pytest.mark.parametrize("dna", [True, False], ids=["dna", "digits"])
+    def test_every_strand_is_the_randint_reference(self, t, dna, tmp_path, capsys):
+        # the randint loop shares no code with the channel's draws; strands of
+        # one and two symbols are where min(k, length) binds at k = 3
+        q, alphabet = (4, "acgt") if dna else (10, "0123456789")
+        rng = random.Random(t)
+        lengths = [1, 2] * 40 + [rng.randint(3, 40) for _ in range(220)]
+        strands = ["".join(rng.choices(alphabet, k=n)) for n in lengths]
+        words = [Word.from_dna(s) if dna else Word.from_string(s, q) for s in strands]
+        for k in (2, 3):
+            enc = tmp_path / "enc.txt"
+            enc.write_text(f"# tdcode mode=code q={q} k={k} n=5 digits=0 dna={int(dna)}\n"
+                           + "\n".join(strands) + "\n")
+            for seed in ("0", "5", "123456789"):
+                noisy = tmp_path / "noisy.txt"
+                rc, _, _ = run(capsys, "channel", "-t", str(t), "--seed", seed,
+                               "-i", str(enc), "-o", str(noisy))
+                assert rc == 0
+                got = noisy.read_text().splitlines()[1:]
+                assert len(got) == len(words)
+                for idx, (word, line) in enumerate(zip(words, got)):
+                    digest = hashlib.sha256(f"{seed}:{idx}".encode()).digest()
+                    y, _ = ref.random_descendant(word, t, k, int.from_bytes(digest[:8], "big"))
+                    assert line == (y.to_dna() if dna else str(y))
 
     @pytest.mark.parametrize("header, strand, message", [
         ("q=3 k=2 n=5 digits=0 dna=0", "0130",
@@ -1267,6 +1292,8 @@ class TestVerify:
         status = Path("/proc/self/status")
         if not status.exists():
             pytest.skip("needs /proc/self/status for the child's own peak RSS")
+        import resource
+
         src = Path(__file__).resolve().parent.parent / "src"
         argv = ["verify", "-q", "27", "-k", "2", "-n", str(MAX_TABLE_LENGTH), "--scope", "roots",
                 "--samples", str(_MAX_SAMPLES), "--depth", "0"]
@@ -1275,14 +1302,16 @@ class TestVerify:
                 f"rc = main({argv!r}); "
                 "print(rc, next(l.split()[1] for l in open('/proc/self/status') "
                 "if l.startswith('VmHWM')), file=sys.stderr)")
-        start = time.perf_counter()
+        # the child's own CPU seconds: its wall time carries the host's load
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-        elapsed = time.perf_counter() - start
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
         rc, peak_kb = map(int, done.stderr.split())
         assert (rc, done.stdout) == (0, f"ok roots: {_MAX_SAMPLES} samples at depth 0\n"
                                         "all checks passed\n")
-        assert elapsed < 5, f"verify took {elapsed:.1f} s"
+        assert cpu < 5, f"verify took {cpu:.1f} s of CPU"
         assert peak_kb < 60 * 1024, f"verify peaked at {peak_kb / 1024:.0f} MB"
 
     def test_roots_check_the_window_walk(self, capsys, monkeypatch):

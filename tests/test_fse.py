@@ -417,7 +417,8 @@ class TestCliDecodePath:
         values *= data.draw(st.sampled_from([1, 10]))
         y = bytearray(codec_for(q, k, ell, m).encode_values(values).symbols)
         if y:
-            _duplicate(y, data.draw(st.integers(0, 3 * len(y))), k, data.draw(st.integers(0, 99)))
+            _duplicate(y, data.draw(st.integers(0, 3 * len(y))), k,
+                       random.Random(data.draw(st.integers(0, 99))).getrandbits)
         assert cli_decode(q, k, ell, m, y) == root_decode(q, k, ell, m, y) == values
 
     @given(data=st.data())
@@ -440,7 +441,8 @@ class TestCliDecodePath:
             message = (f"state {len(values) + 1}: edge index exceeds the labeled range "
                        f"{q}**{ell}")
         y = bytearray(out)
-        _duplicate(y, data.draw(st.integers(0, len(y))), k, data.draw(st.integers(0, 99)))
+        _duplicate(y, data.draw(st.integers(0, len(y))), k,
+                   random.Random(data.draw(st.integers(0, 99))).getrandbits)
         assert cli_decode(q, k, ell, m, y) == root_decode(q, k, ell, m, y) == message
 
     @pytest.mark.parametrize("q, k", [(3, 2), (4, 3), (8, 3)])
@@ -475,7 +477,7 @@ class TestCliDecodePath:
         values = [rng.randrange(labeled) for _ in range(len(dp.step) // m + 1)]
         out = list(codec_for(q, k, ell, m).encode_values(values).symbols)
         y = bytearray(out)
-        _duplicate(y, len(y) // 10, k, rng.randrange(99))
+        _duplicate(y, len(y) // 10, k, random.Random(rng.randrange(99)).getrandbits)
         fse._classes.cache_clear()
         assert cli_decode(q, k, ell, m, y) == root_decode(q, k, ell, m, y) == values
         assert fse._classes.cache_info().currsize == 1  # read through the classes
@@ -490,7 +492,7 @@ class TestCliDecodePath:
             longer = list(out)
             _kth(dp, sid, extra, (labeled if extra == m else 0,), longer)
             y = bytearray(longer)
-            _duplicate(y, len(y) // 10, k, rng.randrange(99))
+            _duplicate(y, len(y) // 10, k, random.Random(rng.randrange(99)).getrandbits)
             assert cli_decode(q, k, ell, m, y) == root_decode(q, k, ell, m, y) == message
 
     # (4, 3, 1, 6) has a square against the start state at every offset below
@@ -512,7 +514,8 @@ class TestCliDecodePath:
             _kth(dp, dp.window_sid(tuple(z)), m, (0,), longer)
             for root_word in (z, longer):  # one state, and a second one after it
                 y = bytearray(root_word)
-                _duplicate(y, rng.randrange(2 * len(y)), k, rng.randrange(99))
+                _duplicate(y, rng.randrange(2 * len(y)), k,
+                           random.Random(rng.randrange(99)).getrandbits)
                 message = f"state 1: not an edge, a square ends at offset {t}"
                 assert cli_decode(q, k, ell, m, y) == root_decode(q, k, ell, m, y) == message
         if (q, k, m) in ((4, 3, 6), (3, 2, 6), (4, 2, 4)):

@@ -54,19 +54,6 @@ def from_dna_reference(text: str) -> Word:
     return Word(syms, 4)
 
 
-def random_descendant_reference(x: Word, t: int, k: int, seed: int):
-    """The list-based duplication loop that random_descendant replaced."""
-    rng = random.Random(seed)
-    syms = list(x.symbols)
-    events = []
-    for _ in range(t):
-        length = rng.randint(1, min(k, len(syms)))
-        pos = rng.randint(0, len(syms) - length)
-        syms[pos + length:pos + length] = syms[pos:pos + length]
-        events.append((pos, length))
-    return Word(tuple(syms), x.q), events
-
-
 class TestWord:
     def test_from_string_round_trip(self):
         assert str(w("0120")) == "0120"
@@ -385,14 +372,14 @@ class TestRandomDescendant:
         seed = data.draw(st.integers(0, 2**32))
         x = Word(tuple(syms), q)
         got = random_descendant(x, t, DupSystem(q, k), seed)
-        assert got == random_descendant_reference(x, t, k, seed)
+        assert got == ref.random_descendant(x, t, k, seed)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_matches_list_reference_on_a_long_word(self, k):
         # position ranges cross many bit lengths, so rejected draws happen often
         x = Word(tuple(random.Random(k).choices(range(4), k=300)), 4)
         got = random_descendant(x, 3000, DupSystem(4, k), seed=k)
-        assert got == random_descendant_reference(x, 3000, k, k)
+        assert got == ref.random_descendant(x, 3000, k, k)
 
 
 class TestDupSystem:
