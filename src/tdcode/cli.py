@@ -234,13 +234,11 @@ def _choose_params(epsilon: float, sys_: DupSystem, key: str) -> FseParams:
     return choose_params(epsilon, sys_)
 
 
-def _stream(args, header: dict, strands: Optional[list[str]] = None):
-    """The fields of args.command's stream, checked before anything counts
-    (a header field wins, a flag or -e fills its gap); its parameters; and
-    its strands' symbols, lazily in code mode, so the first bad strand fails
-    in stream order.  strands is None when encoding; a stream without
-    strands gets every check that needs none, and decodes to nothing.
-    channel gets the fields, the system and the strand codec."""
+def _stream(args, header: dict):
+    """The checks every stream command shares, made before anything counts:
+    the stream's fields (a header field wins, a flag fills its gap), its
+    system, and its strand codec's render table and parser.  channel needs
+    no mode and builds no window DP."""
     flags = vars(args)
     f = {key: header[key] if key in header else flags.get(key) for key in _FIELDS}
     f["digits"], f["dna"] = int(bool(f["digits"])), int(bool(f["dna"]))
@@ -254,57 +252,7 @@ def _stream(args, header: dict, strands: Optional[list[str]] = None):
         _check("q", _window_count(sys_), "q" in header, of=f"q={show_int(sys_.q)}, k={sys_.k}: ")
     with _source(("dna" if f["dna"] else "q") in header):  # the text codec's rule
         render, parse = _strand_codec(sys_.q, f["dna"])
-    if who == "channel":  # duplicating strands needs only q, k and dna
-        return f, sys_, (render, parse)
-    if f["mode"] == "code":
-        from .codec import CodeSpec
-
-        if f["digits"]:  # encode writes digits=0
-            with _source("digits" in header):
-                raise DomainError("digits=1 applies only to mode=fse")
-        if f["n"] is None:
-            raise DomainError(
-                "code mode needs -n" + ("" if strands is None else " or a stream header"))
-        params = CodeSpec(sys_, f["n"])
-        if f["chunk"] is not None:
-            # code_size(n) < q**(n + 1) bounds every chunk encode writes
-            cap = (params.n + 1) * sys_.q.bit_length()
-            if not 1 <= f["chunk"] <= cap:
-                raise CorruptInputError(f"header chunk={f['chunk']} outside [1, {cap}]")
-        # duplications only lengthen strands; check before code_size(n) costs O(n**2) bits
-        if strands and params.n > min(map(len, strands)):
-            raise CorruptInputError(f"code length n={params.n} exceeds the shortest strand")
-        _check("n", params.n, "n" in header, of="code ", q=sys_.q)
-        return f, params, strands and map(parse, strands)
-    from .enumeration import FseParams
-
-    epsilon = flags.get("epsilon")
-    if epsilon is not None and not ("ell" in header and "m" in header):
-        chosen = _choose_params(epsilon, sys_, "m")
-        f["ell"], f["m"] = header.get("ell", chosen.ell), header.get("m", chosen.m)
-    if f["ell"] is None or f["m"] is None:
-        raise DomainError("fse mode needs -e, or both --ell and --m")
-    _check("m", f["m"], "m" in header)
-    params = FseParams(sys_, f["ell"], f["m"])
-    ell, m, received = f["ell"], f["m"], None
-    # q**ell <= delta_min_degree(m) < q**m: checked before q**ell is formed
-    if strands:
-        if len(strands) != 1:
-            raise CorruptInputError(f"fse mode expects one strand, found {len(strands)}")
-        received = [parse(strands[0])]
-        if not ell < m <= len(received[0]):  # and the strand holds a state
-            raise CorruptInputError(
-                f"ell={ell}, m={m} do not satisfy ell < m <= {len(received[0])}, the strand length"
-            )
-    elif ell >= m:
-        error = DomainError if strands is None else CorruptInputError
-        raise error(f"ell={ell} must be below m={m}; no labeling exists")
-    chunk = (sys_.q**ell).bit_length() - 1
-    if f["chunk"] not in (None, chunk):
-        raise CorruptInputError(
-            f"header chunk={f['chunk']} is not {chunk}, the width for ell={ell}")
-    f["chunk"] = chunk
-    return f, params, received
+    return f, sys_, render, parse
 
 
 @contextmanager
@@ -390,17 +338,34 @@ def _cmd_unrank(args) -> int:
     return 0
 
 
-def _code(f: dict, spec):
-    """Code mode: value v travels as the codeword of index v + 1, one strand each."""
-    from .codec import decode_codewords, encode_codewords
+def _code(f: dict, sys_: DupSystem, header: dict, epsilon, strands=None, parse=None):
+    """Code mode: value v travels as the codeword of index v + 1, one strand
+    each.  strands is None when encoding; decoding parses and decodes them
+    lazily, so the first bad strand fails in stream order."""
+    from .codec import CodeSpec, decode_codewords, encode_codewords
     from .enumeration import code_size
 
-    if f["chunk"] is None:  # encode, or a header without one
-        f["chunk"] = code_size(spec.n, spec.sys).bit_length() - 1
+    if f["digits"]:  # encode writes digits=0
+        with _source("digits" in header):
+            raise DomainError("digits=1 applies only to mode=fse")
+    if f["n"] is None:
+        raise DomainError("code mode needs -n" + ("" if strands is None else " or a stream header"))
+    spec = CodeSpec(sys_, f["n"])
+    if f["chunk"] is not None:
+        # code_size(n) < q**(n + 1) bounds every chunk encode writes
+        cap = (spec.n + 1) * sys_.q.bit_length()
+        if not 1 <= f["chunk"] <= cap:
+            raise CorruptInputError(f"header chunk={f['chunk']} outside [1, {cap}]")
+    # duplications only lengthen strands; check before code_size(n) costs O(n**2) bits
+    if strands and spec.n > min(map(len, strands)):
+        raise CorruptInputError(f"code length n={spec.n} exceeds the shortest strand")
+    _check("n", spec.n, "n" in header, of="code ", q=sys_.q)
+    if f["chunk"] is None and strands != []:  # a stream without strands counts nothing
+        f["chunk"] = code_size(spec.n, sys_).bit_length() - 1
     chunk = f["chunk"]
 
-    def to_values(received):
-        for j in decode_codewords(received, spec):
+    def to_values():
+        for j in decode_codewords(map(parse, strands), spec):
             if j - 1 >= 1 << chunk:
                 raise CorruptInputError(
                     f"decoded index {show_int(j)} does not fit in a {chunk} bit chunk"
@@ -410,14 +375,41 @@ def _code(f: dict, spec):
     return (lambda values: encode_codewords([v + 1 for v in values], spec)), to_values
 
 
-def _fse(f: dict, params):
-    """Fse mode: the values are the blocks of the encoder's one walk, one strand."""
+def _fse(f: dict, sys_: DupSystem, header: dict, epsilon, strands=None, parse=None):
+    """Fse mode: the values are the blocks of the encoder's one walk, one
+    strand.  strands is None when encoding; -e fills a header's gap."""
+    from .enumeration import FseParams
     from .fse import FseCodec
 
-    codec, chunk = FseCodec(params), f["chunk"]
+    if epsilon is not None and not ("ell" in header and "m" in header):
+        chosen = _choose_params(epsilon, sys_, "m")
+        f["ell"], f["m"] = header.get("ell", chosen.ell), header.get("m", chosen.m)
+    ell, m = f["ell"], f["m"]
+    if ell is None or m is None:
+        raise DomainError("fse mode needs -e, or both --ell and --m")
+    _check("m", m, "m" in header)
+    params = FseParams(sys_, ell, m)
+    # q**ell <= delta_min_degree(m) < q**m: checked before q**ell is formed
+    if strands:
+        if len(strands) != 1:
+            raise CorruptInputError(f"fse mode expects one strand, found {len(strands)}")
+        received = parse(strands[0])
+        if not ell < m <= len(received):  # and the strand holds a state
+            raise CorruptInputError(
+                f"ell={ell}, m={m} do not satisfy ell < m <= {len(received)}, the strand length"
+            )
+    elif ell >= m:
+        error = DomainError if strands is None else CorruptInputError
+        raise error(f"ell={ell} must be below m={m}; no labeling exists")
+    chunk = (sys_.q**ell).bit_length() - 1
+    if f["chunk"] not in (None, chunk):
+        raise CorruptInputError(
+            f"header chunk={f['chunk']} is not {chunk}, the width for ell={ell}")
+    f["chunk"] = chunk
+    codec = None if strands == [] else FseCodec(params)  # a stream without strands counts nothing
 
-    def to_values(received):
-        values = codec._decode_received(received[0])
+    def to_values():
+        values = codec._decode_received(received)
         for v in () if f["digits"] else values:
             if v >= 1 << chunk:
                 raise CorruptInputError(
@@ -428,7 +420,8 @@ def _fse(f: dict, params):
     return (lambda values: [bytes(codec.encode_values(values).symbols)]), to_values
 
 
-# each mode's set-up, returning (values -> strands, strands -> values), and the fields it omits
+# each mode's set-up, the one place its mode is checked and set up, returning
+# (values -> strands, () -> the strands' values); and the fields its header omits
 _MODES = {"code": (_code, ("ell", "m")), "fse": (_fse, ("n",))}
 
 
@@ -442,10 +435,10 @@ def _block_digits(values: list[int], q: int, ell: int) -> bytearray:
     return digits
 
 
-def _frame(path: str, f: dict, params) -> list[int]:
+def _frame(path: str, f: dict) -> list[int]:
     """The message's values: the framed payload's chunks, or --digits blocks."""
     if f["digits"]:
-        text, q, ell = "".join(_read_text(path).split()), params.sys.q, params.ell
+        text, q, ell = "".join(_read_text(path).split()), f["q"], f["ell"]
         if len(text) % ell != 0:
             raise DomainError(f"digit message length must be a multiple of ell={ell}")
         parse = _text_codec(q, False)[1]
@@ -460,21 +453,20 @@ def _frame(path: str, f: dict, params) -> list[int]:
     return _split_chunks(*_frame_bits(data), f["chunk"]) if data else []
 
 
-def _unframe(values, f: dict, params) -> bytes | bytearray:
+def _unframe(values, f: dict) -> bytes | bytearray:
     """Inverse of _frame: the payload, or the digit text of the blocks."""
     if f["digits"]:
-        q = params.sys.q
-        return _block_digits(values, q, params.ell).translate(_text_codec(q, False)[0]) + b"\n"
+        q = f["q"]
+        return _block_digits(values, q, f["ell"]).translate(_text_codec(q, False)[0]) + b"\n"
     return _join_chunks(list(values), f["chunk"])
 
 
 def _cmd_encode(args) -> int:
-    f, params, _ = _stream(args, {})
+    f, sys_, render, _ = _stream(args, {})
     setup, left_out = _MODES[f["mode"]]
-    to_strands, _ = setup(f, params)
+    to_strands, _ = setup(f, sys_, {}, args.epsilon)
     header = " ".join([HEADER_PREFIX, *(f"{k}={f[k]}" for k in _FIELDS if k not in left_out)])
-    values = _frame(args.input, f, params)
-    render = _text_codec(params.sys.q, f["dna"])[0]
+    values = _frame(args.input, f)
     strands = [s.translate(render) for s in to_strands(values)] if values else []
     _write_bytes(args.output, b"\n".join([header.encode(), *strands]) + b"\n")
     return 0
@@ -500,10 +492,10 @@ def _read_stream(path: str) -> tuple[dict, list[str], dict[int, str]]:
 def _cmd_decode(args) -> int:
     header, _, at = _read_stream(args.input)
     strands = list(at.values())
-    f, params, received = _stream(args, header, strands)
-    if strands:  # an empty stream decodes to nothing, counting nothing
-        _, to_values = _MODES[f["mode"]][0](f, params)
-    _write_bytes(args.output, _unframe(to_values(received), f, params) if strands else b"")
+    f, sys_, _, parse = _stream(args, header)
+    _, to_values = _MODES[f["mode"]][0](f, sys_, header, args.epsilon, strands, parse)
+    # a stream without strands decodes to nothing
+    _write_bytes(args.output, _unframe(to_values(), f) if strands else b"")
     return 0
 
 
@@ -521,7 +513,7 @@ def _cmd_channel(args) -> int:
     # every line that is not a strand as it was; strands fill their slots below
     out = [None if i in strands else raw.encode() for i, raw in enumerate(lines)]
     if strands:
-        f, sys_, (render, parse) = _stream(args, header)
+        _, sys_, render, parse = _stream(args, header)
     # one generator, reseeded per strand: random.Random's C core, whose seed(int)
     # sets the state Random(int) starts in, without Random.seed's type checks
     rng = _random.Random()

@@ -54,16 +54,13 @@ def encode_codewords(js: Iterable[int], spec: CodeSpec) -> Iterator[bytearray]:
         yield s
 
 
-def decode_codewords(ys: Iterable[Word | Sequence[int]], spec: CodeSpec) -> Iterator[int]:
-    """The message index of each received word, given as a Word (its alphabet
-    checked) or as symbols in range(q), as decode_codeword gives it, with the
-    per-system lookups made once; it counts only to its longest root."""
+def decode_codewords(ys: Iterable[Sequence[int]], spec: CodeSpec) -> Iterator[int]:
+    """The message index of each received word, given as its symbols in
+    range(q), with the per-system lookups made once; it counts only to its
+    longest root."""
     n, walk = spec.n, _walk_tables(spec.sys)
     shorter = cache(count_table(spec.sys).total)  # shorter(m - 1): the roots shorter than m
     for y in ys:
-        if type(y) is Word:
-            _check_alphabet(y, spec.sys)
-            y = y.symbols
         if len(y) < n:
             raise NotADescendantError(f"received length {len(y)} is shorter than the code "
                                       f"length {n}")
@@ -85,4 +82,5 @@ def decode_codeword(y: Word, spec: CodeSpec) -> int:
     Rejects (NotADescendantError) received words shorter than n and
     words whose root is longer than n; no codeword can reach those.
     """
-    return next(decode_codewords((y,), spec))
+    _check_alphabet(y, spec.sys)
+    return next(decode_codewords((y.symbols,), spec))

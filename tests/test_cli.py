@@ -728,6 +728,54 @@ class TestCodeStreamErrors:
         assert err == f"error: {message}\n"
 
 
+class TestStreamMessages:
+    # each mode's set-up checks its own fields and strands; each message is
+    # pinned with its exit code
+    @pytest.mark.parametrize("text, rc_expected, message", [
+        ("# tdcode mode\n0120\n", 1, "malformed header token 'mode'"),
+        ("# tdcode mode=fse q=3 k=2 chunk=1\n0120\n", 2,
+         "fse mode needs -e, or both --ell and --m"),
+        ("# tdcode mode=fse q=3 k=2 ell=1 m=3 chunk=1\n010\n012\n", 1,
+         "fse mode expects one strand, found 2"),
+        ("# tdcode mode=code q=3 k=2\n0120\n", 2, "code mode needs -n or a stream header"),
+    ], ids=["bare-token", "fse-no-ell-m", "fse-two-strands", "code-no-n"])
+    def test_decode_message(self, text, rc_expected, message, tmp_path, capsys):
+        enc = tmp_path / "enc.txt"
+        enc.write_text(text)
+        rc, out, err = run(capsys, "decode", "-i", str(enc), "-o", "-")
+        assert (rc, out, err) == (rc_expected, "", f"error: {message}\n")
+
+    def test_digit_block_past_the_chunk(self, tmp_path, capsys):
+        # a digit stream read as bytes: block value 2 needs 2 bits, the chunk is 1
+        msg, enc = tmp_path / "msg.txt", tmp_path / "enc.txt"
+        msg.write_text("2")
+        rc, _, _ = run(capsys, "encode", "--mode", "fse", "-q", "3", "-k", "2", "--ell", "1",
+                       "--m", "3", "--digits", "-i", str(msg), "-o", str(enc))
+        assert rc == 0
+        enc.write_text(enc.read_text().replace("digits=1", "digits=0"))
+        rc, out, err = run(capsys, "decode", "-i", str(enc), "-o", "-")
+        assert (rc, out) == (1, "")
+        assert err == "error: decoded block value 2 does not fit in a 1 bit chunk\n"
+
+    @pytest.mark.parametrize("header", ["# tdcode mode=code q=3 k=2 n=10",
+                                        "# tdcode mode=fse q=3 k=2 ell=1 m=3"],
+                             ids=["code", "fse"])
+    def test_a_stream_without_strands_decodes_to_nothing(
+        self, header, tmp_path, capsys, monkeypatch
+    ):
+        def counting(*args):
+            raise AssertionError("a stream without strands counted")
+
+        for name in ("enumeration.code_size", "fse.FseCodec", "codec.decode_codewords"):
+            monkeypatch.setattr(f"tdcode.{name}", counting)
+        enc, out = tmp_path / "enc.txt", tmp_path / "out.bin"
+        enc.write_text(header + "\n")
+        out.write_bytes(b"stale")
+        rc, _, err = run(capsys, "decode", "-i", str(enc), "-o", str(out))
+        assert (rc, err) == (0, "")
+        assert out.read_bytes() == b""
+
+
 class TestCodeStrandRendering:
     # encode renders each codeword's symbols with one translate; every strand
     # line reads as the Word renderer prints the codeword of its message index
@@ -1347,6 +1395,20 @@ class TestVerify:
         assert rc == 1
         assert out == ("FAIL counts n=1: code size 4 vs brute 3\n"
                        "FAIL counts n=2: code size 10 vs brute 9\nverification failed\n")
+
+    def test_counts_check_the_class_count(self, capsys, monkeypatch):
+        # count_irr(n) against the brute-force words of length n
+        from tdcode import enumeration
+
+        count_irr = enumeration.count_irr
+        monkeypatch.setattr("tdcode.enumeration.count_irr",
+                            lambda n, sys_: count_irr(n, sys_) + (n == 1))
+        rc, out, _ = run(capsys, "verify", "--scope", "counts", "-q", "3", "-k", "2", "-n", "3")
+        assert rc == 1
+        assert out.splitlines()[0] == "FAIL counts n=1: count 4 vs brute 3"
+        assert out.splitlines()[1:] == ["ok counts n=2: 6 words, bijection ok",
+                                        "ok counts n=3: 12 words, bijection ok",
+                                        "verification failed"]
 
     def test_budget_skips_are_reported(self, capsys):
         rc, out, _ = run(capsys, "verify", "--scope", "delta", "-q", "3", "-k", "2",

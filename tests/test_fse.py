@@ -356,11 +356,14 @@ CLI_SYSTEMS = [*STREAM_SYSTEMS, (8, 3, 1, 5)]
 
 def cli_decode(q: int, k: int, ell: int, m: int, y: bytes | bytearray) -> list[int] | str:
     """The block values that decode's fse path reads from the received
-    symbols y, or the message of the CorruptInputError it raises."""
-    to_values = _fse({"chunk": (q**ell).bit_length() - 1, "digits": 1},
-                     FseParams(DupSystem(q, k), ell, m))[1]
+    symbols y, given as the stream's one strand with the identity parser, or
+    the message of the CorruptInputError it raises.  An empty y is a blank
+    line, no strand, and a stream without strands decodes to no values."""
+    strands = [bytes(y)] if y else []
     try:
-        return to_values([bytes(y)])
+        to_values = _fse({"ell": ell, "m": m, "chunk": None, "digits": 1}, DupSystem(q, k), {},
+                         None, strands, bytes)[1]
+        return to_values() if strands else []
     except CorruptInputError as exc:
         return str(exc)
 
