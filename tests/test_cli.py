@@ -343,6 +343,28 @@ BASE = {
 }
 
 
+# each flag that gives a stream field; channel reads q, k and dna only
+STREAM_FLAGS = {"mode": "--mode", "q": "-q", "k": "-k", "n": "-n", "ell": "--ell", "m": "--m"}
+
+
+def probe_stream(mode, edits, flag, length, command="decode") -> tuple[list[str], str]:
+    """A probe's flags and stream: the base stream of its mode with its
+    edits, in a header or, with flag, in flags on a header-less stream."""
+    fields = {**BASE[mode], **edits}
+    length = (10 if mode == "code" else 312) if length is None else length
+    strand = ("ACG" if fields["dna"] else "012") * length
+    lines = [strand[:length]] * (2 if mode == "code" else 1) if length else []
+    argv: list[str] = []
+    if flag:  # a header-less stream: every field from its flag
+        keys = STREAM_FLAGS if command == "decode" else ("q", "k")
+        argv += [f for key, v in fields.items() if key in keys for f in (STREAM_FLAGS[key], str(v))]
+        argv += [f"--{key}" for key in ("digits", "dna") if fields[key]
+                 and (command == "decode" or key == "dna")]
+    else:
+        lines.insert(0, " ".join(["# tdcode"] + [f"{k}={v}" for k, v in fields.items()]))
+    return argv, "\n".join(lines) + "\n"
+
+
 def probe(mode, field, value, rc=None, message="", *, flag=False, length=None, name=None,
           **more):
     edits = {field: value, **more}
@@ -446,8 +468,6 @@ HEADER_PROBES = [
 
 
 class TestHeaderBounds:
-    FLAGS = {"mode": "--mode", "q": "-q", "k": "-k", "n": "-n", "ell": "--ell", "m": "--m"}
-
     def test_the_walk_covers_every_field(self):
         # each probe's field is the first of its edits
         fields = {next(iter(p.values[1])) for p in HEADER_PROBES}
@@ -459,18 +479,9 @@ class TestHeaderBounds:
     def test_bad_field_fails_before_counting(
         self, mode, edits, flag, length, rc_expected, message, tmp_path, capsys, monkeypatch
     ):
-        fields = {**BASE[mode], **edits}
-        length = (10 if mode == "code" else 312) if length is None else length
-        strand = ("ACG" if fields["dna"] else "012") * length
-        strands = [strand[:length]] * (2 if mode == "code" else 1) if length else []
-        argv = ["decode", "-i", str(tmp_path / "enc.txt"), "-o", str(tmp_path / "out")]
-        if flag:  # a header-less stream: every field from its flag
-            argv += [f for key, v in fields.items() if key in self.FLAGS
-                     for f in (self.FLAGS[key], str(v))]
-            argv += [f"--{key}" for key in ("digits", "dna") if fields[key]]
-        else:
-            strands.insert(0, " ".join(["# tdcode"] + [f"{k}={v}" for k, v in fields.items()]))
-        (tmp_path / "enc.txt").write_text("\n".join(strands) + "\n")
+        flags, text = probe_stream(mode, edits, flag, length)
+        argv = ["decode", "-i", str(tmp_path / "enc.txt"), "-o", str(tmp_path / "out"), *flags]
+        (tmp_path / "enc.txt").write_text(text)
 
         def counting(*args):
             raise Counted
