@@ -44,11 +44,10 @@ _MAX_SAMPLES = 10_000
 
 
 # Every bounded number a command reads, declared once: its noun; its least
-# value (None where the engine checks it, exit 2 from a header too: the
-# records hold q >= 3, k in {2, 3}, n >= 1, ell >= 1, m >= 2k - 1, and
-# unrank_irr a rank's range); its greatest, a number or a function of what
-# the command read before it; and the greatest's name.  _check holds each
-# before anything counts, reads or builds the window DP.
+# value (None where a record holds a flag's: q >= 3, k in {2, 3}, n >= 1,
+# ell >= 1, m >= 2k - 1, and unrank_irr a rank's range; _FIELDS a header's);
+# its greatest, a number or a function of what the command read before it;
+# and the greatest's name.  _check holds each before anything counts or reads.
 _BOUNDS: dict[str, tuple] = {
     # count, unrank, encode and decode -n, rank -w, a header's n, rate -e's state length.
     # A table of length n holds about n * n * log2(q) bits: n * n * max(q.bit_length(), 5)
@@ -72,27 +71,27 @@ _BOUNDS: dict[str, tuple] = {
 
 
 @contextmanager
-def _source(header: bool):
-    """The one rule for a value past its bound: from a header it is corrupt
-    input that says so (exit 1), from a flag a domain error (exit 2)."""
+def _source(header=(), *reads: str):
+    """The one exit rule: a check failing on a field the header gave (of reads,
+    or any) is corrupt input that says so (exit 1), else a domain error (2)."""
     try:
         yield
     except DomainError as exc:
-        if header:
+        if any(key in header for key in reads or header):
             raise CorruptInputError(f"header {exc}") from exc
         raise
 
 
-def _check(key: str, value: int, header: bool = False, of: str = "", **given) -> None:
-    """Hold value to its entry of _BOUNDS, given what that entry's greatest
-    value depends on; of names what the value belongs to."""
+def _check(key: str, value: int, header=(), *reads: str, of: str = "", **given) -> None:
+    """Hold value, the field key (and reads) of _source, to its entry of _BOUNDS, given
+    what the entry's greatest value depends on; of names what value belongs to."""
     noun, least, greatest, name = _BOUNDS[key]
     high = greatest(**given) if callable(greatest) else greatest
     if (least is None or least <= value) and value <= high:
         return
     past = (f"exceeds the {name} {high}" if least is None
             else f"outside [{least}, {high}], the {name}")
-    with _source(header):
+    with _source(header, key, *reads):
         raise DomainError(f"{of}{noun} {show_int(value)} {past}")
 
 
@@ -103,16 +102,16 @@ def _window_count(sys_: DupSystem) -> int:
 
 
 # The stream header's fields, declared once in the order encode writes them:
-# the type of a value, and the values a header may give it (else exit 1).
-# _BOUNDS caps n, m and q; _stream checks the bounds between fields and strands.
+# the type of a value, and the values a header may give it or its least value
+# (else exit 1).  _BOUNDS caps n, m and q; _code and _fse check the rest.
 _FIELDS: dict[str, tuple] = {
     "mode": (str, ("fse", "code")),
-    "q": (int, None),
-    "k": (int, None),
-    "n": (int, None),
-    "ell": (int, None),
-    "m": (int, None),
-    "chunk": (int, None),
+    "q": (int, 3),
+    "k": (int, (2, 3)),
+    "n": (int, 1),
+    "ell": (int, 1),
+    "m": (int, 3),
+    "chunk": (int, 1),
     "digits": (int, (0, 1)),
     "dna": (int, (0, 1)),
 }
@@ -135,24 +134,25 @@ def parse_header(line: str) -> Optional[dict[str, object]]:
             value = kind(val)
         except ValueError as exc:
             raise CorruptInputError(f"malformed header token {tok!r}") from exc
-        if values is not None and value not in values:
-            raise CorruptInputError(f"header field {tok!r} is not {' or '.join(map(str, values))}")
+        if value not in values if isinstance(values, tuple) else value < values:
+            allowed = " or ".join(map(str, values)) if isinstance(values, tuple) else f">= {values}"
+            raise CorruptInputError(f"header field {tok!r} is not {allowed}")
         if key in fields:
             raise CorruptInputError(f"repeated header field {tok!r}")
         fields[key] = value
     return fields
 
 
-def _strand_codec(q: int, dna: bool):
+def _strand_codec(q: int, dna: bool, noun: str = "strand"):
     """A stream's strand codec: the text codec's render table, and its
-    parser, for which a bad strand is corrupt input."""
+    parser, for which a bad strand (or digit block) is corrupt input."""
     render, parse_text = _text_codec(q, dna)
 
     def parse(text: str) -> bytes:
         try:
             return parse_text(text)
         except DomainError as exc:
-            raise CorruptInputError(f"cannot parse strand {text!r}: {exc}") from exc
+            raise CorruptInputError(f"cannot parse {noun} {text!r}: {exc}") from exc
 
     return render, parse
 
@@ -239,20 +239,25 @@ def _stream(args, header: dict):
     the stream's fields (a header field wins, a flag fills its gap), its
     system, and its strand codec's render table and parser.  channel needs
     no mode and builds no window DP."""
-    flags = vars(args)
+    flags, channel = vars(args), args.command == "channel"
+    if flags.get("epsilon") is not None and (flags["ell"], flags["m"]) != (None, None):
+        raise DomainError("-e picks ell and m: give -e, or --ell and --m, not both")
     f = {key: header[key] if key in header else flags.get(key) for key in _FIELDS}
     f["digits"], f["dna"] = int(bool(f["digits"])), int(bool(f["dna"]))
-    who = "decoding" if args.command == "decode" else args.command
-    if f["mode"] is None and who == "decoding":  # encode requires --mode
-        raise DomainError("decoding needs --mode fse|code or a stream header")
-    if f["q"] is None or f["k"] is None:  # encode requires -q and -k
-        raise DomainError(f"{who} needs -q and -k or a stream header")
-    sys_ = DupSystem(f["q"], f["k"])  # the engine's domain: exit 2 from a header too
-    if who != "channel":  # duplicating strands builds no window DP
-        _check("q", _window_count(sys_), "q" in header, of=f"q={show_int(sys_.q)}, k={sys_.k}: ")
-    with _source(("dna" if f["dna"] else "q") in header):  # the text codec's rule
+    _need(f, header, "q k" if channel else "mode q k", "no flag or stream header gives one")
+    sys_ = DupSystem(f["q"], f["k"])  # a header's q and k are in the records' domain
+    if not channel:  # duplicating strands builds no window DP
+        _check("q", _window_count(sys_), header, "k", of=f"q={show_int(sys_.q)}, k={sys_.k}: ")
+    with _source(header, "q", "dna"):  # the text codec's rule
         render, parse = _strand_codec(sys_.q, f["dna"])
     return f, sys_, render, parse
+
+
+def _need(f: dict, header: dict, keys: str, how: str) -> None:
+    missing = [key for key in keys.split() if f[key] is None]
+    with _source(header):  # any header is at fault for a field no flag fills
+        if missing:
+            raise DomainError(f"{', '.join(missing)} missing: {how}")
 
 
 @contextmanager
@@ -345,21 +350,18 @@ def _code(f: dict, sys_: DupSystem, header: dict, epsilon, strands=None, parse=N
     from .codec import CodeSpec, decode_codewords, encode_codewords
     from .enumeration import code_size
 
-    if f["digits"]:  # encode writes digits=0
-        with _source("digits" in header):
+    with _source(header, "mode", "digits"):
+        if f["digits"]:  # encode writes digits=0
             raise DomainError("digits=1 applies only to mode=fse")
-    if f["n"] is None:
-        raise DomainError("code mode needs -n" + ("" if strands is None else " or a stream header"))
+    _need(f, header, "n", "code mode needs -n" + ("" if strands is None else " or a stream header"))
     spec = CodeSpec(sys_, f["n"])
-    if f["chunk"] is not None:
-        # code_size(n) < q**(n + 1) bounds every chunk encode writes
-        cap = (spec.n + 1) * sys_.q.bit_length()
-        if not 1 <= f["chunk"] <= cap:
-            raise CorruptInputError(f"header chunk={f['chunk']} outside [1, {cap}]")
+    # a header's chunk is at least 1; code_size(n) < q**(n + 1) bounds every chunk encode writes
+    if f["chunk"] is not None and f["chunk"] > (cap := (spec.n + 1) * sys_.q.bit_length()):
+        raise CorruptInputError(f"header chunk={f['chunk']} outside [1, {cap}]")
     # duplications only lengthen strands; check before code_size(n) costs O(n**2) bits
     if strands and spec.n > min(map(len, strands)):
         raise CorruptInputError(f"code length n={spec.n} exceeds the shortest strand")
-    _check("n", spec.n, "n" in header, of="code ", q=sys_.q)
+    _check("n", spec.n, header, of="code ", q=sys_.q)
     if f["chunk"] is None and strands != []:  # a stream without strands counts nothing
         f["chunk"] = code_size(spec.n, sys_).bit_length() - 1
     chunk = f["chunk"]
@@ -384,29 +386,27 @@ def _fse(f: dict, sys_: DupSystem, header: dict, epsilon, strands=None, parse=No
     if epsilon is not None and not ("ell" in header and "m" in header):
         chosen = _choose_params(epsilon, sys_, "m")
         f["ell"], f["m"] = header.get("ell", chosen.ell), header.get("m", chosen.m)
+    _need(f, header, "ell m", "fse mode needs -e, or both --ell and --m")
     ell, m = f["ell"], f["m"]
-    if ell is None or m is None:
-        raise DomainError("fse mode needs -e, or both --ell and --m")
-    _check("m", m, "m" in header)
-    params = FseParams(sys_, ell, m)
-    # q**ell <= delta_min_degree(m) < q**m: checked before q**ell is formed
+    _check("m", m, header)
+    with _source(header if ell >= 1 else (), "m", "k"):  # a header's ell is >= 1
+        params = FseParams(sys_, ell, m)
+    with _source(header, "ell", "m"):
+        if ell >= m:  # q**ell <= delta_min_degree(m) < q**m: checked before q**ell is formed
+            raise DomainError(f"ell={ell} must be below m={m}; no labeling exists")
     if strands:
         if len(strands) != 1:
             raise CorruptInputError(f"fse mode expects one strand, found {len(strands)}")
         received = parse(strands[0])
-        if not ell < m <= len(received):  # and the strand holds a state
-            raise CorruptInputError(
-                f"ell={ell}, m={m} do not satisfy ell < m <= {len(received)}, the strand length"
-            )
-    elif ell >= m:
-        error = DomainError if strands is None else CorruptInputError
-        raise error(f"ell={ell} must be below m={m}; no labeling exists")
+        if m > len(received):  # the strand holds a state
+            raise CorruptInputError(f"state length m={m} exceeds the strand length {len(received)}")
     chunk = (sys_.q**ell).bit_length() - 1
     if f["chunk"] not in (None, chunk):
         raise CorruptInputError(
             f"header chunk={f['chunk']} is not {chunk}, the width for ell={ell}")
     f["chunk"] = chunk
-    codec = None if strands == [] else FseCodec(params)  # a stream without strands counts nothing
+    with _source(header, "q", "k", "ell", "m"):  # q**ell <= delta_min_degree(m)
+        codec = None if strands == [] else FseCodec(params)  # no strand: nothing counts
 
     def to_values():
         values = codec._decode_received(received)
@@ -440,11 +440,11 @@ def _frame(path: str, f: dict) -> list[int]:
     if f["digits"]:
         text, q, ell = "".join(_read_text(path).split()), f["q"], f["ell"]
         if len(text) % ell != 0:
-            raise DomainError(f"digit message length must be a multiple of ell={ell}")
-        parse = _text_codec(q, False)[1]
+            raise CorruptInputError(f"digit message length must be a multiple of ell={ell}")
+        parse = _strand_codec(q, False, "digit block")[1]
         try:  # every character a digit below q
             parse(text)
-        except DomainError:  # name the first ell-digit block that holds a bad one
+        except CorruptInputError:  # name the first ell-digit block that holds a bad one
             for i in range(0, len(text), ell):
                 parse(text[i:i + ell])
             raise

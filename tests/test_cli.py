@@ -14,9 +14,10 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import corpus
 import reference as ref
 from flag_probes import PROBES, cases
 from tdcode import (
@@ -377,7 +378,7 @@ HEADER_PROBES = [
     probe("code", "mode", "xyz", 1, "header field 'mode=xyz' is not fse or code"),
     probe("code", "mode", "xyz", 2, "argument --mode: invalid choice: 'xyz'", flag=True),
     probe("code", "q", 3),
-    probe("code", "q", 2, 2, "alphabet size must be at least 3, got 2"),
+    probe("code", "q", 2, 1, "header field 'q=2' is not >= 3"),
     probe("code", "q", 2, 2, "alphabet size must be at least 3, got 2", flag=True),
     probe("code", "q", 8, k=3),
     probe("code", "q", 9, 1,
@@ -389,11 +390,11 @@ HEADER_PROBES = [
     probe("code", "q", 11, 1, "header digit strings only cover alphabets up to q = 10"),
     probe("code", "q", 11, 2, "digit strings only cover alphabets up to q = 10", flag=True),
     probe("code", "k", 3),
-    probe("code", "k", 4, 2, "duplication bound k must be 2 or 3, got 4"),
+    probe("code", "k", 4, 1, "header field 'k=4' is not 2 or 3"),
     probe("code", "k", 4, 2, "argument -k: invalid choice: 4", flag=True),
     probe("code", "n", 1, chunk=1),
     probe("code", "n", 1, flag=True),
-    probe("code", "n", 0, 2, "codeword length must be >= 1, got 0"),
+    probe("code", "n", 0, 1, "header field 'n=0' is not >= 1"),
     probe("code", "n", 0, 2, "codeword length must be >= 1, got 0", flag=True),
     probe("code", "n", 10),
     probe("code", "n", 11, 1, "code length n=11 exceeds the shortest strand"),
@@ -410,10 +411,10 @@ HEADER_PROBES = [
           f"header code length {MAX_TABLE_LENGTH + 1} exceeds the counting cap {MAX_TABLE_LENGTH}",
           length=0, name="code-n-32769-no-strand"),
     probe("code", "chunk", 1),
-    probe("code", "chunk", 0, 1, "header chunk=0 outside [1, 22]"),
+    probe("code", "chunk", 0, 1, "header field 'chunk=0' is not >= 1"),
     probe("code", "chunk", 22),
     probe("code", "chunk", 23, 1, "header chunk=23 outside [1, 22]"),
-    probe("code", "chunk", 0, 1, "header chunk=0 outside [1, 22]", length=0,
+    probe("code", "chunk", 0, 1, "header field 'chunk=0' is not >= 1", length=0,
           name="code-chunk-0-no-strand"),
     probe("code", "digits", 0),
     probe("code", "digits", 1, 1, "header digits=1 applies only to mode=fse"),
@@ -427,25 +428,23 @@ HEADER_PROBES = [
     probe("code", "dna", 2, 1, "header field 'dna=2' is not 0 or 1"),
     probe("fse", "mode", "fse"),
     probe("fse", "ell", 1),
-    probe("fse", "ell", 0, 2, "block length ell must be >= 1, got 0"),
+    probe("fse", "ell", 0, 1, "header field 'ell=0' is not >= 1"),
     probe("fse", "ell", 0, 2, "block length ell must be >= 1, got 0", flag=True),
     probe("fse", "ell", 2, chunk=3),
     probe("fse", "ell", 2, flag=True),
-    probe("fse", "ell", 3, 1, "ell=3, m=3 do not satisfy ell < m <= 312, the strand length"),
-    probe("fse", "ell", 3, 1, "ell=3, m=3 do not satisfy ell < m <= 312, the strand length",
-          flag=True),
-    probe("fse", "ell", 3, 1, "ell=3 must be below m=3; no labeling exists", length=0,
+    probe("fse", "ell", 3, 1, "header ell=3 must be below m=3; no labeling exists"),
+    probe("fse", "ell", 3, 2, "ell=3 must be below m=3; no labeling exists", flag=True),
+    probe("fse", "ell", 3, 1, "header ell=3 must be below m=3; no labeling exists", length=0,
           name="fse-ell-3-no-strand"),
-    probe("fse", "ell", 3, 1, "ell=3 must be below m=3; no labeling exists", length=0,
+    probe("fse", "ell", 3, 2, "ell=3 must be below m=3; no labeling exists", length=0,
           flag=True, name="fse-ell-3-no-strand-flag"),
     probe("fse", "m", 3),
-    probe("fse", "m", 2, 2, "state length m must be >= 3, got 2"),
+    probe("fse", "m", 2, 1, "header field 'm=2' is not >= 3"),
     probe("fse", "m", 2, 2, "state length m must be >= 3, got 2", flag=True),
     probe("fse", "m", 312),
-    probe("fse", "m", 313, 1, "ell=1, m=313 do not satisfy ell < m <= 312, the strand length"),
-    probe("fse", "m", 313, 1, "ell=1, m=313 do not satisfy ell < m <= 312, the strand length",
-          flag=True),
-    probe("fse", "m", 1000, 1, "ell=1, m=1000 do not satisfy ell < m <= 312, the strand length"),
+    probe("fse", "m", 313, 1, "state length m=313 exceeds the strand length 312"),
+    probe("fse", "m", 313, 1, "state length m=313 exceeds the strand length 312", flag=True),
+    probe("fse", "m", 1000, 1, "state length m=1000 exceeds the strand length 312"),
     probe("fse", "m", MAX_STATE_LENGTH, length=MAX_STATE_LENGTH + 1),
     probe("fse", "m", MAX_STATE_LENGTH + 1, 1,
           f"header state length {MAX_STATE_LENGTH + 1} exceeds the counting cap {MAX_STATE_LENGTH}",
@@ -516,6 +515,90 @@ class TestHeaderBounds:
         assert rc == rc_expected
         assert "Traceback" not in err
         assert ("error:" in err) == (rc_expected == 1)
+
+
+# Header fields at extreme values, any of them left out, and 0-3 short strands.
+EXTREMES = [-1, 0, 1, 2, 3, 4, 2049, 32769, 10**30]
+HEADERS = st.fixed_dictionaries({}, optional={
+    key: st.sampled_from(["fse", "code"] if key == "mode" else EXTREMES) for key in _FIELDS})
+STRANDS = st.lists(st.text("0123ACGT", max_size=12), max_size=3)
+
+
+class TestExitRule:
+    """Where a value came from sets the exit code: 1 for a header's and the
+    strands', 2 for a flag's, whatever the value."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("exit-rule")
+
+    @staticmethod
+    def run(workdir, argv, lines) -> tuple[int, str]:
+        data = "".join(line + "\n" for line in lines).encode()
+        seen = corpus.run([*argv, "-i", "INPUT", "-o", "OUTPUT"], data, workdir)
+        rc, err = seen["rc"], seen["stderr"]
+        # argparse prefixes its one line with the command
+        assert err == "" if rc == 0 else bool(re.match(r"(tdcode \w+: )?error: [^\n]*\n$", err)), err
+        return rc, err
+
+    @staticmethod
+    def header(fields: dict) -> str:
+        return " ".join(["# tdcode", *(f"{key}={v}" for key, v in fields.items())])
+
+    # a header that gives no field is no header
+    @given(fields=HEADERS.filter(bool), strands=STRANDS)
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @example(fields={"mode": "fse", "q": 4, "k": 3, "ell": 4, "m": 4}, strands=["0123"])
+    @example(fields={"mode": "code", "q": 2, "k": 2, "n": 4}, strands=[])
+    @example(fields={"mode": "fse"}, strands=[])
+    def test_a_header_never_exits_two(self, fields, strands, workdir):
+        lines = [self.header(fields), *strands]
+        for command in (["decode"], ["channel", "-t", "1"]):
+            rc, _ = self.run(workdir, command, lines)
+            assert rc in (0, 1)
+
+    @given(fields=HEADERS.filter(lambda f: f.get("digits", 0) in (0, 1)
+                                 and f.get("dna", 0) in (0, 1)), strands=STRANDS)
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @example(fields={"mode": "fse", "q": 4, "k": 3, "ell": 4, "m": 4}, strands=["0123"])
+    @example(fields={"mode": "fse", "q": 3, "k": 2, "ell": 3, "m": 3}, strands=[])
+    @example(fields={"k": -1}, strands=[])
+    @example(fields={"q": -1}, strands=[])
+    def test_the_same_fields_from_flags_exit_two(self, fields, strands, workdir):
+        flags = ["decode"] + [f for key, v in fields.items() if key in STREAM_FLAGS
+                              for f in (STREAM_FLAGS[key], str(v))]
+        flags += [f"--{key}" for key in ("digits", "dna") if fields.get(key)]
+        # without strands every value comes from a flag
+        rc, err = self.run(workdir, flags, [])
+        assert rc in (0, 2)
+        # with them a fault against the strands may come first, and exits 1
+        rc, err = self.run(workdir, flags, strands)
+        assert not err.startswith("error: header")
+        # past the fields' own values, a check failing on the header's values fails
+        # on the flags' alike: one message, and only the exit code tells them apart
+        given = {k: v for k, v in fields.items() if k != "chunk"}
+        _, err_header = self.run(workdir, ["decode"], [self.header(given), *strands])
+        if given and rc == 2 and re.match("error: header (?!field)", err_header):
+            assert err_header == err.replace("error: ", "error: header ", 1), (err, err_header)
+
+    @pytest.mark.parametrize("command", ["encode", "decode"])
+    @pytest.mark.parametrize("flags", [["--ell", "1"], ["--m", "19"], ["--ell", "1", "--m", "5"]],
+                             ids=["ell", "m", "both"])
+    def test_epsilon_with_ell_or_m_fails_before_counting(
+        self, command, flags, tmp_path, capsys, monkeypatch
+    ):
+        # -e picked ell = 13, m = 19 here and dropped both flags without a word
+        def counting(*args):
+            raise AssertionError("counting started before -e was checked against the flags")
+
+        for name in ("enumeration.asymptotic_rate", "enumeration.count_table", "fse.FseCodec"):
+            monkeypatch.setattr(f"tdcode.{name}", counting)
+        src = tmp_path / "in.bin"
+        src.write_bytes(b"hello" if command == "encode" else b"")
+        rc, out, err = run(capsys, command, "--mode", "fse", "-q", "4", "-k", "3", "-e", "0.05",
+                           *flags, "-i", str(src))
+        assert (rc, out) == (2, "")
+        assert err == "error: -e picks ell and m: give -e, or --ell and --m, not both\n"
 
 
 class TestBoundTable:
@@ -744,11 +827,12 @@ class TestStreamMessages:
     # pinned with its exit code
     @pytest.mark.parametrize("text, rc_expected, message", [
         ("# tdcode mode\n0120\n", 1, "malformed header token 'mode'"),
-        ("# tdcode mode=fse q=3 k=2 chunk=1\n0120\n", 2,
-         "fse mode needs -e, or both --ell and --m"),
+        ("# tdcode mode=fse q=3 k=2 chunk=1\n0120\n", 1,
+         "header ell, m missing: fse mode needs -e, or both --ell and --m"),
         ("# tdcode mode=fse q=3 k=2 ell=1 m=3 chunk=1\n010\n012\n", 1,
          "fse mode expects one strand, found 2"),
-        ("# tdcode mode=code q=3 k=2\n0120\n", 2, "code mode needs -n or a stream header"),
+        ("# tdcode mode=code q=3 k=2\n0120\n", 1,
+         "header n missing: code mode needs -n or a stream header"),
     ], ids=["bare-token", "fse-no-ell-m", "fse-two-strands", "code-no-n"])
     def test_decode_message(self, text, rc_expected, message, tmp_path, capsys):
         enc = tmp_path / "enc.txt"
