@@ -83,8 +83,8 @@ def _source(header=(), *reads: str):
 
 
 def _check(key: str, value: int, header=(), *reads: str, of: str = "", **given) -> None:
-    """Hold value, the field key (and reads) of _source, to its entry of _BOUNDS, given
-    what the entry's greatest value depends on; of names what value belongs to."""
+    """Hold value to its entry of _BOUNDS, given what the entry's greatest value
+    depends on; of names what it belongs to, and key and reads go to _source."""
     noun, least, greatest, name = _BOUNDS[key]
     high = greatest(**given) if callable(greatest) else greatest
     if (least is None or least <= value) and value <= high:
@@ -389,7 +389,7 @@ def _fse(f: dict, sys_: DupSystem, header: dict, epsilon, strands=None, parse=No
     _need(f, header, "ell m", "fse mode needs -e, or both --ell and --m")
     ell, m = f["ell"], f["m"]
     _check("m", m, header)
-    with _source(header if ell >= 1 else (), "m", "k"):  # a header's ell is >= 1
+    with _source(header if ell >= 1 else (), "m", "k"):  # an ell below 1 is a flag's
         params = FseParams(sys_, ell, m)
     with _source(header, "ell", "m"):
         if ell >= m:  # q**ell <= delta_min_degree(m) < q**m: checked before q**ell is formed
